@@ -1,0 +1,6 @@
+"""Puts the checkout's sources on the path for the benchmark's own tests."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
