@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -111,10 +113,13 @@ def static_backend(text: str) -> ScriptedBackend:
 class HttpChatBackend:
     """Chat-completions client with retry and an on-disk response cache.
 
-    Responses are cached keyed by a hash of (prompt, n, model, temperature),
-    so repeating a run against a warm cache makes no network calls. Transport
+    Responses are cached keyed by a hash of (prompt, n, seed, model,
+    temperature), so each seeded call is its own sample and repeating a run
+    against a warm cache makes no network calls. A cache file is renamed into
+    place once written, so no reader sees a partial one. Transport
     errors and 5xx responses are retried up to `retries` times with
-    exponential backoff; other HTTP errors raise BackendError immediately.
+    exponential backoff; other HTTP errors and non-JSON replies raise
+    BackendError immediately.
     """
 
     def __init__(
@@ -142,13 +147,12 @@ class HttpChatBackend:
         self.retries = retries
         self.backoff = backoff
         self._session = session or requests.Session()
-        self._lock = threading.Lock()
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
 
-    def _cache_key(self, prompt: str, n: int) -> str:
+    def _cache_key(self, prompt: str, n: int, seed: int) -> str:
         blob = json.dumps(
-            {"prompt": prompt, "n": n, "model": self.model, "temperature": self.temperature},
+            dict(prompt=prompt, n=n, seed=seed, model=self.model, temperature=self.temperature),
             sort_keys=True,
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -157,19 +161,22 @@ class HttpChatBackend:
         return self.cache_dir / f"{key}.json" if self.cache_dir else None
 
     def propose(self, prompt: str, n: int, seed: int) -> list:
-        del seed  # sampling randomness lives server-side; cache ignores it too
-        path = self._cache_path(self._cache_key(prompt, n))
+        path = self._cache_path(self._cache_key(prompt, n, seed))
         if path is not None and path.exists():
             return list(json.loads(path.read_text())["texts"])
         texts = self._request(prompt, n)
         if path is not None:
-            with self._lock:
-                path.write_text(json.dumps({"texts": texts}, sort_keys=True))
+            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(json.dumps({"texts": texts}, sort_keys=True))
+                os.replace(tmp, path)
+            except OSError:
+                os.unlink(tmp)
+                raise
         return texts
 
     def _request(self, prompt: str, n: int) -> list:
-        import os
-
         import requests
 
         headers = {"Content-Type": "application/json"}
@@ -199,7 +206,11 @@ class HttpChatBackend:
                         f"http backend rejected request ({resp.status_code}): {resp.text[:200]}"
                     )
                 else:
-                    return self._parse(resp.json(), n)
+                    try:
+                        data = resp.json()
+                    except ValueError as exc:
+                        raise BackendError(f"completion reply is not JSON: {exc}") from exc
+                    return self._parse(data, n)
             if attempt + 1 < self.retries:
                 time.sleep(self.backoff * (2**attempt))
         raise BackendError(f"http backend failed after {self.retries} attempts; {last_error}")

@@ -37,7 +37,7 @@ from .backends import (
     static_backend,
 )
 from .envs import TaskError, load_task
-from .report import RunReport, report_from_rows
+from .report import RunReport
 from .reflection import ReflectionStore
 from .search import (
     PROMPT_STYLES,
@@ -293,7 +293,7 @@ def cmd_report(args) -> int:
         rows.extend(payload.get("rows", []))
     if not rows:
         raise CliError("reports contain no rows")
-    merged = report_from_rows(rows)
+    merged = RunReport(rows=rows)
     if args.csv:
         merged.write_csv(args.csv)
     if args.json:

@@ -30,7 +30,6 @@ class PromptBundle:
     reflections_header: str = DEFAULT_REFLECTIONS_HEADER
     reflections: list = field(default_factory=list)
     failed_trajectories: list = field(default_factory=list)
-    query: str = ""
     # Value prompts carry failed trajectories; agent prompts usually do not.
     include_failed_trajectories: bool = False
     # None picks the per-style default cue; "" suppresses the cue entirely.
@@ -68,15 +67,11 @@ def render_reasoning_steps(ctx: StateContext) -> str:
     return "\n".join(lines)
 
 
-def _effective_reflections(bundle: PromptBundle, ctx: StateContext) -> list:
-    seen = []
-    for text in list(bundle.reflections) + list(ctx.reflections):
-        if text and text not in seen:
-            seen.append(text)
-    return seen
-
-
-def _render_sections(bundle: PromptBundle, reflections: list, query_block: str) -> str:
+def _sections(bundle: PromptBundle, query_block: str) -> str:
+    reflections = []
+    for text in bundle.reflections:
+        if text and text not in reflections:
+            reflections.append(text)
     parts = [bundle.instruction.strip()]
     parts.extend(example.strip() for example in bundle.few_shot)
     if reflections:
@@ -85,16 +80,6 @@ def _render_sections(bundle: PromptBundle, reflections: list, query_block: str) 
         parts.extend(t.strip() for t in bundle.failed_trajectories)
     parts.append(query_block)
     return "\n\n".join(p for p in parts if p)
-
-
-def _sections(bundle: PromptBundle, ctx: StateContext, query_block: str) -> str:
-    return _render_sections(bundle, _effective_reflections(bundle, ctx), query_block)
-
-
-def render_bundle(bundle: PromptBundle) -> str:
-    """Render a bundle as-is, using bundle.query verbatim as the final block.
-    The assemble_* helpers fill that block from a StateContext instead."""
-    return _render_sections(bundle, [t for t in bundle.reflections if t], bundle.query)
 
 
 def _with_cue(block: str, ctx: StateContext, default_cue: str) -> str:
@@ -111,7 +96,7 @@ def assemble_acting_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
         block = _with_cue(block, ctx, f"Thought {len(ctx.steps) + 1}:")
     elif bundle.cue:
         block = block + "\n" + bundle.cue.replace("{i}", str(len(ctx.steps) + 1))
-    return _sections(bundle, ctx, block)
+    return _sections(bundle, block)
 
 
 def assemble_reasoning_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
@@ -124,7 +109,7 @@ def assemble_reasoning_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
             block = _with_cue(block, ctx, "Action:")
         elif bundle.cue:
             block = block + "\n" + bundle.cue.replace("{i}", str(len(ctx.steps) + 1))
-    return _sections(bundle, ctx, block)
+    return _sections(bundle, block)
 
 
 def assemble_prompt(bundle: PromptBundle, ctx: StateContext, style: str) -> str:

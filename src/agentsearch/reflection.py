@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .backends import BackendError, PolicyBackend
 from .prompts import PromptBundle, render_acting_steps
@@ -63,9 +62,6 @@ class ReflectionStore:
         mine = [r for r in self._records if r.task_id == task_id]
         return mine[-m:] if m else []
 
-    def all_records(self) -> list:
-        return list(self._records)
-
     def to_jsonl(self) -> str:
         lines = [
             json.dumps(
@@ -83,22 +79,6 @@ class ReflectionStore:
             for r in self._records
         ]
         return "\n".join(lines) + "\n" if lines else ""
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "ReflectionStore":
-        store = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            store.record(
-                task_id=row["task_id"],
-                trajectory_text=row["trajectory_text"],
-                reward=row["reward"],
-                reflection=row["reflection"],
-                episode=row["episode"],
-            )
-        return store
 
 
 def assemble_reflection_prompt(bundle: PromptBundle, ctx: StateContext, reward: float) -> str:

@@ -34,9 +34,6 @@ class RunReport:
     def from_results(cls, results) -> "RunReport":
         return cls(rows=[r.summary() for r in results])
 
-    def add(self, result) -> None:
-        self.rows.append(result.summary())
-
     def aggregate(self) -> dict:
         groups: dict = {}
         for row in self.rows:
@@ -83,8 +80,3 @@ class RunReport:
             writer.writeheader()
             for row in self.rows:
                 writer.writerow(row)
-
-
-def report_from_rows(rows: list) -> RunReport:
-    """Build a report from already-summarized rows (e.g. parsed JSON)."""
-    return RunReport(rows=list(rows))

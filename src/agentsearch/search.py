@@ -10,6 +10,15 @@ Four variants share one expansion/valuation substrate:
     best_of_k     k independent greedy rollouts, one proposal per step
     greedy_retry  best_of_k plus failure reflections carried across rollouts
 
+mcts, best_of_k and greedy_retry share one episode loop: each of up to k
+episodes refreshes the reflection-injected prompts, plays the variant's body
+to an end node and reward, then stops the run on success or reflects on a
+failed terminal. A BackendError ends only its episode; when all k episodes
+errored the run ends with backend_error. dfs_prune keeps its own stack loop
+and emits no episode events; each expansion counts as an episode, and when
+the root expansion errors, leaving nothing to expand, it too ends with
+backend_error.
+
 A run terminates as soon as any trajectory reaches reward 1.0 (that reward is
 still backpropagated first, where the variant backpropagates at all), when the
 budget k is spent, or when the tree has no expandable leaf left.
@@ -234,16 +243,14 @@ class _Engine:
         self.tree = SearchTree.create(task_input(task), root_observation=obs.text)
         self.snapshots = {0: self.env.snapshot()}
         self.new_reflections = []
+        self.reflective = cfg.reflection_enabled and cfg.variant in _REFLECTIVE_VARIANTS
         self.expansions = 0
         self.episodes = 0
-        self.error_episodes = 0
 
     # -- shared machinery -------------------------------------------------
 
     def _refresh_bundles(self) -> None:
-        if not self.cfg.reflection_enabled or self.cfg.variant not in _REFLECTIVE_VARIANTS:
-            self.act_bundle = self.base_act
-            self.value_bundle = self.base_value
+        if not self.reflective:
             return
         records = self.store.select(self.task.task_id, self.cfg.reflection_limit)
         self.act_bundle = inject(self.base_act, records)
@@ -252,14 +259,13 @@ class _Engine:
     def _apply_proposal(self, parent_id: int, text: str):
         """Parse one proposal and play it in the environment, from the
         parent's saved state. Unparseable texts become thought nodes with an
-        invalid-action observation and leave the state untouched."""
+        invalid-action observation that share the parent's snapshot."""
         try:
             action = parse_action(text, self.env.grammar)
         except ValueError:
             raw = text if text and text.strip() else "(empty proposal)"
-            self.env.restore(self.snapshots[parent_id])
             spec = ChildSpec(action=ActionSample(kind="thought", raw=raw), observation=INVALID)
-            return spec, self.env.snapshot()
+            return spec, self.snapshots[parent_id]
         self.env.restore(self.snapshots[parent_id])
         obs = self.env.step(action)
         spec = ChildSpec(
@@ -282,10 +288,10 @@ class _Engine:
         ids = add_children(self.tree, parent_id, [spec for spec, _ in pairs])
         for node_id, (_, snap) in zip(ids, pairs):
             self.snapshots[node_id] = snap
-        for node_id in ids:
-            node = self.tree.node(node_id)
+        children = [self.tree.node(node_id) for node_id in ids]
+        for node in children:
             if not node.is_terminal and node.depth >= self.cfg.depth_limit:
-                mark_unexpandable(self.tree, node_id)
+                mark_unexpandable(self.tree, node.id)
         self.expansions += 1
         self.trace.emit(
             "expand",
@@ -294,13 +300,13 @@ class _Engine:
             prompt=self.trace.prompt_field(prompt),
             children=[
                 {
-                    "id": node_id,
-                    "action": self.tree.node(node_id).action.raw,
-                    "observation": self.tree.node(node_id).observation,
-                    "terminal": self.tree.node(node_id).is_terminal,
-                    "reward": self.tree.node(node_id).reward,
+                    "id": node.id,
+                    "action": node.action.raw,
+                    "observation": node.observation,
+                    "terminal": node.is_terminal,
+                    "reward": node.reward,
                 }
-                for node_id in ids
+                for node in children
             ],
         )
         return ids
@@ -351,13 +357,14 @@ class _Engine:
         nodes = [self.tree.node(c) for c in child_ids]
         return max(nodes, key=lambda c: (c.value, -c.id))
 
-    def _maybe_reflect(self, node_id: int, reward: float, episode: int) -> None:
-        if not self.cfg.reflection_enabled or self.cfg.variant not in _REFLECTIVE_VARIANTS:
+    def _outcome(self, node: Node):
+        """(node, reward) for an episode ending at node; truncation scores 0."""
+        return node, float(node.reward) if node.is_terminal else 0.0
+
+    def _maybe_reflect(self, node: Node, reward: float, episode: int) -> None:
+        if not self.reflective or not node.is_terminal or reward >= 1.0:
             return
-        node = self.tree.node(node_id)
-        if not node.is_terminal or reward >= 1.0:
-            return
-        ctx = reconstruct_context(self.tree, node_id)
+        ctx = reconstruct_context(self.tree, node.id)
         text = generate_reflection(
             ctx,
             reward,
@@ -371,13 +378,41 @@ class _Engine:
             self.task.task_id, render_acting_steps(ctx), reward, text, episode
         )
         self.new_reflections.append(record)
-        self.trace.emit("reflect", episode=episode, node=node_id, reward=reward, reflection=text)
+        self.trace.emit("reflect", episode=episode, node=node.id, reward=reward, reflection=text)
+
+    # -- the episode loop (mcts, best_of_k, greedy_retry) -----------------
+
+    def _run_episodes(self, body) -> str:
+        """Run up to k episodes. body(episode) plays one episode and returns
+        (end node, reward), or None when no leaf is left to select. A
+        BackendError ends just that episode; a failed terminal is reflected
+        on before the next one starts."""
+        errors = 0
+        for episode in range(1, self.cfg.k + 1):
+            self.episodes = episode
+            self._refresh_bundles()
+            self.trace.emit("episode_start", episode=episode)
+            try:
+                outcome = body(episode)
+            except BackendError as exc:
+                errors += 1
+                self.trace.emit("episode_end", episode=episode, reward=None, error=str(exc))
+                continue
+            if outcome is None:
+                self.trace.emit("episode_end", episode=episode, reward=None, note="tree exhausted")
+                return "tree_exhausted"
+            end, reward = outcome
+            self._maybe_reflect(end, reward, episode)
+            self.trace.emit("episode_end", episode=episode, reward=reward)
+            if end.is_terminal and reward >= 1.0:
+                return "success"
+        return "backend_error" if errors == self.cfg.k else "budget_exhausted"
 
     # -- mcts -------------------------------------------------------------
 
     def _simulate(self, child_ids: list, episode: int):
         """Greedy descent from the best fresh child to a terminal or the
-        depth limit. Returns (end node, reward); truncation scores 0."""
+        depth limit."""
         current = self._choose(child_ids)
         self.trace.emit("simulate_step", episode=episode, node=current.id, depth=current.depth)
         while not current.is_terminal and current.depth < self.cfg.depth_limit:
@@ -391,74 +426,58 @@ class _Engine:
             self.trace.emit(
                 "simulate_step", episode=episode, node=current.id, depth=current.depth
             )
-        reward = float(current.reward) if current.is_terminal else 0.0
-        return current, reward
+        return self._outcome(current)
 
     def _resolve_skip(self, child_ids: list):
         """Skip-simulation scoring: the best terminal child's reward, or 0
         through the best non-terminal child when nothing terminated."""
         nodes = [self.tree.node(c) for c in child_ids]
-        terminal = [c for c in nodes if c.is_terminal and c.reward is not None]
+        terminal = [c for c in nodes if c.is_terminal]
         if terminal:
-            best = max(terminal, key=lambda c: (c.reward, c.value, -c.id))
-            return best, float(best.reward)
-        best = max(nodes, key=lambda c: (c.value, -c.id))
-        return best, 0.0
+            return self._outcome(max(terminal, key=lambda c: (c.reward, c.value, -c.id)))
+        return self._outcome(max(nodes, key=lambda c: (c.value, -c.id)))
 
-    def _episode(self, episode: int) -> Optional[str]:
-        """One full search iteration. Returns a run-ending reason or None."""
-        self._refresh_bundles()
-        self.trace.emit("episode_start", episode=episode)
+    def _mcts_episode(self, episode: int):
+        """Select a leaf and expand it. A winning child ends the episode at
+        once; otherwise evaluate the children, then simulate or skip. The
+        end reward is backpropagated either way."""
         leaf_id = select_path(self.tree, self.cfg.w)
         if leaf_id is None:
-            self.trace.emit("episode_end", episode=episode, reward=None, note="tree exhausted")
-            return "tree_exhausted"
+            return None
         self.trace.emit(
             "select",
             episode=episode,
             node=leaf_id,
             path=list(reversed(self.tree.path_to_root(leaf_id))),
         )
-        try:
-            child_ids = self._expand(leaf_id, episode)
-        except BackendError as exc:
-            self.error_episodes += 1
-            self.trace.emit("episode_end", episode=episode, reward=None, error=str(exc))
-            return None
+        child_ids = self._expand(leaf_id, episode)
         winner = self._winning_child(child_ids)
         if winner is not None:
-            self._backprop(winner.id, float(winner.reward), episode)
-            self.trace.emit("episode_end", episode=episode, reward=winner.reward)
-            return "success"
-        self._evaluate(leaf_id, episode)
-        if self.cfg.skip_simulation:
-            end, reward = self._resolve_skip(child_ids)
+            end, reward = self._outcome(winner)
         else:
-            try:
+            self._evaluate(leaf_id, episode)
+            if self.cfg.skip_simulation:
+                end, reward = self._resolve_skip(child_ids)
+            else:
                 end, reward = self._simulate(child_ids, episode)
-            except BackendError as exc:
-                self.error_episodes += 1
-                self.trace.emit("episode_end", episode=episode, reward=None, error=str(exc))
-                return None
         self._backprop(end.id, reward, episode)
-        if end.is_terminal and reward >= 1.0:
-            self.trace.emit("episode_end", episode=episode, reward=reward)
-            return "success"
-        self._maybe_reflect(end.id, reward, episode)
-        self.trace.emit("episode_end", episode=episode, reward=reward)
-        return None
+        return end, reward
 
-    def _run_mcts(self) -> str:
-        for episode in range(1, self.cfg.k + 1):
-            self.episodes = episode
-            outcome = self._episode(episode)
-            if outcome is not None:
-                return outcome
-        return "budget_exhausted"
+    # -- greedy rollouts ---------------------------------------------------
+
+    def _rollout_episode(self, episode: int):
+        """One proposal per step from the root to a terminal or the depth
+        limit; no selection, evaluation or backpropagation."""
+        current = self.tree.root
+        while not current.is_terminal and current.depth < self.cfg.depth_limit:
+            current = self.tree.node(self._expand(current.id, episode, width=1)[0])
+        return self._outcome(current)
 
     # -- dfs with pruning --------------------------------------------------
 
     def _run_dfs(self) -> str:
+        """Depth-first over scored children. Each expansion is an episode
+        and k caps them; an errored expansion drops its node."""
         stack = [0]
         while stack:
             if self.expansions >= self.cfg.k:
@@ -468,8 +487,8 @@ class _Engine:
             try:
                 ids = self._expand(node_id, tag)
             except BackendError:
-                self.error_episodes += 1
                 continue
+            self.episodes = self.expansions
             if self._winning_child(ids) is not None:
                 return "success"
             self._evaluate(node_id, tag)
@@ -491,35 +510,8 @@ class _Engine:
                 kept=sorted(kept),
                 dropped=[c for c in ids if c not in kept],
             )
-        return "tree_exhausted"
-
-    # -- greedy rollouts ---------------------------------------------------
-
-    def _run_rollouts(self) -> str:
-        for episode in range(1, self.cfg.k + 1):
-            self.episodes = episode
-            self._refresh_bundles()
-            self.trace.emit("episode_start", episode=episode)
-            current = self.tree.root
-            error = None
-            while not current.is_terminal and current.depth < self.cfg.depth_limit:
-                try:
-                    ids = self._expand(current.id, episode, width=1)
-                except BackendError as exc:
-                    error = str(exc)
-                    break
-                current = self.tree.node(ids[0])
-            if error is not None:
-                self.error_episodes += 1
-                self.trace.emit("episode_end", episode=episode, reward=None, error=error)
-                continue
-            reward = float(current.reward) if current.is_terminal else 0.0
-            if current.is_terminal and reward >= 1.0:
-                self.trace.emit("episode_end", episode=episode, reward=reward)
-                return "success"
-            self._maybe_reflect(current.id, reward, episode)
-            self.trace.emit("episode_end", episode=episode, reward=reward)
-        return "budget_exhausted"
+        # Only an errored root expansion leaves nothing expanded.
+        return "tree_exhausted" if self.expansions else "backend_error"
 
     # -- orchestration ------------------------------------------------------
 
@@ -542,19 +534,11 @@ class _Engine:
             config=dataclasses.asdict(self.cfg),
         )
         if self.cfg.variant == "mcts":
-            reason = self._run_mcts()
+            reason = self._run_episodes(self._mcts_episode)
         elif self.cfg.variant == "dfs_prune":
             reason = self._run_dfs()
         else:
-            reason = self._run_rollouts()
-        if self.cfg.variant == "dfs_prune":
-            self.episodes = self.expansions
-        if (
-            reason == "budget_exhausted"
-            and self.error_episodes
-            and self.error_episodes == self.episodes
-        ):
-            reason = "backend_error"
+            reason = self._run_episodes(self._rollout_episode)
         return self._finalize(reason)
 
     def _finalize(self, reason: str) -> SearchResult:

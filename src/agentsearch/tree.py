@@ -39,10 +39,9 @@ class Node:
     reward: Optional[float] = None
     eval_score: Optional["ValueScore"] = None
     children: list = field(default_factory=list)
-    # True when this node can never be expanded (terminal, or a non-terminal
-    # leaf pinned at the depth limit). Exhaustion of inner nodes is tracked
-    # separately because it depends on the whole subtree.
-    unexpandable: bool = False
+    # True when selection can never return this node or anything below it:
+    # a terminal, a leaf pinned at the depth limit, or an inner node whose
+    # children are all exhausted.
     exhausted: bool = False
 
 
@@ -63,7 +62,6 @@ class StateContext:
 
     input: str
     steps: list = field(default_factory=list)
-    reflections: list = field(default_factory=list)
 
 
 @dataclass
@@ -94,10 +92,6 @@ class SearchTree:
             path.append(cur)
             cur = self.nodes[cur].parent
         return path
-
-
-class TreeExhausted(RuntimeError):
-    """Every reachable leaf is terminal or depth-capped; nothing to expand."""
 
 
 def uct(value: float, visits: int, parent_visits: int, w: float) -> float:
@@ -172,7 +166,6 @@ def add_children(tree: SearchTree, parent_id: NodeId, specs: Iterable[ChildSpec]
             reward=spec.reward,
         )
         if spec.is_terminal:
-            node.unexpandable = True
             node.exhausted = True
         tree.nodes.append(node)
         parent.children.append(node.id)
@@ -185,7 +178,6 @@ def mark_unexpandable(tree: SearchTree, node_id: NodeId) -> None:
     """Pin a leaf (e.g. a non-terminal node at the depth limit) so selection
     never returns it, and update ancestor exhaustion."""
     node = tree.node(node_id)
-    node.unexpandable = True
     node.exhausted = True
     if node.parent is not None:
         _propagate_exhaustion(tree, node.parent)
@@ -211,15 +203,15 @@ def backpropagate(tree: SearchTree, leaf_id: NodeId, reward: float) -> None:
         node.value = (node.value * (node.visits - 1) + reward) / node.visits
 
 
-def reconstruct_context(tree: SearchTree, node_id: NodeId, reflections: Optional[list] = None) -> StateContext:
+def reconstruct_context(tree: SearchTree, node_id: NodeId) -> StateContext:
     """Build the textual state of a node: every (action, observation) pair
-    from the root down, plus any reflection texts to surface in prompts."""
+    from the root down."""
     steps = []
     for nid in reversed(tree.path_to_root(node_id)):
         node = tree.node(nid)
         if node.action is not None:
             steps.append((node.action, node.observation))
-    return StateContext(input=tree.input, steps=steps, reflections=list(reflections or []))
+    return StateContext(input=tree.input, steps=steps)
 
 
 def dump_tree(tree: SearchTree) -> list:

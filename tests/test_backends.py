@@ -186,6 +186,8 @@ class StubResponse:
         self.text = text
 
     def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
         return self._payload
 
 
@@ -224,12 +226,21 @@ def test_http_backend_returns_n_texts():
 
 
 def test_http_backend_cache_skips_network(tmp_path):
-    session = StubSession([StubResponse(200, completion_payload(["cached"]))])
+    session = StubSession(
+        [
+            StubResponse(200, completion_payload(["cached"])),
+            StubResponse(200, completion_payload(["other sample"])),
+        ]
+    )
     backend = make_backend(session, cache_dir=tmp_path)
     assert backend.propose("p", 1, 0) == ["cached"]
-    # second call, different seed, same (prompt, n): served from disk
-    assert backend.propose("p", 1, 99) == ["cached"]
-    assert len(session.calls) == 1
+    # a different seed is a different sample: it goes to the server
+    assert backend.propose("p", 1, 99) == ["other sample"]
+    assert len(session.calls) == 2
+    # a repeated (prompt, n, seed) is served from disk
+    assert backend.propose("p", 1, 99) == ["other sample"]
+    assert len(session.calls) == 2
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".json", ".json"]
     fresh = make_backend(StubSession([]), cache_dir=tmp_path)
     assert fresh.propose("p", 1, 0) == ["cached"]
 
@@ -260,6 +271,14 @@ def test_http_backend_recovers_after_transport_error():
     backend = make_backend(session, retries=2)
     assert backend.propose("p", 1, 0) == ["recovered"]
     assert len(session.calls) == 2
+
+
+def test_http_backend_non_json_reply_raises_backend_error():
+    session = StubSession([StubResponse(200, ValueError("Expecting value"), text="<html>")])
+    backend = make_backend(session, retries=3)
+    with pytest.raises(BackendError, match="not JSON"):
+        backend.propose("p", 1, 0)
+    assert len(session.calls) == 1
 
 
 def test_http_backend_rejects_short_completions():

@@ -10,7 +10,6 @@ from agentsearch.prompts import (
     assemble_prompt,
     assemble_reasoning_prompt,
     render_acting_steps,
-    render_bundle,
     render_reasoning_steps,
 )
 from agentsearch.tree import StateContext
@@ -130,9 +129,8 @@ def test_reflections_header_absent_without_reflections():
 
 
 def test_context_reflections_merge_and_dedupe():
-    bundle = PromptBundle(instruction="inst", reflections=["r1"])
-    ctx = StateContext(input="q", reflections=["r1", "r2"])
-    prompt = assemble_acting_prompt(bundle, ctx)
+    bundle = PromptBundle(instruction="inst", reflections=["r1", "", "r2", "r1"])
+    prompt = assemble_acting_prompt(bundle, StateContext(input="q"))
     assert prompt.count("r1") == 1
     assert "r2" in prompt
     assert prompt.index("r1") < prompt.index("r2")
@@ -149,11 +147,6 @@ def test_failed_trajectories_included_only_when_enabled():
     ctx = StateContext(input="q2")
     assert "Finish[wrong]" not in assemble_acting_prompt(off, ctx)
     assert "Finish[wrong]" in assemble_acting_prompt(on, ctx)
-
-
-def test_render_bundle_uses_query_verbatim():
-    bundle = PromptBundle(instruction="inst", query="custom tail block")
-    assert render_bundle(bundle) == "inst\n\ncustom tail block"
 
 
 def test_assemble_prompt_dispatch_and_unknown_style():

@@ -1,5 +1,7 @@
 """Reflection store and generation tests."""
 
+import json
+
 import pytest
 
 from agentsearch.actions import ActionGrammar, parse_action
@@ -41,11 +43,17 @@ def test_store_jsonl_round_trip():
     text = store.to_jsonl()
     assert text.endswith("\n")
     assert len(text.strip().splitlines()) == 2
-    restored = ReflectionStore.from_jsonl(text)
-    assert restored.to_jsonl() == text
-    assert [r.created_at for r in restored.all_records()] == [0, 1]
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert [r["created_at"] for r in rows] == [0, 1]
+    assert rows[0] == {
+        "task_id": "t1",
+        "trajectory_text": "Question: q\nAction 1: Finish[x]",
+        "reward": 0.25,
+        "reflection": "do not finish early",
+        "episode": 1,
+        "created_at": 0,
+    }
     assert ReflectionStore().to_jsonl() == ""
-    assert ReflectionStore.from_jsonl("").all_records() == []
 
 
 def test_reflection_prompt_shows_trajectory_and_fail_status():

@@ -3,7 +3,7 @@
 import csv
 import json
 
-from agentsearch.report import COLUMNS, RunReport, report_from_rows
+from agentsearch.report import COLUMNS, RunReport
 
 
 def row(task_id, kind="game24", variant="mcts", success=True, reward=1.0, episodes=1):
@@ -36,7 +36,7 @@ def sample_rows():
 
 
 def test_aggregate_matches_recomputation():
-    report = report_from_rows(sample_rows())
+    report = RunReport(rows=sample_rows())
     agg = report.aggregate()
     assert set(agg) == {"game24/mcts", "game24/best_of_k", "shop/mcts"}
     g = agg["game24/mcts"]
@@ -51,18 +51,18 @@ def test_aggregate_matches_recomputation():
 
 
 def test_json_round_trip(tmp_path):
-    report = report_from_rows(sample_rows())
+    report = RunReport(rows=sample_rows())
     path = tmp_path / "report.json"
     report.write_json(path)
     data = json.loads(path.read_text())
     assert data["rows"] == sample_rows()
     assert data["aggregate"] == report.aggregate()
-    rebuilt = report_from_rows(data["rows"])
+    rebuilt = RunReport(rows=data["rows"])
     assert rebuilt.aggregate() == report.aggregate()
 
 
 def test_csv_columns_and_rows(tmp_path):
-    report = report_from_rows(sample_rows())
+    report = RunReport(rows=sample_rows())
     path = tmp_path / "report.csv"
     report.write_csv(path)
     with open(path, newline="") as fh:
@@ -72,22 +72,6 @@ def test_csv_columns_and_rows(tmp_path):
     assert rows[0]["task_id"] == "a"
     assert rows[3]["variant"] == "best_of_k"
     assert rows[4]["kind"] == "shop"
-
-
-def test_add_matches_from_results():
-    class FakeResult:
-        def __init__(self, r):
-            self._row = r
-
-        def summary(self):
-            return self._row
-
-    results = [FakeResult(r) for r in sample_rows()]
-    built = RunReport.from_results(results)
-    grown = RunReport()
-    for r in results:
-        grown.add(r)
-    assert built.rows == grown.rows == sample_rows()
 
 
 def test_empty_report_aggregates_to_nothing():

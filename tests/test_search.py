@@ -12,7 +12,7 @@ from agentsearch.backends import (
 from agentsearch.envs import TaskSpec
 from agentsearch.prompts import DEFAULT_REFLECTIONS_HEADER
 from agentsearch.reflection import ReflectionStore
-from agentsearch.search import BackendSet, SearchConfig, run_search
+from agentsearch.search import VARIANTS, BackendSet, SearchConfig, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
 
@@ -149,7 +149,7 @@ def test_mcts_static_thoughts_exhaust_shallow_tree(game24_templates):
     assert result.episodes_used == 2  # episode 2 finds nothing selectable
     assert not result.success
     deepest = [n for n in result.tree.nodes if n.depth == 2]
-    assert deepest and all(n.unexpandable for n in deepest)
+    assert deepest and all(n.exhausted and not n.children for n in deepest)
     # truncated (non-terminal) rollouts never trigger reflections
     assert result.backend_calls["reflection"]["calls"] == 0
 
@@ -219,7 +219,8 @@ def test_backend_error_aborts_episode_but_not_run(game24_templates):
     assert len(errored) == 1 and errored[0]["episode"] == 1
 
 
-def test_all_episodes_erroring_reports_backend_error(game24_templates):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_all_episodes_erroring_reports_backend_error(game24_templates, variant):
     backends = BackendSet(
         policy=FailingBackend(Game24PolicyOracle(1.0, seed=1), failures=999),
         value=Game24ValueOracle(1.0, seed=2),
@@ -229,12 +230,18 @@ def test_all_episodes_erroring_reports_backend_error(game24_templates):
         game24_task([4, 9, 10, 13]),
         backends,
         game24_templates,
-        SearchConfig(n=5, k=3, seed=0),
+        SearchConfig(n=5, k=3, variant=variant, seed=0),
     )
     assert not result.success
     assert result.terminate_reason == "backend_error"
-    assert result.episodes_used == 3
-    assert result.backend_calls["policy"]["calls"] == 3
+    if variant == "dfs_prune":
+        # dfs drops a node whose expansion errored: after the root there is
+        # nothing left to try, and nothing was expanded.
+        assert result.episodes_used == 0
+        assert result.backend_calls["policy"]["calls"] == 1
+    else:
+        assert result.episodes_used == 3
+        assert result.backend_calls["policy"]["calls"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_terminal_children_are_exhausted_and_unexpandable():
     ids = make_children(tree, 0, 2, terminal_rewards={0: 1.0, 1: 0.0})
     for i in ids:
         node = tree.node(i)
-        assert node.is_terminal and node.exhausted and node.unexpandable
+        assert node.is_terminal and node.exhausted
 
 
 def test_exhaustion_propagates_to_ancestors():
