@@ -22,7 +22,7 @@ from .search import (
     run_search,
 )
 from .seeding import stable_seed
-from .templates import TemplateSet, load_bundle, load_template_set
+from .templates import TemplateSet, load_template_set
 from .trace import ReplayError, TraceWriter, read_trace, replay_trace, write_trace
 from .tree import ChildSpec, Node, SearchTree, tree_to_jsonl, uct
 from .valuation import ValueScore, evaluate_children
@@ -56,7 +56,6 @@ __all__ = [
     "ValueScore",
     "assemble_prompt",
     "evaluate_children",
-    "load_bundle",
     "load_task",
     "load_template_set",
     "make_env",

@@ -35,9 +35,6 @@ class ActionSample:
     verb: Optional[str] = None
     argument: Optional[str] = None
 
-    def render(self) -> str:
-        return self.raw
-
 
 @dataclass(frozen=True)
 class ActionGrammar:

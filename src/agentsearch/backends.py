@@ -116,7 +116,8 @@ class HttpChatBackend:
     Responses are cached keyed by a hash of (prompt, n, seed, model,
     temperature), so each seeded call is its own sample and repeating a run
     against a warm cache makes no network calls. A cache file is renamed into
-    place once written, so no reader sees a partial one. Transport
+    place once written, so no reader sees a partial one; an unreadable one
+    (say, left half-written by an older version) counts as a miss. Transport
     errors and 5xx responses are retried up to `retries` times with
     exponential backoff; other HTTP errors and non-JSON replies raise
     BackendError immediately.
@@ -163,7 +164,10 @@ class HttpChatBackend:
     def propose(self, prompt: str, n: int, seed: int) -> list:
         path = self._cache_path(self._cache_key(prompt, n, seed))
         if path is not None and path.exists():
-            return list(json.loads(path.read_text())["texts"])
+            try:
+                return list(json.loads(path.read_text())["texts"])
+            except (json.JSONDecodeError, KeyError, TypeError):
+                pass  # the write below replaces the corrupt file
         texts = self._request(prompt, n)
         if path is not None:
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")

@@ -16,7 +16,8 @@ Backend specs (for --backend / --value-backend / --reflection-backend):
     http:URL,model=NAME[,temperature=F,cache=DIR]   chat-completions server
 
 Exit codes: 0 on success, 1 when replay finds a mismatch, 2 for bad
-configuration (unknown spec, malformed task file, missing arguments).
+configuration (unknown spec, missing arguments) and when any task file of a
+run is malformed; run still searches the other tasks and writes its report.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -37,7 +39,7 @@ from .backends import (
     static_backend,
 )
 from .envs import TaskError, load_task
-from .report import RunReport
+from .report import COLUMNS, RunReport
 from .reflection import ReflectionStore
 from .search import (
     PROMPT_STYLES,
@@ -106,21 +108,10 @@ def parse_backend_spec(spec: str):
     raise CliError(f"unknown backend type {kind!r} in {spec!r}")
 
 
+# SearchConfig field -> value type, with Optional[X] read as X.
 _CONFIG_TYPES = {
-    "n": int,
-    "k": int,
-    "depth_limit": int,
-    "w": float,
-    "lam": float,
-    "value_mode": str,
-    "reflection_enabled": bool,
-    "reflection_limit": int,
-    "skip_simulation": bool,
-    "variant": str,
-    "prune_threshold": float,
-    "prompt_style": str,
-    "inject_trajectories_into_agent_prompts": bool,
-    "seed": int,
+    name: next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+    for name, hint in typing.get_type_hints(SearchConfig).items()
 }
 
 
@@ -161,26 +152,11 @@ def read_config_file(path) -> dict:
 
 
 def build_config(args) -> SearchConfig:
+    """The config file's values, overridden by every config flag given."""
     values = read_config_file(args.config) if args.config else {}
-    cli_values = {
-        "n": args.n,
-        "k": args.k,
-        "depth_limit": args.depth,
-        "w": args.w,
-        "lam": args.lam,
-        "value_mode": args.value_mode,
-        "reflection_enabled": args.reflection,
-        "reflection_limit": args.reflection_limit,
-        "skip_simulation": args.skip_simulation,
-        "variant": args.variant,
-        "prune_threshold": args.prune_threshold,
-        "prompt_style": args.prompt_style,
-        "inject_trajectories_into_agent_prompts": args.inject_trajectories,
-        "seed": args.seed,
-    }
-    for key, value in cli_values.items():
-        if value is not None:
-            values[key] = value
+    for key in _CONFIG_TYPES:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     try:
         config = SearchConfig(**values)
         config.validate()
@@ -204,27 +180,46 @@ def collect_task_paths(specs) -> list:
     return paths
 
 
-def _run_one(path, args, out_dir):
-    task = load_task(path)
-    templates = load_template_set(task.kind, args.templates)
-    backends = BackendSet(
+def _backend_set(args) -> BackendSet:
+    """Backends built from the specs; fresh per task, as scripted backends
+    keep cursor state."""
+    return BackendSet(
         policy=parse_backend_spec(args.backend),
         value=parse_backend_spec(args.value_backend) if args.value_backend else None,
         reflection=(
             parse_backend_spec(args.reflection_backend) if args.reflection_backend else None
         ),
     )
-    config = build_config(args)
-    writer = TraceWriter(log_prompts=args.log_prompts)
-    store = ReflectionStore()
-    result = run_search(task, backends, templates, config, writer, store)
+
+
+def _run_one(path, args, config, out_dir) -> dict:
+    """Search one task file and return its report row. A malformed task
+    gets a failed "task_error" row carrying the error instead."""
+    task = None
+    try:
+        task = load_task(path)
+        templates = load_template_set(task.kind, args.templates)
+        writer = TraceWriter(log_prompts=args.log_prompts)
+        store = ReflectionStore()
+        result = run_search(task, _backend_set(args), templates, config, writer, store)
+    except TaskError as exc:
+        row = dict.fromkeys(COLUMNS, 0)
+        row.update(
+            task_id=task.task_id if task else Path(path).stem,
+            kind=task.kind if task else "unknown",
+            variant=config.variant,
+            success=False,
+            terminate_reason="task_error",
+            error=str(exc),
+        )
+        return row
     if out_dir is not None:
         write_trace(writer.events, out_dir / f"{task.task_id}.trace.jsonl")
         (out_dir / f"{task.task_id}.tree.jsonl").write_text(tree_to_jsonl(result.tree))
         reflections = store.to_jsonl()
         if reflections:
             (out_dir / f"{task.task_id}.reflections.jsonl").write_text(reflections)
-    return result
+    return result.summary()
 
 
 def cmd_run(args) -> int:
@@ -232,39 +227,37 @@ def cmd_run(args) -> int:
     if args.limit:
         paths = paths[: args.limit]
     # Validate shared inputs once, before any worker starts.
-    parse_backend_spec(args.backend)
-    if args.value_backend:
-        parse_backend_spec(args.value_backend)
-    if args.reflection_backend:
-        parse_backend_spec(args.reflection_backend)
-    build_config(args)
+    _backend_set(args)
+    config = build_config(args)
     out_dir = None
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(lambda p: _run_one(p, args, out_dir), paths))
+            rows = list(pool.map(lambda p: _run_one(p, args, config, out_dir), paths))
     else:
-        results = [_run_one(p, args, out_dir) for p in paths]
-    results.sort(key=lambda r: r.task_id)
-    report = RunReport.from_results(results)
+        rows = [_run_one(p, args, config, out_dir) for p in paths]
+    rows.sort(key=lambda r: r["task_id"])
+    report = RunReport(rows=rows)
     if out_dir is not None:
         report.write_json(out_dir / "report.json")
         report.write_csv(out_dir / "report.csv")
-    for result in results:
-        status = "ok" if result.success else "fail"
+    for row in rows:
+        if "error" in row:
+            print(f"error: {row['task_id']}: {row['error']}", file=sys.stderr)
+        status = "ok" if row["success"] else "fail"
         print(
-            f"{result.task_id}: {status} reward={result.best_reward:g} "
-            f"episodes={result.episodes_used} proposals={result.proposals} "
-            f"({result.terminate_reason})"
+            f"{row['task_id']}: {status} reward={row['best_reward']:g} "
+            f"episodes={row['episodes']} proposals={row['policy_proposals']} "
+            f"({row['terminate_reason']})"
         )
     for key, agg in report.aggregate().items():
         print(
             f"{key}: {agg['successes']}/{agg['tasks']} solved "
             f"({agg['success_rate']:.1%}), mean reward {agg['mean_best_reward']:.3f}"
         )
-    return 0
+    return 2 if any("error" in row for row in rows) else 0
 
 
 def cmd_replay(args) -> int:
@@ -338,12 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--variant", choices=VARIANTS)
     run.add_argument("--n", type=int, help="proposals per expansion")
     run.add_argument("--k", type=int, help="episode / expansion / rollout budget")
-    run.add_argument("--depth", type=int, help="depth limit (default: per kind)")
+    run.add_argument(
+        "--depth", dest="depth_limit", type=int, help="depth limit (default: per kind)"
+    )
     run.add_argument("--w", type=float, help="UCT exploration weight")
     run.add_argument("--lam", type=float, help="LM-vs-agreement mixing weight")
     run.add_argument("--value-mode", choices=VALUE_MODES)
     run.add_argument(
-        "--reflection", action=argparse.BooleanOptionalAction, help="toggle reflections"
+        "--reflection",
+        dest="reflection_enabled",
+        action=argparse.BooleanOptionalAction,
+        help="toggle reflections",
     )
     run.add_argument("--reflection-limit", type=int, help="max injected reflections")
     run.add_argument(
@@ -355,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--prompt-style", choices=PROMPT_STYLES)
     run.add_argument(
         "--inject-trajectories",
+        dest="inject_trajectories_into_agent_prompts",
         action=argparse.BooleanOptionalAction,
         help="also show failed trajectories to the acting prompt",
     )

@@ -82,20 +82,20 @@ def _sections(bundle: PromptBundle, query_block: str) -> str:
     return "\n\n".join(p for p in parts if p)
 
 
-def _with_cue(block: str, ctx: StateContext, default_cue: str) -> str:
-    if not ctx.steps:
-        return block
-    return block + "\n" + default_cue
+def _with_cue(bundle: PromptBundle, ctx: StateContext, block: str, default_cue: str) -> str:
+    """block followed by the bundle's cue ("{i}" numbers the next step), or
+    by default_cue once any step exists when the bundle sets none."""
+    if bundle.cue is None:
+        return block + "\n" + default_cue if ctx.steps else block
+    if bundle.cue:
+        return block + "\n" + bundle.cue.replace("{i}", str(len(ctx.steps) + 1))
+    return block
 
 
 def assemble_acting_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
     """Full acting-style prompt. With an empty trajectory the prompt ends
     right after the question; otherwise it ends with a next-step cue."""
-    block = render_acting_steps(ctx)
-    if bundle.cue is None:
-        block = _with_cue(block, ctx, f"Thought {len(ctx.steps) + 1}:")
-    elif bundle.cue:
-        block = block + "\n" + bundle.cue.replace("{i}", str(len(ctx.steps) + 1))
+    block = _with_cue(bundle, ctx, render_acting_steps(ctx), f"Thought {len(ctx.steps) + 1}:")
     return _sections(bundle, block)
 
 
@@ -103,12 +103,8 @@ def assemble_reasoning_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
     """Full reasoning-style prompt; ends with an "Action:" cue once any
     thought steps exist and the trajectory has not already answered."""
     block = render_reasoning_steps(ctx)
-    answered = any(a.kind == "final_answer" for a, _ in ctx.steps)
-    if not answered:
-        if bundle.cue is None:
-            block = _with_cue(block, ctx, "Action:")
-        elif bundle.cue:
-            block = block + "\n" + bundle.cue.replace("{i}", str(len(ctx.steps) + 1))
+    if not any(a.kind == "final_answer" for a, _ in ctx.steps):
+        block = _with_cue(bundle, ctx, block, "Action:")
     return _sections(bundle, block)
 
 

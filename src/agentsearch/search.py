@@ -314,9 +314,7 @@ class _Engine:
     def _evaluate(self, parent_id: int, episode: int) -> None:
         if self.cfg.value_mode == "none":
             return
-        parent = self.tree.node(parent_id)
-        fresh = [c for c in parent.children if self.tree.node(c).eval_score is None]
-        evaluate_children(
+        scored = evaluate_children(
             self.tree,
             parent_id,
             self.cfg.value_mode,
@@ -325,20 +323,16 @@ class _Engine:
             backend=self.value,
             seed=stable_seed(self.cfg.seed, self.task.task_id, "value"),
         )
-        scores = []
-        for child_id in fresh:
-            score = self.tree.node(child_id).eval_score
-            if score is None:
-                continue
-            scores.append(
-                {
-                    "id": child_id,
-                    "lm": score.lm_score,
-                    "sc": score.sc_score,
-                    "combined": score.combined,
-                    "flagged": score.flagged,
-                }
-            )
+        scores = [
+            {
+                "id": child_id,
+                "lm": score.lm_score,
+                "sc": score.sc_score,
+                "combined": score.combined,
+                "flagged": score.flagged,
+            }
+            for child_id, score in scored
+        ]
         self.trace.emit("evaluate", episode=episode, parent=parent_id, scores=scores)
 
     def _backprop(self, leaf_id: int, reward: float, episode: int) -> None:

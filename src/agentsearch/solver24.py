@@ -80,30 +80,24 @@ def step_result(nums: Sequence[Fraction], step: tuple) -> list:
 
 
 @lru_cache(maxsize=None)
-def _solvable_key(key: tuple, target_key: tuple) -> bool:
+def _solvable_key(key: tuple) -> bool:
     nums = _from_canon(key)
-    target = Fraction(*target_key)
     if len(nums) == 1:
-        return nums[0] == target
+        return nums[0] == TARGET
     for step in legal_steps(nums):
-        if _solvable_key(canon(step_result(nums, step)), target_key):
+        if _solvable_key(canon(step_result(nums, step))):
             return True
     return False
 
 
-def solvable(nums: Iterable[Fraction], target: Fraction = TARGET) -> bool:
+def solvable(nums: Iterable[Fraction]) -> bool:
     """Can the multiset still be reduced to the target?"""
-    nums = [Fraction(x) for x in nums]
-    return _solvable_key(canon(nums), (target.numerator, target.denominator))
+    return _solvable_key(canon(Fraction(x) for x in nums))
 
 
-def correct_steps(nums: Sequence[Fraction], target: Fraction = TARGET) -> list:
+def correct_steps(nums: Sequence[Fraction]) -> list:
     """Legal steps after which the remaining multiset is still solvable."""
-    out = []
-    for step in legal_steps(nums):
-        if solvable(step_result(nums, step), target):
-            out.append(step)
-    return out
+    return [step for step in legal_steps(nums) if solvable(step_result(nums, step))]
 
 
 def render_step(step: tuple) -> str:
@@ -112,15 +106,14 @@ def render_step(step: tuple) -> str:
 
 
 @lru_cache(maxsize=None)
-def _solutions_key(key: tuple, target_key: tuple) -> tuple:
+def _solutions_key(key: tuple) -> tuple:
     nums = _from_canon(key)
-    target = Fraction(*target_key)
     if len(nums) == 1:
-        return ((),) if nums[0] == target else ()
+        return ((),) if nums[0] == TARGET else ()
     lines = []
     seen = set()
     for step in legal_steps(nums):
-        tails = _solutions_key(canon(step_result(nums, step)), target_key)
+        tails = _solutions_key(canon(step_result(nums, step)))
         for tail in tails:
             line = (render_step(step),) + tail
             if line not in seen:
@@ -129,9 +122,8 @@ def _solutions_key(key: tuple, target_key: tuple) -> tuple:
     return tuple(lines)
 
 
-def solve(nums: Iterable[Fraction], target: Fraction = TARGET) -> tuple:
+def solve(nums: Iterable[Fraction]) -> tuple:
     """(solvable, solutions) where each solution is a list of step strings
     like "3 - 8/3" that replay in the environment to the target."""
-    nums = [Fraction(x) for x in nums]
-    lines = _solutions_key(canon(nums), (target.numerator, target.denominator))
+    lines = _solutions_key(canon(Fraction(x) for x in nums))
     return (len(lines) > 0, [list(line) for line in lines])

@@ -75,10 +75,6 @@ def parse_template(text: str, include_failed_trajectories: bool = False) -> Prom
     )
 
 
-def load_bundle(path, include_failed_trajectories: bool = False) -> PromptBundle:
-    return parse_template(Path(path).read_text(), include_failed_trajectories)
-
-
 @dataclass
 class TemplateSet:
     act: PromptBundle

@@ -4,7 +4,7 @@ Every engine operation appends one event. Events are dictionaries with a
 monotonically increasing ``seq`` and a ``type`` drawn from:
 
     run_start, episode_start, select, expand, evaluate, simulate_step,
-    backprop, reflect, episode_end, terminate
+    backprop, prune, reflect, episode_end, terminate
 
 Runs on the same task with the same config and deterministic backends must
 produce byte-identical trace files, so events never carry timestamps and all
@@ -15,10 +15,9 @@ writer is told to keep full text.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 def _encode(event: dict) -> str:
@@ -30,11 +29,10 @@ def prompt_digest(prompt: str) -> str:
 
 
 class TraceWriter:
-    """Collects events in order; optionally mirrors them to a stream."""
+    """Collects events in order."""
 
-    def __init__(self, stream: Optional[io.TextIOBase] = None, log_prompts: bool = False):
+    def __init__(self, log_prompts: bool = False):
         self.events: list = []
-        self.stream = stream
         self.log_prompts = log_prompts
         self._seq = 0
 
@@ -43,8 +41,6 @@ class TraceWriter:
         event.update(payload)
         self._seq += 1
         self.events.append(event)
-        if self.stream is not None:
-            self.stream.write(_encode(event) + "\n")
         return event
 
     def prompt_field(self, prompt: str) -> str:
@@ -76,13 +72,13 @@ class ReplayError(ValueError):
     pass
 
 
-def replay_trace(events, atol: float = 1e-9) -> dict:
+def replay_trace(events) -> dict:
     """Rebuild the search tree implied by a trace and check its accounting.
 
     Expansion events create nodes, evaluation events seed values, and
     backprop events replay the running-mean update. The final per-node
     value/visit statistics carried by the terminate event must agree with
-    the reconstruction: visits exactly, values within ``atol``.
+    the reconstruction: visits exactly, values within 1e-9.
 
     Returns summary statistics of the verified trace.
     """
@@ -147,7 +143,7 @@ def replay_trace(events, atol: float = 1e-9) -> dict:
             raise ReplayError(
                 f"node {nid}: visits {entry['visits']} != replayed {visits[nid]}"
             )
-        if not math.isclose(entry["value"], values[nid], rel_tol=0.0, abs_tol=atol):
+        if not math.isclose(entry["value"], values[nid], rel_tol=0.0, abs_tol=1e-9):
             raise ReplayError(
                 f"node {nid}: value {entry['value']} != replayed {values[nid]}"
             )

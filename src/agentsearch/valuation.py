@@ -41,7 +41,6 @@ class ValueScore:
     lm_score: float
     sc_score: float
     combined: float
-    lm_raw: Optional[int] = None
     flagged: bool = False
 
 
@@ -101,8 +100,9 @@ def evaluate_children(
     bundle: Optional[PromptBundle] = None,
     backend: Optional[PolicyBackend] = None,
     seed: int = 0,
-) -> None:
-    """Score every child of parent_id in place.
+) -> list:
+    """Score every not yet scored child of parent_id in place and return
+    the (child id, ValueScore) pairs scored, in child order.
 
     mode "full" blends LM and sibling-agreement scores, "sc_only" uses the
     agreement term alone without any backend call, and "none" leaves the
@@ -111,8 +111,9 @@ def evaluate_children(
     """
     if mode not in VALUE_MODES:
         raise ValueError(f"unknown value mode {mode!r}")
+    scored = []
     if mode == "none":
-        return
+        return scored
     parent = tree.node(parent_id)
     siblings = [tree.node(c).action for c in parent.children]
     for index, child_id in enumerate(parent.children):
@@ -134,9 +135,10 @@ def evaluate_children(
                 lm_score=lm,
                 sc_score=sc,
                 combined=combine(lm, sc, lam),
-                lm_raw=raw,
                 flagged=raw is None,
             )
         child.eval_score = score
         if child.visits == 0:
             child.value = score.combined
+        scored.append((child_id, score))
+    return scored

@@ -245,6 +245,16 @@ def test_http_backend_cache_skips_network(tmp_path):
     assert fresh.propose("p", 1, 0) == ["cached"]
 
 
+def test_http_backend_corrupt_cache_file_is_a_miss(tmp_path):
+    session = StubSession([StubResponse(200, completion_payload(["fresh"]))])
+    backend = make_backend(session, cache_dir=tmp_path)
+    path = backend._cache_path(backend._cache_key("p", 1, 0))
+    path.write_text('{"texts": ["half')
+    assert backend.propose("p", 1, 0) == ["fresh"]
+    assert len(session.calls) == 1
+    assert json.loads(path.read_text()) == {"texts": ["fresh"]}
+
+
 def test_http_backend_client_error_raises_without_retry():
     session = StubSession([StubResponse(403, text="denied")])
     backend = make_backend(session, retries=3)

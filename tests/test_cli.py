@@ -1,5 +1,6 @@
 """CLI tests: spec parsing, config files, and end-to-end subcommands."""
 
+import dataclasses
 import json
 
 import pytest
@@ -12,11 +13,13 @@ from agentsearch.backends import (
 )
 from agentsearch.cli import (
     CliError,
+    build_config,
     build_parser,
     main,
     parse_backend_spec,
     read_config_file,
 )
+from agentsearch.search import SearchConfig
 from agentsearch.trace import read_trace, write_trace
 
 
@@ -74,19 +77,95 @@ def test_read_config_file(tmp_path):
         "# comment\n"
         "n = 3\n"
         "k=12\n"
-        "variant = best_of_k\n"
-        "reflection_enabled = false\n"
+        "depth_limit = 6\n"
         "w = 0.5\n"
+        "lam = 0.25\n"
+        "value_mode = sc_only\n"
+        "reflection_enabled = false\n"
+        "reflection_limit = 2\n"
+        "skip_simulation = yes\n"
+        "variant = best_of_k\n"
+        "prune_threshold = 0.3\n"
+        "prompt_style = reasoning\n"
+        "inject_trajectories_into_agent_prompts = on\n"
+        "seed = 9\n"
         "\n"
     )
     values = read_config_file(cfg)
     assert values == {
         "n": 3,
         "k": 12,
-        "variant": "best_of_k",
-        "reflection_enabled": False,
+        "depth_limit": 6,
         "w": 0.5,
+        "lam": 0.25,
+        "value_mode": "sc_only",
+        "reflection_enabled": False,
+        "reflection_limit": 2,
+        "skip_simulation": True,
+        "variant": "best_of_k",
+        "prune_threshold": 0.3,
+        "prompt_style": "reasoning",
+        "inject_trajectories_into_agent_prompts": True,
+        "seed": 9,
     }
+    assert [type(v) for v in values.values()] == [
+        int, int, int, float, float, str, bool, int, bool, str, float, str, bool, int
+    ]
+    assert set(values) == {f.name for f in dataclasses.fields(SearchConfig)}
+
+
+def test_every_config_flag_reaches_its_field():
+    args = build_parser().parse_args(
+        [
+            "run",
+            "t.json",
+            "--backend",
+            "static:x",
+            "--n",
+            "3",
+            "--k",
+            "7",
+            "--depth",
+            "4",
+            "--w",
+            "0.5",
+            "--lam",
+            "0.2",
+            "--value-mode",
+            "sc_only",
+            "--no-reflection",
+            "--reflection-limit",
+            "2",
+            "--skip-simulation",
+            "--variant",
+            "greedy_retry",
+            "--prune-threshold",
+            "0.3",
+            "--prompt-style",
+            "reasoning",
+            "--inject-trajectories",
+            "--seed",
+            "11",
+        ]
+    )
+    assert build_config(args) == SearchConfig(
+        n=3,
+        k=7,
+        depth_limit=4,
+        w=0.5,
+        lam=0.2,
+        value_mode="sc_only",
+        reflection_enabled=False,
+        reflection_limit=2,
+        skip_simulation=True,
+        variant="greedy_retry",
+        prune_threshold=0.3,
+        prompt_style="reasoning",
+        inject_trajectories_into_agent_prompts=True,
+        seed=11,
+    )
+    defaults = build_parser().parse_args(["run", "t.json", "--backend", "static:x"])
+    assert build_config(defaults) == SearchConfig()
 
 
 def test_read_config_file_errors(tmp_path):
@@ -210,6 +289,46 @@ def test_run_limit_and_workers(tmp_path, capsys):
     assert "t0: ok" in out and "t1: ok" in out and "t2" not in out
 
 
+def test_run_finishes_batch_past_a_malformed_task(tmp_path, capsys):
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    write_game24_task(task_dir / "a.json", [4, 9, 10, 13])
+    write_game24_task(task_dir / "b.json", ["x"])
+    write_game24_task(task_dir / "c.json", [1, 4, 6, 9])
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "run",
+            str(task_dir),
+            "--backend",
+            "oracle:p=1.0,seed=1",
+            "--value-backend",
+            "oracle-value:accuracy=1.0",
+            "--k",
+            "5",
+            "--out",
+            str(out_dir),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "a: ok" in captured.out and "c: ok" in captured.out
+    assert "b: fail reward=0 episodes=0 proposals=0 (task_error)" in captured.out
+    assert "error: b:" in captured.err
+    report = json.loads((out_dir / "report.json").read_text())
+    rows = {row["task_id"]: row for row in report["rows"]}
+    assert sorted(rows) == ["a", "b", "c"]
+    bad = rows["b"]
+    assert bad["kind"] == "game24" and bad["variant"] == "mcts"
+    assert bad["success"] is False and bad["best_reward"] == 0
+    assert bad["terminate_reason"] == "task_error" and bad["error"]
+    assert all(bad[c] == 0 for c in ("episodes", "nodes", "policy_calls", "value_calls"))
+    agg = report["aggregate"]["game24/mcts"]
+    assert agg["tasks"] == 3 and agg["successes"] == 2
+    assert (out_dir / "report.csv").read_text().count("\n") == 4
+    assert (out_dir / "c.trace.jsonl").exists() and not (out_dir / "b.trace.jsonl").exists()
+
+
 def test_replay_detects_corruption(tmp_path, capsys):
     task = tmp_path / "t.json"
     write_game24_task(task, [4, 9, 10, 13])
@@ -291,7 +410,11 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["run", str(task), "--backend", "oracle:p=1", "--k", "0"]) == 2
     bad_task = tmp_path / "bad.json"
     bad_task.write_text("{not json")
-    assert main(["run", str(bad_task), "--backend", "oracle:p=1"]) == 2
+    out_dir = tmp_path / "out"
+    assert main(["run", str(bad_task), "--backend", "oracle:p=1", "--out", str(out_dir)]) == 2
+    (row,) = json.loads((out_dir / "report.json").read_text())["rows"]
+    assert row["task_id"] == "bad" and row["kind"] == "unknown"
+    assert "cannot read task file" in row["error"]
     capsys.readouterr()
 
 

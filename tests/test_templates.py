@@ -3,7 +3,7 @@
 import pytest
 
 from agentsearch.prompts import DEFAULT_REFLECTIONS_HEADER
-from agentsearch.templates import load_bundle, load_template_set, parse_template
+from agentsearch.templates import load_template_set, parse_template
 
 SAMPLE = """\
 [instruction]
@@ -56,14 +56,6 @@ def test_parse_template_requires_instruction():
 def test_text_before_first_section_rejected():
     with pytest.raises(ValueError, match="before the first section"):
         parse_template("stray preamble\n[instruction]\ni\n")
-
-
-def test_load_bundle_round_trip(tmp_path):
-    path = tmp_path / "act.txt"
-    path.write_text(SAMPLE)
-    bundle = load_bundle(path, include_failed_trajectories=True)
-    assert bundle.instruction == "Solve the puzzle step by step."
-    assert bundle.include_failed_trajectories is True
 
 
 @pytest.mark.parametrize("kind", ["game24", "docqa", "shop", "solution"])

@@ -199,9 +199,10 @@ def test_evaluate_children_skips_already_scored():
     tree = scored_tree()
     backend = FixedScoreBackend(10)
     bundle = PromptBundle(instruction="rate")
-    evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3)
+    first = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3)
+    assert first == [(i, tree.node(i).eval_score) for i in (1, 2, 3)]
     calls_after_first = backend.calls
-    evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3)
+    assert evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3) == []
     assert backend.calls == calls_after_first
 
 
