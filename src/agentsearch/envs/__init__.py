@@ -1,8 +1,11 @@
-"""Bundled environments and per-kind defaults."""
+"""Bundled environments, per-kind defaults, and task files."""
 
 from __future__ import annotations
 
-from .base import Environment, EnvObservation, EnvSnapshot, TaskError, TaskSpec, load_task
+import json
+from pathlib import Path
+
+from .base import Environment, EnvObservation, EnvSnapshot, TaskError, TaskSpec
 from .docqa import DocQAEnv
 from .game24 import Game24Env
 from .shop import ShopEnv
@@ -26,6 +29,35 @@ def make_env(kind: str) -> Environment:
         return REGISTRY[kind]()
     except KeyError:
         raise TaskError(f"unknown environment kind {kind!r}") from None
+
+
+def load_task(path) -> TaskSpec:
+    """Read one task JSON file; sibling corpus/catalog files referenced by
+    `corpus_file` / `catalog_file` are inlined into the payload. A kind with
+    no registered environment is a TaskError here, before any search."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise TaskError(f"cannot read task file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise TaskError(f"task file {path} must hold a JSON object")
+    kind = data.get("kind")
+    if not isinstance(kind, str) or not kind:
+        raise TaskError(f"task file {path} is missing a 'kind'")
+    if kind not in REGISTRY:
+        raise TaskError(f"task file {path} has unknown environment kind {kind!r}")
+    task_id = data.get("task_id") or path.stem
+    payload = dict(data.get("payload") or {})
+    for ref_key, inline_key in (("corpus_file", "corpus"), ("catalog_file", "catalog")):
+        ref = payload.pop(ref_key, None)
+        if ref is not None and inline_key not in payload:
+            ref_path = (path.parent / ref).resolve()
+            try:
+                payload[inline_key] = json.loads(ref_path.read_text())
+            except (OSError, json.JSONDecodeError) as exc:
+                raise TaskError(f"cannot read {ref_key} {ref_path}: {exc}") from exc
+    return TaskSpec(task_id=str(task_id), kind=kind, payload=payload)
 
 
 def task_input(task: TaskSpec) -> str:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
+from ..trace import encode
 
 INVALID = "Invalid action!"
 
@@ -98,11 +98,7 @@ class Environment:
     def snapshot(self) -> EnvSnapshot:
         if self._task is None:
             raise RuntimeError("snapshot() before reset()")
-        token = json.dumps(
-            {"done": self._done, "state": self._state()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        token = encode({"done": self._done, "state": self._state()})
         return EnvSnapshot(kind=self.kind, task_id=self._task.task_id, token=token)
 
     def restore(self, snap: EnvSnapshot) -> None:
@@ -117,29 +113,3 @@ class Environment:
     @staticmethod
     def invalid() -> EnvObservation:
         return EnvObservation(INVALID)
-
-
-def load_task(path) -> TaskSpec:
-    """Read one task JSON file; sibling corpus/catalog files referenced by
-    `corpus_file` / `catalog_file` are inlined into the payload."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TaskError(f"cannot read task file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise TaskError(f"task file {path} must hold a JSON object")
-    kind = data.get("kind")
-    if not isinstance(kind, str) or not kind:
-        raise TaskError(f"task file {path} is missing a 'kind'")
-    task_id = data.get("task_id") or path.stem
-    payload = dict(data.get("payload") or {})
-    for ref_key, inline_key in (("corpus_file", "corpus"), ("catalog_file", "catalog")):
-        ref = payload.pop(ref_key, None)
-        if ref is not None and inline_key not in payload:
-            ref_path = (path.parent / ref).resolve()
-            try:
-                payload[inline_key] = json.loads(ref_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise TaskError(f"cannot read {ref_key} {ref_path}: {exc}") from exc
-    return TaskSpec(task_id=str(task_id), kind=kind, payload=payload)

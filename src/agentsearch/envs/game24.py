@@ -71,19 +71,10 @@ class Game24Env(Environment):
         step = parse_step_argument(action.argument or "")
         if step is None:
             return self.invalid()
-        a, op, b = step
-        pool = list(self._nums)
-        if a not in pool:
+        try:
+            self._nums = solver24.step_result(self._nums, step)
+        except (ValueError, ZeroDivisionError):  # an operand not in the pool, or x / 0
             return self.invalid()
-        pool.remove(a)
-        if b not in pool:
-            return self.invalid()
-        pool.remove(b)
-        result = solver24.apply_op(a, op, b)
-        if result is None:
-            return self.invalid()
-        pool.append(result)
-        self._nums = pool
         text = f"Remaining numbers: {format_numbers(self._nums)}"
         if len(self._nums) == 1:
             reward = 1.0 if self._nums[0] == solver24.TARGET else 0.0

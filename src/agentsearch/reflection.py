@@ -8,11 +8,11 @@ repeating the same mistake.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .backends import BackendError, PolicyBackend
 from .prompts import PromptBundle, render_acting_steps
+from .trace import jsonl
 from .tree import StateContext
 
 SUCCESS_THRESHOLD = 1.0
@@ -63,22 +63,7 @@ class ReflectionStore:
         return mine[-m:] if m else []
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "task_id": r.task_id,
-                    "trajectory_text": r.trajectory_text,
-                    "reward": r.reward,
-                    "reflection": r.reflection,
-                    "episode": r.episode,
-                    "created_at": r.created_at,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            for r in self._records
-        ]
-        return "\n".join(lines) + "\n" if lines else ""
+        return jsonl(asdict(r) for r in self._records)
 
 
 def assemble_reflection_prompt(bundle: PromptBundle, ctx: StateContext, reward: float) -> str:

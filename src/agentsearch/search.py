@@ -15,9 +15,9 @@ episodes refreshes the reflection-injected prompts, plays the variant's body
 to an end node and reward, then stops the run on success or reflects on a
 failed terminal. A BackendError ends only its episode; when all k episodes
 errored the run ends with backend_error. dfs_prune keeps its own stack loop
-and emits no episode events; each expansion counts as an episode, and when
-the root expansion errors, leaving nothing to expand, it too ends with
-backend_error.
+and emits no episode events; each expansion attempt counts as an episode
+against k, an errored attempt is retried on the same node, and when all k
+attempts errored it too ends with backend_error.
 
 A run terminates as soon as any trajectory reaches reward 1.0 (that reward is
 still backpropagated first, where the variant backpropagates at all), when the
@@ -174,6 +174,25 @@ class SearchResult:
             "reflections": len(self.reflections),
             "terminate_reason": self.terminate_reason,
         }
+
+
+def _solved(node: Node) -> bool:
+    """The success test: a terminal node with full reward."""
+    return node.is_terminal and node.reward >= 1.0
+
+
+def _outcome(node: Node):
+    """(node, reward) for an episode ending at node; truncation scores 0."""
+    return node, float(node.reward) if node.is_terminal else 0.0
+
+
+def _best(nodes: list):
+    """The outcome of the best terminal by reward, or, when none of the nodes
+    is terminal, of the best node by value. Ties go to the lowest id."""
+    terminal = [n for n in nodes if n.is_terminal]
+    if terminal:
+        return _outcome(max(terminal, key=lambda n: (n.reward, n.value, -n.id)))
+    return _outcome(max(nodes, key=lambda n: (n.value, -n.id)))
 
 
 class _CountingBackend:
@@ -343,7 +362,7 @@ class _Engine:
     def _winning_child(self, child_ids: list) -> Optional[Node]:
         for child_id in child_ids:
             node = self.tree.node(child_id)
-            if node.is_terminal and node.reward is not None and node.reward >= 1.0:
+            if _solved(node):
                 return node
         return None
 
@@ -351,12 +370,8 @@ class _Engine:
         nodes = [self.tree.node(c) for c in child_ids]
         return max(nodes, key=lambda c: (c.value, -c.id))
 
-    def _outcome(self, node: Node):
-        """(node, reward) for an episode ending at node; truncation scores 0."""
-        return node, float(node.reward) if node.is_terminal else 0.0
-
     def _maybe_reflect(self, node: Node, reward: float, episode: int) -> None:
-        if not self.reflective or not node.is_terminal or reward >= 1.0:
+        if not self.reflective or not node.is_terminal or _solved(node):
             return
         ctx = reconstruct_context(self.tree, node.id)
         text = generate_reflection(
@@ -398,7 +413,7 @@ class _Engine:
             end, reward = outcome
             self._maybe_reflect(end, reward, episode)
             self.trace.emit("episode_end", episode=episode, reward=reward)
-            if end.is_terminal and reward >= 1.0:
+            if _solved(end):
                 return "success"
         return "backend_error" if errors == self.cfg.k else "budget_exhausted"
 
@@ -420,16 +435,7 @@ class _Engine:
             self.trace.emit(
                 "simulate_step", episode=episode, node=current.id, depth=current.depth
             )
-        return self._outcome(current)
-
-    def _resolve_skip(self, child_ids: list):
-        """Skip-simulation scoring: the best terminal child's reward, or 0
-        through the best non-terminal child when nothing terminated."""
-        nodes = [self.tree.node(c) for c in child_ids]
-        terminal = [c for c in nodes if c.is_terminal]
-        if terminal:
-            return self._outcome(max(terminal, key=lambda c: (c.reward, c.value, -c.id)))
-        return self._outcome(max(nodes, key=lambda c: (c.value, -c.id)))
+        return _outcome(current)
 
     def _mcts_episode(self, episode: int):
         """Select a leaf and expand it. A winning child ends the episode at
@@ -447,11 +453,12 @@ class _Engine:
         child_ids = self._expand(leaf_id, episode)
         winner = self._winning_child(child_ids)
         if winner is not None:
-            end, reward = self._outcome(winner)
+            end, reward = _outcome(winner)
         else:
             self._evaluate(leaf_id, episode)
             if self.cfg.skip_simulation:
-                end, reward = self._resolve_skip(child_ids)
+                # Skip simulation: score the episode by its best child.
+                end, reward = _best([self.tree.node(c) for c in child_ids])
             else:
                 end, reward = self._simulate(child_ids, episode)
         self._backprop(end.id, reward, episode)
@@ -465,24 +472,24 @@ class _Engine:
         current = self.tree.root
         while not current.is_terminal and current.depth < self.cfg.depth_limit:
             current = self.tree.node(self._expand(current.id, episode, width=1)[0])
-        return self._outcome(current)
+        return _outcome(current)
 
     # -- dfs with pruning --------------------------------------------------
 
     def _run_dfs(self) -> str:
-        """Depth-first over scored children. Each expansion is an episode
-        and k caps them; an errored expansion drops its node."""
+        """Depth-first over scored children. Each expansion attempt is an
+        episode and k caps them; an errored attempt puts its node back on
+        the stack to be tried again."""
         stack = [0]
-        while stack:
-            if self.expansions >= self.cfg.k:
-                return "budget_exhausted"
+        while stack and self.episodes < self.cfg.k:
             node_id = stack.pop()
-            tag = self.expansions
+            tag = self.episodes
+            self.episodes += 1
             try:
                 ids = self._expand(node_id, tag)
             except BackendError:
+                stack.append(node_id)
                 continue
-            self.episodes = self.expansions
             if self._winning_child(ids) is not None:
                 return "success"
             self._evaluate(node_id, tag)
@@ -504,20 +511,11 @@ class _Engine:
                 kept=sorted(kept),
                 dropped=[c for c in ids if c not in kept],
             )
-        # Only an errored root expansion leaves nothing expanded.
-        return "tree_exhausted" if self.expansions else "backend_error"
+        if not stack:
+            return "tree_exhausted"
+        return "budget_exhausted" if self.expansions else "backend_error"
 
     # -- orchestration ------------------------------------------------------
-
-    def _pick_best(self):
-        terminals = [
-            n for n in self.tree.nodes if n.is_terminal and n.reward is not None
-        ]
-        if terminals:
-            best = max(terminals, key=lambda n: (n.reward, n.value, -n.id))
-            return best, float(best.reward)
-        best = max(self.tree.nodes, key=lambda n: (n.value, -n.id))
-        return best, 0.0
 
     def run(self) -> SearchResult:
         self.trace.emit(
@@ -536,8 +534,8 @@ class _Engine:
         return self._finalize(reason)
 
     def _finalize(self, reason: str) -> SearchResult:
-        best, best_reward = self._pick_best()
-        success = best.is_terminal and best.reward is not None and best.reward >= 1.0
+        best, best_reward = _best(self.tree.nodes)
+        success = _solved(best)
         trajectory = render_acting_steps(reconstruct_context(self.tree, best.id))
         self.trace.emit(
             "terminate",

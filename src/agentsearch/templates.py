@@ -88,15 +88,13 @@ def load_template_set(kind: str, directory=None) -> TemplateSet:
     With no directory given, the bundled defaults under data/templates/<kind>
     are used. Value bundles always carry failed trajectories.
     """
-    texts = {}
     if directory is not None:
-        base = Path(directory) / kind
-        for role in ROLES:
-            texts[role] = (base / f"{role}.txt").read_text()
+        base = Path(directory)
     else:
-        package = resources.files("agentsearch").joinpath("data", "templates", kind)
-        for role in ROLES:
-            texts[role] = package.joinpath(f"{role}.txt").read_text()
+        # A Traversable, not a Path, as the package may be zipped; joined one
+        # segment at a time, as Traversable.joinpath takes one on Python 3.10.
+        base = resources.files("agentsearch") / "data" / "templates"
+    texts = {role: (base / kind / f"{role}.txt").read_text() for role in ROLES}
     return TemplateSet(
         act=parse_template(texts["act"]),
         value=parse_template(texts["value"], include_failed_trajectories=True),

@@ -20,8 +20,15 @@ import math
 from typing import Iterable
 
 
-def _encode(event: dict) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+def encode(record: dict) -> str:
+    """The canonical one-line JSON form of a record: sorted keys, no spaces.
+    Traces, tree dumps, reflection logs and snapshot tokens all use it."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def jsonl(records: Iterable[dict]) -> str:
+    """One encoded record per line, each ending in a newline."""
+    return "".join(encode(r) + "\n" for r in records)
 
 
 def prompt_digest(prompt: str) -> str:
@@ -49,13 +56,12 @@ class TraceWriter:
         return prompt_digest(prompt)
 
     def to_jsonl(self) -> str:
-        return "".join(_encode(e) + "\n" for e in self.events)
+        return jsonl(self.events)
 
 
 def write_trace(events: Iterable[dict], path) -> None:
     with open(path, "w") as fh:
-        for event in events:
-            fh.write(_encode(event) + "\n")
+        fh.write(jsonl(events))
 
 
 def read_trace(path) -> list:
@@ -84,7 +90,6 @@ def replay_trace(events) -> dict:
     """
     values: dict = {}
     visits: dict = {}
-    seeded: set = set()
     expected_seq = 0
     terminate = None
     for event in events:
@@ -111,7 +116,6 @@ def replay_trace(events) -> dict:
                     raise ReplayError(f"evaluate before creation of node {cid}")
                 if visits[cid] == 0:
                     values[cid] = entry["combined"]
-                    seeded.add(cid)
         elif etype == "backprop":
             reward = event["reward"]
             for nid in event["path"]:

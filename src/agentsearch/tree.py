@@ -13,12 +13,12 @@ discards that seed at N=1 by construction, so the mean property is preserved.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from .actions import ActionSample
+from .trace import jsonl
 
 if TYPE_CHECKING:
     from .valuation import ValueScore
@@ -234,5 +234,4 @@ def dump_tree(tree: SearchTree) -> list:
 
 
 def tree_to_jsonl(tree: SearchTree) -> str:
-    lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in dump_tree(tree)]
-    return "\n".join(lines) + "\n"
+    return jsonl(dump_tree(tree))

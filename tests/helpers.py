@@ -1,23 +1,18 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Helpers shared by the test modules.
+
+A plain module rather than conftest.py, so `from helpers import ...` cannot
+pick up another directory's conftest when one pytest run collects both.
+"""
 
 import json
 import random
 from pathlib import Path
 
-import pytest
-
 from agentsearch.actions import ActionSample
 from agentsearch.backends import BackendError
-from agentsearch.envs.base import TaskSpec, load_task
 from agentsearch.tree import ChildSpec, SearchTree, add_children
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "agentsearch" / "data"
-
-
-def bundled_tasks(kind: str) -> list:
-    sub = {"game24": "puzzles"}.get(kind, "tasks")
-    files = sorted((DATA_DIR / kind / sub).glob("*.json"))
-    return [load_task(f) for f in files]
 
 
 def bundled_task_files(kind: str) -> list:
@@ -27,11 +22,6 @@ def bundled_task_files(kind: str) -> list:
 
 def task_metadata(path: Path) -> dict:
     return json.loads(path.read_text()).get("metadata", {})
-
-
-@pytest.fixture
-def game24_task():
-    return TaskSpec(task_id="t24", kind="game24", payload={"numbers": [1, 4, 6, 9]})
 
 
 class StubBackend:

@@ -49,7 +49,7 @@ from agentsearch.tree import (
 )
 from agentsearch.valuation import combine, normalize_action_text, sc_score
 
-from conftest import bundled_task_files, grow_random_tree, task_metadata
+from helpers import bundled_task_files, grow_random_tree, task_metadata
 
 REFLECT_TEXT = "Prefer combining toward factors of twenty four early."
 

@@ -329,6 +329,22 @@ def test_run_finishes_batch_past_a_malformed_task(tmp_path, capsys):
     assert (out_dir / "c.trace.jsonl").exists() and not (out_dir / "b.trace.jsonl").exists()
 
 
+
+def test_run_finishes_batch_past_an_unknown_kind(tmp_path, capsys):
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    (task_dir / "a.json").write_text(json.dumps({"kind": "bogus", "payload": {}}))
+    write_game24_task(task_dir / "b.json", [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    code = main(["run", str(task_dir), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "b: ok" in captured.out
+    assert "error: a:" in captured.err and "bogus" in captured.err
+    rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
+    assert rows["a"]["terminate_reason"] == "task_error" and rows["a"]["kind"] == "unknown"
+    assert rows["b"]["success"] is True
+
 def test_replay_detects_corruption(tmp_path, capsys):
     task = tmp_path / "t.json"
     write_game24_task(task, [4, 9, 10, 13])

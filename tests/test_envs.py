@@ -649,3 +649,20 @@ def test_snapshot_round_trip_mid_episode_each_env():
     act(shop, "click[prev page]")
     shop.restore(snap)
     assert act(shop, "click[next page]").text == page2
+
+
+def test_snapshot_token_bytes_are_pinned():
+    env = Game24Env()
+    env.reset(game24_task())
+    act(env, "combine[4 / 6]")
+    assert env.snapshot().token == '{"done":false,"state":{"nums":[[1,1],[9,1],[2,3]]}}'
+
+    shop = ShopEnv()
+    shop.reset(shop_task())
+    act(shop, "search[hiking jacket]")
+    act(shop, "click[B001]")
+    act(shop, "click[navy]")
+    assert shop.snapshot().token == (
+        '{"done":false,"state":{"current":"B001","page_index":0,"page_kind":"item",'
+        '"ranked":["B001","B002","B003","B004"],"selections":{"B001":{"color":"navy"}}}}'
+    )

@@ -22,7 +22,7 @@ from agentsearch.search import BackendSet, SearchConfig, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
 
-from conftest import DATA_DIR, FailingBackend
+from helpers import DATA_DIR, FailingBackend
 
 
 class FailOnCalls:

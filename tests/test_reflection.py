@@ -14,7 +14,7 @@ from agentsearch.reflection import (
 )
 from agentsearch.tree import StateContext
 
-from conftest import FailingBackend, StubBackend
+from helpers import FailingBackend, StubBackend
 
 
 def failed_ctx():
@@ -55,6 +55,19 @@ def test_store_jsonl_round_trip():
     }
     assert ReflectionStore().to_jsonl() == ""
 
+
+
+def test_store_jsonl_bytes_are_pinned():
+    # Written by `agentsearch run --out` as <task>.reflections.jsonl.
+    store = ReflectionStore()
+    store.record("t1", "Question: q\nAction 1: Finish[x]", 0.25, "don\u2019t finish early", 1)
+    store.record("t2", "second", 0.0, "search first", 2)
+    assert store.to_jsonl() == (
+        '{"created_at":0,"episode":1,"reflection":"don\\u2019t finish early","reward":0.25,'
+        '"task_id":"t1","trajectory_text":"Question: q\\nAction 1: Finish[x]"}\n'
+        '{"created_at":1,"episode":2,"reflection":"search first","reward":0.0,'
+        '"task_id":"t2","trajectory_text":"second"}\n'
+    )
 
 def test_reflection_prompt_shows_trajectory_and_fail_status():
     bundle = PromptBundle(instruction="You failed. Explain why.")

@@ -16,7 +16,7 @@ from agentsearch.search import VARIANTS, BackendSet, SearchConfig, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
 
-from conftest import FailingBackend
+from helpers import FailingBackend
 
 
 class RecordingBackend:
@@ -234,14 +234,8 @@ def test_all_episodes_erroring_reports_backend_error(game24_templates, variant):
     )
     assert not result.success
     assert result.terminate_reason == "backend_error"
-    if variant == "dfs_prune":
-        # dfs drops a node whose expansion errored: after the root there is
-        # nothing left to try, and nothing was expanded.
-        assert result.episodes_used == 0
-        assert result.backend_calls["policy"]["calls"] == 1
-    else:
-        assert result.episodes_used == 3
-        assert result.backend_calls["policy"]["calls"] == 3
+    assert result.episodes_used == 3
+    assert result.backend_calls["policy"]["calls"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +322,25 @@ def test_dfs_finds_winning_terminal(game24_templates):
     )
     assert result.success
     assert result.terminate_reason == "success"
+
+
+
+def test_dfs_retries_a_node_whose_expansion_errored(game24_templates):
+    backends = oracle_backends(p=1.0)
+    backends.policy = FailingBackend(backends.policy, failures=1)
+    trace = TraceWriter()
+    result = run_search(
+        game24_task([4, 9, 10, 13]),
+        backends,
+        game24_templates,
+        SearchConfig(n=3, k=20, variant="dfs_prune", seed=2),
+        trace=trace,
+    )
+    assert result.success
+    # the errored root attempt counts against k, then the root is expanded
+    assert result.episodes_used == result.nodes_expanded + 1
+    assert result.backend_calls["policy"]["calls"] == result.episodes_used
+    assert [e["episode"] for e in trace.events if e["type"] == "expand"][0] == 1
 
 
 # ---------------------------------------------------------------------------

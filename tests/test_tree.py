@@ -21,7 +21,7 @@ from agentsearch.tree import (
     uct,
 )
 
-from conftest import grow_random_tree
+from helpers import grow_random_tree
 
 
 def make_children(tree, parent, count, terminal_rewards=None):
@@ -283,3 +283,36 @@ def test_dump_tree_row_fields_and_jsonl():
     import json
 
     assert json.loads(lines[0])["id"] == 0
+
+
+def test_tree_jsonl_bytes_are_pinned():
+    # Written by `agentsearch run --out` as <task>.tree.jsonl; readers of old
+    # dumps depend on these exact bytes (key order, separators, escapes).
+    tree = SearchTree.create("q", root_observation="Remaining numbers: 1 4 6 9")
+    a, _ = add_children(
+        tree,
+        0,
+        [
+            ChildSpec(
+                ActionSample(kind="env_action", raw="combine[4 / 6]", verb="combine",
+                             argument="4 / 6"),
+                "Remaining numbers: 1 9 2/3",
+            ),
+            ChildSpec(
+                ActionSample(kind="env_action", raw="finish[x]", verb="finish", argument="x"),
+                "done \u2014 half",
+                True,
+                0.5,
+            ),
+        ],
+    )
+    backpropagate(tree, a, 1 / 3)
+    backpropagate(tree, a, 0.0)
+    assert tree_to_jsonl(tree) == (
+        '{"action":null,"id":0,"observation":"Remaining numbers: 1 4 6 9","parent":null,'
+        '"reward":null,"terminal":false,"value":0.16666666666666666,"visits":2}\n'
+        '{"action":"combine[4 / 6]","id":1,"observation":"Remaining numbers: 1 9 2/3",'
+        '"parent":0,"reward":null,"terminal":false,"value":0.16666666666666666,"visits":2}\n'
+        '{"action":"finish[x]","id":2,"observation":"done \\u2014 half","parent":0,'
+        '"reward":0.5,"terminal":true,"value":0.0,"visits":0}\n'
+    )
