@@ -5,9 +5,15 @@ Every backend implements one method:
     propose(prompt: str, n: int, seed: int) -> list[str]
 
 returning exactly n completion texts. Deterministic backends return the same
-list for the same (prompt, n, seed). Backends must be safe to call from
-several worker threads; the scripted backend serializes internally so its
-cycling stays deterministic under concurrency.
+list for the same (prompt, n, seed).
+
+A search may call its value backend from several threads at once: the
+value calls of one node's fresh children go out together once they prove
+slow. So a backend must be safe to call concurrently, and must answer as a
+function of (prompt, n, seed) alone, or else set the class attribute
+`order_dependent = True`; a search then makes its value calls one at a
+time, in child order. The scripted backend is order-dependent: it hands out
+responses by call order.
 """
 
 from __future__ import annotations
@@ -62,7 +68,10 @@ class ScriptedBackend:
     (prompt, n, seed) call replays the exact same window instead of advancing
     the cursor, so deterministic-backend semantics hold; a novel call moves
     the cursor forward. Prompts matching no rule get the default response.
+    As answers depend on call order, a search never calls it concurrently.
     """
+
+    order_dependent = True
 
     def __init__(self, rules: Optional[list] = None, default: str = "think[no scripted response]"):
         self.rules = list(rules or [])

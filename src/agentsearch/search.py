@@ -27,6 +27,7 @@ budget k is spent, or when the tree has no expandable leaf left.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -57,7 +58,7 @@ from .tree import (
     reconstruct_context,
     select_path,
 )
-from .valuation import VALUE_MODES, evaluate_children
+from .valuation import VALUE_MODES, ValuePool, evaluate_children
 
 ENGINE_VERSION = "0.1.0"
 
@@ -196,17 +197,20 @@ def _best(nodes: list):
 
 
 class _CountingBackend:
-    """Counts calls and requested proposals for one backend role."""
+    """Counts calls and requested proposals for one backend role, under a
+    lock, as value calls may come from several threads at once."""
 
     def __init__(self, inner: PolicyBackend, counters: dict, role: str):
         self.inner = inner
         self.counters = counters
         self.role = role
+        self._lock = threading.Lock()
 
     def propose(self, prompt: str, n: int, seed: int) -> list:
-        entry = self.counters[self.role]
-        entry["calls"] += 1
-        entry["proposals"] += n
+        with self._lock:
+            entry = self.counters[self.role]
+            entry["calls"] += 1
+            entry["proposals"] += n
         return self.inner.propose(prompt, n, seed)
 
 
@@ -223,6 +227,8 @@ def run_search(
 
     trace and reflection_store may be shared across runs; fresh private ones
     are created when omitted. An explicit env overrides the registry lookup.
+    Slow value calls run on a pool of at most n threads, which is shut down
+    before this returns or raises.
     """
     cfg = (config or SearchConfig()).resolved(task.kind)
     engine = _Engine(
@@ -234,7 +240,11 @@ def run_search(
         reflection_store if reflection_store is not None else ReflectionStore(),
         env,
     )
-    return engine.run()
+    try:
+        return engine.run()
+    finally:
+        if engine.value_pool is not None:
+            engine.value_pool.close()
 
 
 class _Engine:
@@ -246,7 +256,11 @@ class _Engine:
         self.env = env if env is not None else make_env(task.kind)
         self.counters = {role: {"calls": 0, "proposals": 0} for role in ROLES}
         self.policy = _CountingBackend(backends.policy, self.counters, "policy")
-        self.value = _CountingBackend(backends.value or backends.policy, self.counters, "value")
+        value = backends.value or backends.policy
+        self.value = _CountingBackend(value, self.counters, "value")
+        # A backend whose answers depend on call order must see the calls in
+        # child order, so its value calls never go to the pool.
+        self.value_pool = None if getattr(value, "order_dependent", False) else ValuePool(cfg.n)
         self.reflector = _CountingBackend(
             backends.reflection or backends.policy, self.counters, "reflection"
         )
@@ -341,6 +355,7 @@ class _Engine:
             bundle=self.value_bundle,
             backend=self.value,
             seed=stable_seed(self.cfg.seed, self.task.task_id, "value"),
+            pool=self.value_pool,
         )
         scores = [
             {

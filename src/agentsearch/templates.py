@@ -26,6 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+from .envs.base import TaskError
 from .prompts import DEFAULT_REFLECTIONS_HEADER, PromptBundle
 
 _SECTION_RE = re.compile(r"^\[(instruction|example|reflections_header|cue)\]\s*$")
@@ -86,7 +87,8 @@ def load_template_set(kind: str, directory=None) -> TemplateSet:
     """Templates for one environment kind.
 
     With no directory given, the bundled defaults under data/templates/<kind>
-    are used. Value bundles always carry failed trajectories.
+    are used. Value bundles always carry failed trajectories. A missing,
+    unreadable or malformed template raises TaskError.
     """
     if directory is not None:
         base = Path(directory)
@@ -94,9 +96,11 @@ def load_template_set(kind: str, directory=None) -> TemplateSet:
         # A Traversable, not a Path, as the package may be zipped; joined one
         # segment at a time, as Traversable.joinpath takes one on Python 3.10.
         base = resources.files("agentsearch") / "data" / "templates"
-    texts = {role: (base / kind / f"{role}.txt").read_text() for role in ROLES}
-    return TemplateSet(
-        act=parse_template(texts["act"]),
-        value=parse_template(texts["value"], include_failed_trajectories=True),
-        reflect=parse_template(texts["reflect"]),
-    )
+    bundles = {}
+    for role in ROLES:
+        try:
+            text = (base / kind / f"{role}.txt").read_text()
+            bundles[role] = parse_template(text, include_failed_trajectories=role == "value")
+        except (OSError, ValueError) as exc:
+            raise TaskError(f"{kind} {role} template: {exc}") from exc
+    return TemplateSet(**bundles)

@@ -9,11 +9,17 @@ where lm_score comes from a value prompt whose completion must end with
 frequency of the child's normalized action text among its siblings. The
 combined score seeds the child's selection value until the first real
 backpropagation replaces it.
+
+The value prompts of one node's fresh children are independent of each
+other. Once a run's value calls prove slow they go out together on the
+run's ValuePool; the scores are still applied in child order, so the result
+does not depend on which call returns first.
 """
 
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +32,13 @@ from .tree import SearchTree, reconstruct_context
 VALUE_MODES = ("full", "sc_only", "none")
 
 SCORE_RE = re.compile(r"correctness score is\s*(-?\d+)", re.IGNORECASE)
+
+# A value call taking at least this many seconds marks the run's value calls
+# as slow. Handing a call to a pool thread costs about 110 us on a 2-vCPU
+# host: an always-on pool added 5.8-6.3 s over the 54,565 value calls of one
+# perfbench cpu-mix pass. A call ten times that long is worth overlapping; a
+# CPU-bound oracle call, mostly well under it, is not.
+SLOW_CALL_S = 0.001
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,65 @@ def combine(lm: float, sc: float, lam: float) -> float:
     return lam * lm + (1.0 - lam) * sc
 
 
+class ValuePool:
+    """One run's concurrent value calls: the "calls are slow" flag and a
+    thread pool of at most `workers` threads, started on first use."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.slow = False
+        self._executor = None
+
+    def submit(self, fn, *args):
+        if self._executor is None:
+            # Imported here, like requests in backends: a run whose value
+            # calls are all fast pays for neither the import nor a thread.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._executor = ThreadPoolExecutor(self.workers, thread_name_prefix="value")
+        return self._executor.submit(fn, *args)
+
+    def close(self) -> None:
+        """Stop the threads, dropping calls not yet started."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+
+
+def _timed_lm_score(tree, child_id, bundle, backend, seed) -> tuple:
+    """(seconds taken, (lm score, raw)) for one child's value query. A
+    BackendError reads as an unparseable (0.0, None)."""
+    start = time.perf_counter()
+    ctx = reconstruct_context(tree, child_id)
+    try:
+        result = lm_score(ctx, bundle, backend, stable_seed(seed, child_id))
+    except BackendError:
+        result = 0.0, None
+    return time.perf_counter() - start, result
+
+
+def _lm_scores(tree, child_ids, bundle, backend, seed, pool) -> list:
+    """(lm score, raw) per child, in child order. Children are queried one
+    at a time until a call takes SLOW_CALL_S; the rest, and every fresh
+    child of later nodes, then go to the pool together, until a pooled
+    batch's fastest call is quick again. Without a pool, all run inline."""
+    results = []
+    futures = []
+    for child_id in child_ids:
+        if pool is not None and pool.slow:
+            futures.append(pool.submit(_timed_lm_score, tree, child_id, bundle, backend, seed))
+            continue
+        elapsed, result = _timed_lm_score(tree, child_id, bundle, backend, seed)
+        results.append(result)
+        if pool is not None and elapsed >= SLOW_CALL_S:
+            pool.slow = True
+    if futures:
+        timed = [future.result() for future in futures]
+        pool.slow = min(elapsed for elapsed, _ in timed) >= SLOW_CALL_S
+        results.extend(result for _, result in timed)
+    return results
+
+
 def evaluate_children(
     tree: SearchTree,
     parent_id: int,
@@ -100,6 +172,7 @@ def evaluate_children(
     bundle: Optional[PromptBundle] = None,
     backend: Optional[PolicyBackend] = None,
     seed: int = 0,
+    pool: Optional[ValuePool] = None,
 ) -> list:
     """Score every not yet scored child of parent_id in place and return
     the (child id, ValueScore) pairs scored, in child order.
@@ -107,7 +180,10 @@ def evaluate_children(
     mode "full" blends LM and sibling-agreement scores, "sc_only" uses the
     agreement term alone without any backend call, and "none" leaves the
     children untouched (values stay 0, no calls). A backend failure on one
-    child flags that child and evaluation of the rest continues.
+    child flags that child and evaluation of the rest continues; any other
+    exception propagates (the earliest child's, if several raise). With a
+    pool, slow value calls run concurrently (see _lm_scores) to the same
+    result.
     """
     if mode not in VALUE_MODES:
         raise ValueError(f"unknown value mode {mode!r}")
@@ -116,21 +192,22 @@ def evaluate_children(
         return scored
     parent = tree.node(parent_id)
     siblings = [tree.node(c).action for c in parent.children]
-    for index, child_id in enumerate(parent.children):
+    fresh = [
+        (index, child_id)
+        for index, child_id in enumerate(parent.children)
+        if tree.node(child_id).eval_score is None
+    ]
+    if mode == "full" and fresh:
+        if bundle is None or backend is None:
+            raise ValueError("full value mode needs a value bundle and backend")
+        lm_results = _lm_scores(tree, [c for _, c in fresh], bundle, backend, seed, pool)
+    for position, (index, child_id) in enumerate(fresh):
         child = tree.node(child_id)
-        if child.eval_score is not None:
-            continue
         sc = sc_score(siblings, index)
         if mode == "sc_only":
             score = ValueScore(lm_score=0.0, sc_score=sc, combined=sc)
         else:
-            if bundle is None or backend is None:
-                raise ValueError("full value mode needs a value bundle and backend")
-            ctx = reconstruct_context(tree, child_id)
-            try:
-                lm, raw = lm_score(ctx, bundle, backend, stable_seed(seed, child_id))
-            except BackendError:
-                lm, raw = 0.0, None
+            lm, raw = lm_results[position]
             score = ValueScore(
                 lm_score=lm,
                 sc_score=sc,

@@ -4,8 +4,11 @@ A plain module rather than conftest.py, so `from helpers import ...` cannot
 pick up another directory's conftest when one pytest run collects both.
 """
 
+import contextlib
 import json
 import random
+import threading
+import time
 from pathlib import Path
 
 from agentsearch.actions import ActionSample
@@ -53,6 +56,43 @@ class FailingBackend:
         if self.calls <= self.failures:
             raise BackendError("synthetic outage")
         return self.inner.propose(prompt, n, seed)
+
+
+class RoundTrips:
+    """A simulated 2 ms round trip per call that records the most calls in
+    flight at once and the names of the threads they came from."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.peak = 0
+        self.threads = set()
+
+    @contextlib.contextmanager
+    def call(self):
+        with self._lock:
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+            self.threads.add(threading.current_thread().name)
+        try:
+            time.sleep(0.002)
+            yield
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+
+class SlowBackend:
+    """Delegates every call after a simulated round trip, as a remote
+    backend would answer."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.trips = RoundTrips()
+
+    def propose(self, prompt: str, n: int, seed: int) -> list:
+        with self.trips.call():
+            return self.inner.propose(prompt, n, seed)
 
 
 def grow_random_tree(rng: random.Random, max_children: int = 4, max_nodes: int = 40):

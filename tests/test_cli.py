@@ -345,6 +345,26 @@ def test_run_finishes_batch_past_an_unknown_kind(tmp_path, capsys):
     assert rows["a"]["terminate_reason"] == "task_error" and rows["a"]["kind"] == "unknown"
     assert rows["b"]["success"] is True
 
+def test_run_gives_task_error_rows_for_missing_templates(tmp_path, capsys):
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    write_game24_task(task_dir / "a.json", [4, 9, 10, 13])
+    write_game24_task(task_dir / "b.json", [1, 4, 6, 9])
+    empty = tmp_path / "templates"
+    empty.mkdir()
+    out_dir = tmp_path / "out"
+    argv = ["run", str(task_dir), "--backend", "oracle:p=1.0,seed=1", "--templates", str(empty)]
+    code = main(argv + ["--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: a: game24 act template:" in captured.err
+    rows = json.loads((out_dir / "report.json").read_text())["rows"]
+    assert [(r["task_id"], r["terminate_reason"]) for r in rows] == [
+        ("a", "task_error"),
+        ("b", "task_error"),
+    ]
+
+
 def test_replay_detects_corruption(tmp_path, capsys):
     task = tmp_path / "t.json"
     write_game24_task(task, [4, 9, 10, 13])

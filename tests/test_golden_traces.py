@@ -6,6 +6,7 @@ digests below; a refactor must leave them alone.
 """
 
 import hashlib
+import threading
 
 import pytest
 
@@ -22,7 +23,7 @@ from agentsearch.search import BackendSet, SearchConfig, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
 
-from helpers import DATA_DIR, FailingBackend
+from helpers import DATA_DIR, FailingBackend, RoundTrips, SlowBackend
 
 
 class FailOnCalls:
@@ -148,13 +149,54 @@ GOLDEN = {
 }
 
 
-def trace_digest(name):
-    task, backends, config = _case(name)
+def _digest(task, backends, config):
     trace = TraceWriter()
     run_search(task, backends, load_template_set(task.kind), config, trace=trace)
     return hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
 
 
+def trace_digest(name):
+    return _digest(*_case(name))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trace_matches_golden_digest(name):
     assert trace_digest(name) == GOLDEN[name]
+
+
+class SlowScriptedBackend(ScriptedBackend):
+    """A scripted backend whose every call takes a simulated round trip."""
+
+    def __init__(self, rules, default):
+        super().__init__(rules, default)
+        self.trips = RoundTrips()
+
+    def propose(self, prompt: str, n: int, seed: int) -> list:
+        with self.trips.call():
+            return super().propose(prompt, n, seed)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "game24-mcts-24-3-4-5-9",
+        "game24-mcts-24-4-5-6-7",
+        "game24-dfs_prune-24-3-4-5-9",
+        "game24-dfs_prune-24-4-5-6-7",
+        "mcts-skip-simulation",
+        "mcts-fails-in-simulation",
+    ],
+)
+def test_slow_value_calls_run_concurrently_to_the_same_trace(name):
+    task, backends, config = _case(name)
+    backends.value = SlowBackend(backends.value)
+    assert _digest(task, backends, config) == GOLDEN[name]
+    assert backends.value.trips.peak > 1
+
+
+def test_order_dependent_value_backend_is_called_one_at_a_time():
+    task, backends, config = _case("docqa-mcts")
+    backends.value = SlowScriptedBackend(backends.value.rules, backends.value.default)
+    assert _digest(task, backends, config) == GOLDEN["docqa-mcts"]
+    assert backends.value.trips.peak == 1
+    assert backends.value.trips.threads == {threading.main_thread().name}

@@ -1,5 +1,9 @@
 """Search engine tests across the four variants."""
 
+import sys
+import threading
+import types
+
 import pytest
 
 from agentsearch.backends import (
@@ -12,11 +16,11 @@ from agentsearch.backends import (
 from agentsearch.envs import TaskSpec
 from agentsearch.prompts import DEFAULT_REFLECTIONS_HEADER
 from agentsearch.reflection import ReflectionStore
-from agentsearch.search import VARIANTS, BackendSet, SearchConfig, run_search
+from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _CountingBackend, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
 
-from helpers import FailingBackend
+from helpers import FailingBackend, SlowBackend
 
 
 class RecordingBackend:
@@ -563,3 +567,65 @@ def test_summary_and_proposals_accessors(game24_templates):
     assert summary["policy_proposals"] == result.proposals
     assert summary["expansions"] == result.nodes_expanded
     assert summary["nodes"] == len(result.tree.nodes)
+
+
+# ---------------------------------------------------------------------------
+# concurrent value calls
+
+
+class CrashingInPoolBackend(SlowBackend):
+    """Slow, and raises RuntimeError on any call off the main thread."""
+
+    def propose(self, prompt: str, n: int, seed: int) -> list:
+        with self.trips.call():
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("value backend crashed")
+            return self.inner.propose(prompt, n, seed)
+
+
+def test_value_pool_threads_end_with_the_run(game24_templates):
+    before = threading.active_count()
+    backends = oracle_backends(p=0.3, accuracy=0.85)
+    backends.value = SlowBackend(backends.value)
+    result = run_search(
+        game24_task([4, 9, 10, 13]), backends, game24_templates, SearchConfig(n=3, k=4, seed=12)
+    )
+    assert backends.value.trips.peak > 1
+    assert result.backend_calls["value"]["calls"] >= 3
+    assert threading.active_count() == before
+
+
+def test_value_pool_threads_end_when_the_run_raises(game24_templates):
+    before = threading.active_count()
+    backends = oracle_backends(p=0.3, accuracy=0.85)
+    backends.value = CrashingInPoolBackend(backends.value)
+    with pytest.raises(RuntimeError, match="value backend crashed"):
+        run_search(
+            game24_task([4, 9, 10, 13]),
+            backends,
+            game24_templates,
+            SearchConfig(n=3, k=4, seed=12),
+        )
+    assert len(backends.value.trips.threads) > 1
+    assert threading.active_count() == before
+
+
+def test_counting_backend_counts_exactly_across_threads():
+    counters = {"value": {"calls": 0, "proposals": 0}}
+    echo = types.SimpleNamespace(propose=lambda prompt, n, seed: ["x"] * n)
+    counting = _CountingBackend(echo, counters, "value")
+    threads = [
+        threading.Thread(target=lambda: [counting.propose("p", 2, i) for i in range(3000)])
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert counters["value"] == {"calls": 24000, "proposals": 48000}

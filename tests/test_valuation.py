@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import SlowBackend
+
 from agentsearch.actions import normalize_action_text, parse_action
 from agentsearch.backends import BackendError
 from agentsearch.envs.game24 import GRAMMAR
 from agentsearch.prompts import PromptBundle
 from agentsearch.tree import ChildSpec, SearchTree, add_children
 from agentsearch.valuation import (
+    ValuePool,
     ValueScore,
     combine,
     evaluate_children,
@@ -231,3 +234,43 @@ def test_evaluate_children_flags_backend_failures():
         score = tree.node(i).eval_score
         assert score.flagged
         assert score.lm_score == 0.0
+
+
+class PerChildBackend:
+    """Scores each child by its remaining numbers; the state "1 24" is an
+    outage."""
+
+    def propose(self, prompt, n, seed):
+        if "Remaining numbers: 1 24" in prompt:
+            raise BackendError("down")
+        return [f"Thus the correctness score is {len(prompt) % 10 + 1}"]
+
+
+def fanned_tree():
+    tree = scored_tree()
+    specs = [
+        ChildSpec(parse_action(f"combine[1 + {i}]", GRAMMAR), f"Remaining numbers: {i + 1} 6")
+        for i in range(4)
+    ]
+    add_children(tree, 0, specs)
+    return tree
+
+
+def test_evaluate_children_gives_the_same_pairs_with_fan_out():
+    bundle = PromptBundle(instruction="rate")
+    inline = evaluate_children(fanned_tree(), 0, "full", 0.5, bundle, PerChildBackend(), seed=3)
+    assert [child_id for child_id, _ in inline] == [1, 2, 3, 4, 5, 6, 7]
+    assert [score.flagged for _, score in inline] == [False, False, True] + [False] * 4
+    pool = ValuePool(3)
+    try:
+        for slow_from_the_start in (False, True):
+            pool.slow = slow_from_the_start
+            backend = SlowBackend(PerChildBackend())
+            tree = fanned_tree()
+            pairs = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3, pool=pool)
+            assert pairs == inline
+            assert [tree.node(i).eval_score for i, _ in pairs] == [s for _, s in inline]
+            assert backend.trips.peak > 1
+            assert pool.slow
+    finally:
+        pool.close()
