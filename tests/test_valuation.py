@@ -1,12 +1,11 @@
 """LM score parsing, self-consistency, and the weighted mix."""
 
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from helpers import SlowBackend
 
 from agentsearch.actions import normalize_action_text, parse_action
 from agentsearch.backends import BackendError
@@ -22,6 +21,8 @@ from agentsearch.valuation import (
     parse_score,
     sc_score,
 )
+
+from helpers import SlowBackend
 
 
 def combo_actions(raws):
@@ -237,7 +238,7 @@ def test_evaluate_children_flags_backend_failures():
 
 
 class PerChildBackend:
-    """Scores each child by its remaining numbers; the state "1 24" is an
+    """Scores each child by its prompt's length; the state "1 24" is an
     outage."""
 
     def propose(self, prompt, n, seed):
@@ -272,5 +273,31 @@ def test_evaluate_children_gives_the_same_pairs_with_fan_out():
             assert [tree.node(i).eval_score for i, _ in pairs] == [s for _, s in inline]
             assert backend.trips.peak > 1
             assert pool.slow
+    finally:
+        pool.close()
+
+
+class CrashingBackend:
+    """Raises RuntimeError for the states "2 6" and "3 6"; the later child
+    fails first."""
+
+    def propose(self, prompt, n, seed):
+        if "Remaining numbers: 2 6" in prompt:
+            time.sleep(0.02)
+            raise RuntimeError("2 6")
+        if "Remaining numbers: 3 6" in prompt:
+            raise RuntimeError("3 6")
+        return ["Thus the correctness score is 5"]
+
+
+def test_evaluate_children_raises_the_earliest_childs_error_with_fan_out():
+    pool = ValuePool(7)
+    pool.slow = True
+    try:
+        with pytest.raises(RuntimeError, match="2 6"):
+            evaluate_children(
+                fanned_tree(), 0, "full", 0.5, PromptBundle(instruction="rate"),
+                CrashingBackend(), seed=3, pool=pool,
+            )
     finally:
         pool.close()
