@@ -82,17 +82,38 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
+        """Read {"rules": [{"contains" or "pattern": ..., "responses": [...]}],
+        "default": TEXT}. A malformed file is a ValueError here, before any
+        prompt reaches it."""
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict) or not isinstance(data.get("rules", []), list):
+            raise ValueError(f"{path} must hold an object with a 'rules' list")
         rules = []
-        for raw in data.get("rules", []):
-            rules.append(
-                ScriptRule(
-                    contains=raw.get("contains"),
-                    pattern=raw.get("pattern"),
-                    responses=list(raw.get("responses", [])),
-                )
+        for index, raw in enumerate(data.get("rules", [])):
+            where = f"{path} rule {index}"
+            if not isinstance(raw, dict):
+                raise ValueError(f"{where} is not an object")
+            rule = ScriptRule(
+                contains=raw.get("contains"),
+                pattern=raw.get("pattern"),
+                responses=raw.get("responses", []),
             )
-        return cls(rules, default=data.get("default", "think[no scripted response]"))
+            if not isinstance(rule.contains, (str, type(None))):
+                raise ValueError(f"{where}: 'contains' must be a string")
+            if rule.pattern is not None:
+                try:
+                    re.compile(rule.pattern)
+                except (re.error, TypeError) as exc:
+                    raise ValueError(f"{where}: bad pattern {rule.pattern!r}: {exc}") from exc
+            if not isinstance(rule.responses, list) or not all(
+                isinstance(r, str) for r in rule.responses
+            ):
+                raise ValueError(f"{where}: 'responses' must be a list of strings")
+            rules.append(rule)
+        default = data.get("default", "think[no scripted response]")
+        if not isinstance(default, str):
+            raise ValueError(f"{path}: 'default' must be a string")
+        return cls(rules, default=default)
 
     def propose(self, prompt: str, n: int, seed: int) -> list:
         if n < 1:

@@ -49,7 +49,7 @@ from .search import (
     run_search,
 )
 from .templates import load_template_set
-from .trace import ReplayError, TraceWriter, read_trace, replay_trace, write_trace
+from .trace import TraceWriter, read_trace, replay_trace, write_trace
 from .tree import tree_to_jsonl
 from .valuation import VALUE_MODES
 
@@ -223,9 +223,11 @@ def _run_one(path, args, config, out_dir) -> dict:
 
 
 def cmd_run(args) -> int:
-    paths = collect_task_paths(args.tasks)
-    if args.limit:
-        paths = paths[: args.limit]
+    if args.limit is not None and args.limit < 1:
+        raise CliError("--limit must be >= 1")
+    if args.workers < 1:
+        raise CliError("--workers must be >= 1")
+    paths = collect_task_paths(args.tasks)[: args.limit]
     # Validate shared inputs once, before any worker starts.
     _backend_set(args)
     config = build_config(args)
@@ -265,7 +267,7 @@ def cmd_replay(args) -> int:
     for path in args.traces:
         try:
             stats = replay_trace(read_trace(path))
-        except (OSError, json.JSONDecodeError, ReplayError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"FAIL {path}: {exc}")
             failures += 1
             continue
@@ -283,7 +285,14 @@ def cmd_report(args) -> int:
             payload = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read report {path}: {exc}") from exc
-        rows.extend(payload.get("rows", []))
+        file_rows = payload.get("rows", []) if isinstance(payload, dict) else None
+        if not isinstance(file_rows, list):
+            raise CliError(f"report {path} must hold an object with a 'rows' list")
+        try:
+            RunReport(rows=file_rows).aggregate()
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CliError(f"report {path} has a malformed row: {exc!r}") from exc
+        rows.extend(file_rows)
     if not rows:
         raise CliError("reports contain no rows")
     merged = RunReport(rows=rows)

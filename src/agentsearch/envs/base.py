@@ -1,10 +1,14 @@
 """Environment contract shared by the bundled task simulators.
 
-An environment is reset with a TaskSpec, stepped with parsed ActionSamples,
-and can serialize its full state to an opaque snapshot token and restore it
-later. Restoring a snapshot and replaying the same actions must reproduce
-the same observations byte for byte; the search engine leans on that to
-revert to arbitrary tree nodes.
+An environment is reset with a TaskSpec and stepped with parsed
+ActionSamples. Everything a step may change lives in one dataclass, the
+environment's `State`, whose fields and defaults are declared once; the
+rest (catalog, corpus, answer, tests) is fixed per task and set at reset.
+The State's fields are the snapshot: `snapshot()` encodes them into an
+opaque token and `restore()` rebuilds the State from it. Restoring a
+snapshot and replaying the same actions must reproduce the same
+observations byte for byte; the search engine leans on that to revert to
+arbitrary tree nodes.
 """
 
 from __future__ import annotations
@@ -56,21 +60,23 @@ class Environment:
     kind: str = ""
     grammar: ActionGrammar = ActionGrammar()
 
+    @dataclass
+    class State:
+        """What a step may change; subclasses declare their own. This one
+        has no fields, for an environment whose steps change nothing."""
+
+    state: State
+
     def __init__(self):
         self._task: Optional[TaskSpec] = None
         self._done = False
 
     # -- subclass hooks -------------------------------------------------
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
+        """Read the task's constants; self.state already holds a fresh State."""
         raise NotImplementedError
 
     def _apply(self, action: ActionSample) -> EnvObservation:
-        raise NotImplementedError
-
-    def _state(self) -> dict:
-        raise NotImplementedError
-
-    def _load_state(self, state: dict) -> None:
         raise NotImplementedError
 
     # -- public API ------------------------------------------------------
@@ -79,6 +85,7 @@ class Environment:
             raise TaskError(f"task kind {task.kind!r} does not fit env {self.kind!r}")
         self._task = task
         self._done = False
+        self.state = self.State()
         return self._do_reset(task)
 
     def step(self, action: ActionSample) -> EnvObservation:
@@ -98,7 +105,7 @@ class Environment:
     def snapshot(self) -> EnvSnapshot:
         if self._task is None:
             raise RuntimeError("snapshot() before reset()")
-        token = encode({"done": self._done, "state": self._state()})
+        token = encode({"done": self._done, "state": vars(self.state)})
         return EnvSnapshot(kind=self.kind, task_id=self._task.task_id, token=token)
 
     def restore(self, snap: EnvSnapshot) -> None:
@@ -108,7 +115,7 @@ class Environment:
             raise ValueError("snapshot belongs to a different environment or task")
         data = json.loads(snap.token)
         self._done = data["done"]
-        self._load_state(data["state"])
+        self.state = self.State(**data["state"])
 
     @staticmethod
     def invalid() -> EnvObservation:

@@ -8,6 +8,7 @@ Finish[answer] ends the episode, scored by normalized exact match.
 from __future__ import annotations
 
 import string
+from dataclasses import dataclass
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
@@ -52,13 +53,11 @@ class DocQAEnv(Environment):
     kind = "docqa"
     grammar = GRAMMAR
 
-    def __init__(self):
-        super().__init__()
-        self._corpus = {}
-        self._answer = ""
-        self._page: Optional[str] = None
-        self._lookup_keyword: Optional[str] = None
-        self._lookup_pos = 0
+    @dataclass
+    class State:
+        page: Optional[str] = None
+        lookup_keyword: Optional[str] = None
+        lookup_pos: int = 0
 
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
         corpus = task.payload.get("corpus")
@@ -73,9 +72,6 @@ class DocQAEnv(Environment):
                 raise TaskError(f"corpus entry {title!r} must be a list of sentences")
         self._corpus = {title: list(sentences) for title, sentences in corpus.items()}
         self._answer = answer
-        self._page = None
-        self._lookup_keyword = None
-        self._lookup_pos = 0
         return EnvObservation(question)
 
     def _find_title(self, entity: str) -> Optional[str]:
@@ -95,43 +91,26 @@ class DocQAEnv(Environment):
         argument = (action.argument or "").strip()
         if action.verb == "search":
             title = self._find_title(argument)
+            self.state = self.State(page=title)
             if title is None:
-                self._page = None
-                self._lookup_keyword = None
-                self._lookup_pos = 0
                 suggestions = ", ".join(self._similar_titles(argument))
                 return EnvObservation(f"Similar: {suggestions}")
-            self._page = title
-            self._lookup_keyword = None
-            self._lookup_pos = 0
             return EnvObservation(" ".join(self._corpus[title][:5]))
         if action.verb == "lookup":
-            if self._page is None:
+            state = self.state
+            if state.page is None:
                 return self.invalid()
             keyword = argument.casefold()
-            if keyword != self._lookup_keyword:
-                self._lookup_keyword = keyword
-                self._lookup_pos = 0
-            sentences = self._corpus[self._page]
-            for idx in range(self._lookup_pos, len(sentences)):
+            if keyword != state.lookup_keyword:
+                state.lookup_keyword = keyword
+                state.lookup_pos = 0
+            sentences = self._corpus[state.page]
+            for idx in range(state.lookup_pos, len(sentences)):
                 if keyword in sentences[idx].casefold():
-                    self._lookup_pos = idx + 1
+                    state.lookup_pos = idx + 1
                     return EnvObservation(sentences[idx])
-            self._lookup_pos = len(sentences)
+            state.lookup_pos = len(sentences)
             return EnvObservation("No more results.")
-        if action.verb == "finish":
-            reward = 1.0 if normalize_answer(argument) == normalize_answer(self._answer) else 0.0
-            return EnvObservation("Episode finished.", terminal=True, reward=reward)
-        return self.invalid()
-
-    def _state(self) -> dict:
-        return {
-            "page": self._page,
-            "lookup_keyword": self._lookup_keyword,
-            "lookup_pos": self._lookup_pos,
-        }
-
-    def _load_state(self, state: dict) -> None:
-        self._page = state["page"]
-        self._lookup_keyword = state["lookup_keyword"]
-        self._lookup_pos = state["lookup_pos"]
+        # finish, the grammar's one other verb
+        reward = 1.0 if normalize_answer(argument) == normalize_answer(self._answer) else 0.0
+        return EnvObservation("Episode finished.", terminal=True, reward=reward)

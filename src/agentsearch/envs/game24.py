@@ -8,6 +8,7 @@ combination the episode ends with reward 1.0 exactly when 24 remains.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .. import solver24
@@ -53,36 +54,33 @@ class Game24Env(Environment):
     kind = "game24"
     grammar = GRAMMAR
 
-    def __init__(self):
-        super().__init__()
-        self._nums = []
+    @dataclass
+    class State:
+        # the remaining numbers, as [numerator, denominator] pairs
+        nums: list = field(default_factory=list)
 
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
         numbers = task.payload.get("numbers")
         if not isinstance(numbers, list) or len(numbers) < 2:
             raise TaskError("game24 payload needs a 'numbers' list of at least two values")
         try:
-            self._nums = [Fraction(n) for n in numbers]
+            nums = [Fraction(n) for n in numbers]
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise TaskError(f"bad number in game24 payload: {exc}") from exc
-        return EnvObservation(f"Remaining numbers: {format_numbers(self._nums)}")
+        self.state.nums = [[n.numerator, n.denominator] for n in nums]
+        return EnvObservation(f"Remaining numbers: {format_numbers(nums)}")
 
     def _apply(self, action: ActionSample) -> EnvObservation:
         step = parse_step_argument(action.argument or "")
         if step is None:
             return self.invalid()
         try:
-            self._nums = solver24.step_result(self._nums, step)
+            nums = solver24.step_result([Fraction(n, d) for n, d in self.state.nums], step)
         except (ValueError, ZeroDivisionError):  # an operand not in the pool, or x / 0
             return self.invalid()
-        text = f"Remaining numbers: {format_numbers(self._nums)}"
-        if len(self._nums) == 1:
-            reward = 1.0 if self._nums[0] == solver24.TARGET else 0.0
+        self.state.nums = [[n.numerator, n.denominator] for n in nums]
+        text = f"Remaining numbers: {format_numbers(nums)}"
+        if len(nums) == 1:
+            reward = 1.0 if nums[0] == solver24.TARGET else 0.0
             return EnvObservation(text, terminal=True, reward=reward)
         return EnvObservation(text)
-
-    def _state(self) -> dict:
-        return {"nums": [[n.numerator, n.denominator] for n in self._nums]}
-
-    def _load_state(self, state: dict) -> None:
-        self._nums = [Fraction(n, d) for n, d in state["nums"]]

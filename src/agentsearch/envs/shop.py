@@ -12,6 +12,7 @@ so 1.0 means the bought item satisfied the instruction completely.
 from __future__ import annotations
 
 import string
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
@@ -40,18 +41,13 @@ class ShopEnv(Environment):
     kind = "shop"
     grammar = GRAMMAR
 
-    def __init__(self):
-        super().__init__()
-        self._catalog = {}
-        self._instruction = ""
-        self._required_attrs = []
-        self._required_options = {}
-        self._price_cap = 0.0
-        self._page_kind = "search"  # search | results | item
-        self._ranked = []
-        self._page_index = 0
-        self._current: Optional[str] = None
-        self._selections = {}
+    @dataclass
+    class State:
+        page_kind: str = "search"  # search | results | item
+        ranked: list = field(default_factory=list)  # product ids, best first
+        page_index: int = 0
+        current: Optional[str] = None  # the open item's id
+        selections: dict = field(default_factory=dict)  # id -> {option type: value}
 
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
         catalog = task.payload.get("catalog")
@@ -88,11 +84,6 @@ class ShopEnv(Environment):
             self._price_cap = float(task.payload["price_cap"])
         except (KeyError, TypeError, ValueError) as exc:
             raise TaskError("shop payload needs a numeric 'price_cap'") from exc
-        self._page_kind = "search"
-        self._ranked = []
-        self._page_index = 0
-        self._current = None
-        self._selections = {}
         return EnvObservation(self._search_page())
 
     # -- page rendering ---------------------------------------------------
@@ -100,10 +91,8 @@ class ShopEnv(Environment):
         return f"Instruction: {self._instruction}\n[Search]"
 
     def _results_page(self) -> str:
-        total = len(self._ranked)
-        start = self._page_index * PAGE_SIZE
-        lines = [f"Page {self._page_index + 1} (Total results: {total})"]
-        for pid in self._ranked[start : start + PAGE_SIZE]:
+        lines = [f"Page {self.state.page_index + 1} (Total results: {len(self.state.ranked)})"]
+        for pid in self._visible_ids():
             product = self._catalog[pid]
             lines.append(f"[{pid}]")
             lines.append(product["title"])
@@ -111,7 +100,7 @@ class ShopEnv(Environment):
         return "\n".join(lines)
 
     def _item_page(self) -> str:
-        product = self._catalog[self._current]
+        product = self._catalog[self.state.current]
         lines = [f"[{product['id']}] {product['title']}", f"${product['price']:.2f}"]
         for opt_type in sorted(product["options"]):
             values = "".join(f"[{v}]" for v in product["options"][opt_type])
@@ -120,66 +109,63 @@ class ShopEnv(Environment):
         return "\n".join(lines)
 
     def _visible_ids(self) -> list:
-        start = self._page_index * PAGE_SIZE
-        return self._ranked[start : start + PAGE_SIZE]
+        start = self.state.page_index * PAGE_SIZE
+        return self.state.ranked[start : start + PAGE_SIZE]
 
     # -- actions ----------------------------------------------------------
     def _apply(self, action: ActionSample) -> EnvObservation:
         argument = (action.argument or "").strip()
+        state = self.state
         if action.verb == "search":
-            if self._page_kind != "search":
+            if state.page_kind != "search":
                 return self.invalid()
-            self._ranked = sorted(
+            state.ranked = sorted(
                 self._catalog,
                 key=lambda pid: (-title_overlap(argument, self._catalog[pid]["title"]), pid),
             )
-            self._page_index = 0
-            self._page_kind = "results"
+            state.page_index = 0
+            state.page_kind = "results"
             return EnvObservation(self._results_page())
         # choose and click are synonyms
         key = argument.casefold()
         if key == "buy now":
-            if self._page_kind != "item":
+            if state.page_kind != "item":
                 return self.invalid()
             return self._buy()
         if key == "next page":
-            if self._page_kind != "results":
+            if state.page_kind != "results":
                 return self.invalid()
-            if (self._page_index + 1) * PAGE_SIZE >= len(self._ranked):
+            if (state.page_index + 1) * PAGE_SIZE >= len(state.ranked):
                 return self.invalid()
-            self._page_index += 1
+            state.page_index += 1
             return EnvObservation(self._results_page())
         if key == "prev page":
-            if self._page_kind != "results" or self._page_index == 0:
+            if state.page_kind != "results" or state.page_index == 0:
                 return self.invalid()
-            self._page_index -= 1
+            state.page_index -= 1
             return EnvObservation(self._results_page())
         if key == "back to search":
-            self._page_kind = "search"
-            self._ranked = []
-            self._page_index = 0
-            self._current = None
+            self.state = self.State(selections=state.selections)
             return EnvObservation(self._search_page())
-        if self._page_kind == "results":
+        if state.page_kind == "results":
             for pid in self._visible_ids():
                 if pid.casefold() == key:
-                    self._current = pid
-                    self._page_kind = "item"
+                    state.current = pid
+                    state.page_kind = "item"
                     return EnvObservation(self._item_page())
             return self.invalid()
-        if self._page_kind == "item":
-            product = self._catalog[self._current]
+        if state.page_kind == "item":
+            product = self._catalog[state.current]
             for opt_type in sorted(product["options"]):
                 for value in product["options"][opt_type]:
                     if value.casefold() == key:
-                        self._selections.setdefault(self._current, {})[opt_type] = value
+                        state.selections.setdefault(state.current, {})[opt_type] = value
                         return EnvObservation(f"You have clicked {value}.")
-            return self.invalid()
         return self.invalid()
 
     def _buy(self) -> EnvObservation:
-        product = self._catalog[self._current]
-        chosen = self._selections.get(self._current, {})
+        product = self._catalog[self.state.current]
+        chosen = self.state.selections.get(self.state.current, {})
         have_attrs = {a.casefold() for a in product["attributes"]}
         matched_attrs = sum(1 for a in self._required_attrs if a.casefold() in have_attrs)
         matched_options = sum(
@@ -191,20 +177,3 @@ class ShopEnv(Environment):
         denom = len(self._required_attrs) + len(self._required_options) + 1
         reward = (matched_attrs + matched_options + price_ok) / denom
         return EnvObservation("Order placed.", terminal=True, reward=reward)
-
-    # -- snapshots ----------------------------------------------------------
-    def _state(self) -> dict:
-        return {
-            "page_kind": self._page_kind,
-            "ranked": list(self._ranked),
-            "page_index": self._page_index,
-            "current": self._current,
-            "selections": {pid: dict(sel) for pid, sel in self._selections.items()},
-        }
-
-    def _load_state(self, state: dict) -> None:
-        self._page_kind = state["page_kind"]
-        self._ranked = list(state["ranked"])
-        self._page_index = state["page_index"]
-        self._current = state["current"]
-        self._selections = {pid: dict(sel) for pid, sel in state["selections"].items()}

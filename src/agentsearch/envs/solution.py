@@ -132,12 +132,11 @@ def _as_fraction(value) -> Fraction:
 
 
 class SolutionEnv(Environment):
+    """submit is the only step and it ends the episode, so no step changes
+    anything: the env keeps the base's empty State."""
+
     kind = "solution"
     grammar = GRAMMAR
-
-    def __init__(self):
-        super().__init__()
-        self._tests = []
 
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
         statement = task.payload.get("statement")
@@ -156,8 +155,6 @@ class SolutionEnv(Environment):
         return EnvObservation(statement)
 
     def _apply(self, action: ActionSample) -> EnvObservation:
-        if action.verb != "submit":
-            return self.invalid()
         candidate = (action.argument or "").strip()
         passed = 0
         for x, expected in self._tests:
@@ -172,9 +169,3 @@ class SolutionEnv(Environment):
         return EnvObservation(
             f"Passed {passed} of {len(self._tests)} tests.", terminal=True, reward=reward
         )
-
-    def _state(self) -> dict:
-        return {}
-
-    def _load_state(self, state: dict) -> None:
-        del state

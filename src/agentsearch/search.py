@@ -27,6 +27,7 @@ budget k is spent, or when the tree has no expandable leaf left.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -119,8 +120,8 @@ class SearchConfig:
             raise ValueError("k must be >= 1")
         if self.depth_limit is not None and self.depth_limit < 1:
             raise ValueError("depth_limit must be >= 1")
-        if self.w < 0:
-            raise ValueError("exploration weight w must be >= 0")
+        if not (math.isfinite(self.w) and self.w >= 0):
+            raise ValueError("exploration weight w must be finite and >= 0")
         if self.lam is not None and not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
         if not 0.0 <= self.prune_threshold <= 1.0:

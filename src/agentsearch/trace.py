@@ -84,15 +84,26 @@ def replay_trace(events) -> dict:
     Expansion events create nodes, evaluation events seed values, and
     backprop events replay the running-mean update. The final per-node
     value/visit statistics carried by the terminate event must agree with
-    the reconstruction: visits exactly, values within 1e-9.
+    the reconstruction: visits exactly, values within 1e-9. A malformed
+    event (not an object, a missing field, a field of the wrong type) is a
+    ReplayError too.
 
     Returns summary statistics of the verified trace.
     """
+    try:
+        return _replay(events)
+    except (KeyError, TypeError) as exc:
+        raise ReplayError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
+
+
+def _replay(events) -> dict:
     values: dict = {}
     visits: dict = {}
     expected_seq = 0
     terminate = None
     for event in events:
+        if not isinstance(event, dict):
+            raise ReplayError(f"trace event {expected_seq} is not an object: {event!r}")
         if event.get("seq") != expected_seq:
             raise ReplayError(
                 f"trace sequence broken: expected {expected_seq}, got {event.get('seq')}"

@@ -84,6 +84,27 @@ def test_from_file_round_trip(tmp_path):
     assert backend.propose("nothing", 1, 0) == ["fallback"]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [],
+        {"rules": {}},
+        {"rules": [1]},
+        {"rules": [{"pattern": "(", "responses": ["x"]}]},
+        {"rules": [{"pattern": 5, "responses": ["x"]}]},
+        {"rules": [{"contains": 3, "responses": ["x"]}]},
+        {"rules": [{"contains": "q", "responses": "x"}]},
+        {"rules": [{"contains": "q", "responses": [1]}]},
+        {"default": 1},
+    ],
+)
+def test_from_file_rejects_malformed_rules(tmp_path, spec):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError):
+        ScriptedBackend.from_file(path)
+
+
 def test_static_backend_answers_everything():
     backend = static_backend("the correctness score is 7")
     assert backend.propose("any prompt", 3, 5) == ["the correctness score is 7"] * 3

@@ -289,6 +289,32 @@ def test_run_limit_and_workers(tmp_path, capsys):
     assert "t0: ok" in out and "t1: ok" in out and "t2" not in out
 
 
+@pytest.mark.parametrize(
+    "flags", [["--limit", "0"], ["--limit", "-1"], ["--workers", "0"], ["--w", "nan"], ["--w", "inf"]]
+)
+def test_run_rejects_bad_run_flags_before_any_task(tmp_path, capsys, flags):
+    task = tmp_path / "t.json"
+    write_game24_task(task, [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    argv = ["run", str(task), "--backend", "oracle:p=0.1,seed=1", "--out", str(out_dir)]
+    assert main(argv + flags) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_rejects_malformed_rule_file_before_any_task(tmp_path, capsys):
+    task = tmp_path / "t.json"
+    write_game24_task(task, [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    for spec in ([], {"rules": [{"pattern": "(", "responses": ["think[x]"]}]}):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(spec))
+        argv = ["run", str(task), "--backend", f"script:{rules}", "--out", str(out_dir)]
+        assert main(argv) == 2
+        assert "bad backend spec" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_run_finishes_batch_past_a_malformed_task(tmp_path, capsys):
     task_dir = tmp_path / "tasks"
     task_dir.mkdir()
@@ -391,6 +417,33 @@ def test_replay_detects_corruption(tmp_path, capsys):
     code = main(["replay", str(trace_path)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_replay_reports_malformed_files_and_checks_the_rest(tmp_path, capsys):
+    task = tmp_path / "t.json"
+    write_game24_task(task, [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    main(["run", str(task), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir)])
+    capsys.readouterr()
+    not_object = tmp_path / "list.jsonl"
+    not_object.write_text("[1,2]\n")
+    bad_children = tmp_path / "children.jsonl"
+    bad_children.write_text('{"seq":0,"type":"expand","children":5}\n')
+    good = out_dir / "t.trace.jsonl"
+    assert main(["replay", str(not_object), str(bad_children), str(good)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["FAIL", "FAIL", "OK"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[], {"rows": 5}, {"rows": [3]}, {"rows": [{"kind": "game24", "success": True}]}],
+)
+def test_report_rejects_malformed_file(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", str(path)]) == 2
+    assert f"report {path}" in capsys.readouterr().err
 
 
 def test_report_merges_files(tmp_path, capsys):

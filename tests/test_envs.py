@@ -651,6 +651,30 @@ def test_snapshot_round_trip_mid_episode_each_env():
     assert act(shop, "click[next page]").text == page2
 
 
+@pytest.mark.parametrize(
+    "env_cls, task, moves",
+    [
+        (Game24Env, game24_task, ["combine[4 / 6]"]),
+        (DocQAEnv, docqa_task, ["Search[Ada Lanford]", "Lookup[Harrowgate]"]),
+        (ShopEnv, shop_task, ["search[hiking jacket]", "click[B001]", "click[navy]"]),
+        (SolutionEnv, solution_task, []),
+    ],
+)
+def test_reset_after_an_episode_starts_from_the_declared_state(env_cls, task, moves):
+    fresh = env_cls()
+    fresh.reset(task())
+    env = env_cls()
+    env.reset(task())
+    for move in moves:
+        act(env, move)
+    moved = env.snapshot()
+    assert (moved != fresh.snapshot()) == bool(moves)
+    env.reset(task())
+    assert env.snapshot() == fresh.snapshot()
+    env.restore(moved)
+    assert env.snapshot() == moved
+
+
 def test_snapshot_token_bytes_are_pinned():
     env = Game24Env()
     env.reset(game24_task())

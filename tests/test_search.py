@@ -89,6 +89,8 @@ def test_config_validation_errors():
         SearchConfig(k=0),
         SearchConfig(depth_limit=0),
         SearchConfig(w=-0.5),
+        SearchConfig(w=float("nan")),
+        SearchConfig(w=float("inf")),
         SearchConfig(lam=1.5),
         SearchConfig(prune_threshold=-0.1),
         SearchConfig(reflection_limit=-1),

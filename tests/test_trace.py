@@ -122,3 +122,28 @@ def test_replay_eval_seed_is_overwritten_by_first_backprop():
     for i, e in enumerate(events):
         e["seq"] = i
     assert replay_trace(events)["nodes"] == 3
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        [1, 2],
+        {"seq": 0, "type": "expand", "children": 5},
+        {"seq": 0, "type": "expand", "children": [{"action": "a"}]},
+        {"seq": 0, "type": "evaluate", "scores": [[1, 0.5]]},
+        {"seq": 0, "type": "backprop", "path": [[0]], "reward": 1.0},
+    ],
+)
+def test_replay_rejects_malformed_events(event):
+    with pytest.raises(ReplayError):
+        replay_trace([event])
+
+
+def test_replay_rejects_malformed_node_stats():
+    events = minimal_events()
+    events[-1]["node_stats"] = 3
+    with pytest.raises(ReplayError):
+        replay_trace(events)
+    events[-1]["node_stats"] = [{"id": 0}, {"id": 1}, {"id": 2}]
+    with pytest.raises(ReplayError):
+        replay_trace(events)
