@@ -41,12 +41,15 @@ def trigrams(text: str) -> frozenset:
     return frozenset(squeezed[i : i + 3] for i in range(len(squeezed) - 2))
 
 
-def similarity(a: str, b: str) -> float:
-    """Jaccard overlap of character trigrams of the normalized strings."""
-    ta, tb = trigrams(a), trigrams(b)
+def _jaccard(ta: frozenset, tb: frozenset) -> float:
     if not ta or not tb:
         return 0.0
     return len(ta & tb) / len(ta | tb)
+
+
+def similarity(a: str, b: str) -> float:
+    """Jaccard overlap of character trigrams of the normalized strings."""
+    return _jaccard(trigrams(a), trigrams(b))
 
 
 class DocQAEnv(Environment):
@@ -72,19 +75,24 @@ class DocQAEnv(Environment):
                 raise TaskError(f"corpus entry {title!r} must be a list of sentences")
         self._corpus = {title: list(sentences) for title, sentences in corpus.items()}
         self._answer = answer
+        # Title indexes, built by the first search that needs them: a reset
+        # that is never searched pays for neither.
+        self._by_normal_title = None  # normalized title -> first such title
+        self._title_trigrams = None  # title -> trigrams
         return EnvObservation(question)
 
     def _find_title(self, entity: str) -> Optional[str]:
-        wanted = _normalize_title(entity)
-        for title in self._corpus:
-            if _normalize_title(title) == wanted:
-                return title
-        return None
+        if self._by_normal_title is None:
+            self._by_normal_title = {}
+            for title in self._corpus:
+                self._by_normal_title.setdefault(_normalize_title(title), title)
+        return self._by_normal_title.get(_normalize_title(entity))
 
     def _similar_titles(self, entity: str, limit: int = 5) -> list:
-        scored = sorted(
-            self._corpus, key=lambda title: (-similarity(entity, title), title)
-        )
+        if self._title_trigrams is None:
+            self._title_trigrams = {title: trigrams(title) for title in self._corpus}
+        query, titles = trigrams(entity), self._title_trigrams
+        scored = sorted(titles, key=lambda title: (-_jaccard(query, titles[title]), title))
         return scored[:limit]
 
     def _apply(self, action: ActionSample) -> EnvObservation:

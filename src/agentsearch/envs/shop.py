@@ -37,6 +37,18 @@ def title_overlap(query: str, title: str) -> int:
     return len(_terms(query) & _terms(title))
 
 
+def _strings(values, what: str) -> list:
+    if not isinstance(values, list):
+        raise TaskError(f"{what} must be a list, not {type(values).__name__}")
+    return [str(v) for v in values]
+
+
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TaskError(f"{what} must be an object, not {type(value).__name__}")
+    return value
+
+
 class ShopEnv(Environment):
     kind = "shop"
     grammar = GRAMMAR
@@ -62,24 +74,24 @@ class ShopEnv(Environment):
                     "title": str(product["title"]),
                     "price": float(product["price"]),
                     "options": {
-                        str(t): [str(v) for v in vals]
-                        for t, vals in dict(product.get("options", {})).items()
+                        str(t): _strings(vals, "option values")
+                        for t, vals in _mapping(product.get("options", {}), "options").items()
                     },
-                    "attributes": [str(a) for a in product.get("attributes", [])],
+                    "attributes": _strings(product.get("attributes", []), "attributes"),
                 }
             except (KeyError, TypeError, ValueError) as exc:
                 raise TaskError(f"malformed catalog product: {exc}") from exc
             if pid in self._catalog:
                 raise TaskError(f"duplicate product id {pid!r}")
             self._catalog[pid] = entry
+        self._title_terms = None  # pid -> title terms, built by the first search
         instruction = task.payload.get("instruction")
         if not isinstance(instruction, str) or not instruction:
             raise TaskError("shop payload needs an 'instruction' string")
         self._instruction = instruction
-        self._required_attrs = [str(a) for a in task.payload.get("attributes", [])]
-        self._required_options = {
-            str(t): str(v) for t, v in dict(task.payload.get("options", {})).items()
-        }
+        self._required_attrs = _strings(task.payload.get("attributes", []), "task attributes")
+        options = _mapping(task.payload.get("options", {}), "task options")
+        self._required_options = {str(t): str(v) for t, v in options.items()}
         try:
             self._price_cap = float(task.payload["price_cap"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -119,10 +131,10 @@ class ShopEnv(Environment):
         if action.verb == "search":
             if state.page_kind != "search":
                 return self.invalid()
-            state.ranked = sorted(
-                self._catalog,
-                key=lambda pid: (-title_overlap(argument, self._catalog[pid]["title"]), pid),
-            )
+            if self._title_terms is None:
+                self._title_terms = {pid: _terms(p["title"]) for pid, p in self._catalog.items()}
+            query, titles = _terms(argument), self._title_terms
+            state.ranked = sorted(titles, key=lambda pid: (-len(query & titles[pid]), pid))
             state.page_index = 0
             state.page_kind = "results"
             return EnvObservation(self._results_page())
