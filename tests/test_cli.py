@@ -371,6 +371,27 @@ def test_run_finishes_batch_past_an_unknown_kind(tmp_path, capsys):
     assert rows["a"]["terminate_reason"] == "task_error" and rows["a"]["kind"] == "unknown"
     assert rows["b"]["success"] is True
 
+def test_run_gives_task_error_row_for_a_string_where_shop_wants_a_list(tmp_path, capsys):
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    payload = {
+        "instruction": "i want wool socks",
+        "attributes": "wool",
+        "price_cap": 10.0,
+        "catalog": [{"id": "P1", "title": "Wool socks", "price": 5.0, "attributes": ["wool"]}],
+    }
+    (task_dir / "a.json").write_text(json.dumps({"kind": "shop", "payload": payload}))
+    write_game24_task(task_dir / "b.json", [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    code = main(["run", str(task_dir), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: a:" in captured.err and "task attributes must be a list" in captured.err
+    rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
+    assert rows["a"]["terminate_reason"] == "task_error" and rows["a"]["kind"] == "shop"
+    assert rows["b"]["success"] is True
+
+
 def test_run_gives_task_error_rows_for_missing_templates(tmp_path, capsys):
     task_dir = tmp_path / "tasks"
     task_dir.mkdir()

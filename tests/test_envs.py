@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from agentsearch.actions import parse_action
+from agentsearch.envs import docqa
 from agentsearch.envs import (
     DEFAULT_LAMBDA,
     DocQAEnv,
@@ -238,6 +239,46 @@ def test_docqa_search_miss_suggests_similar_titles():
     assert "The Silent River" in obs.text
 
 
+def test_docqa_search_takes_the_first_title_that_normalizes_alike():
+    def first_page(corpus):
+        env = DocQAEnv()
+        env.reset(TaskSpec("d", "docqa", {"question": "q", "answer": "a", "corpus": corpus}))
+        return act(env, "Search[SILENT river]").text
+
+    one, two = ("Silent River", ["First entry."]), ("silent river!", ["Second entry."])
+    assert first_page(dict([one, two])) == "First entry."
+    assert first_page(dict([two, one])) == "Second entry."
+
+
+def test_docqa_title_indexes_follow_reset():
+    env = DocQAEnv()
+    env.reset(docqa_task())
+    assert act(env, "Search[Ada Lanford]").text.startswith("Ada Lanford is an author.")
+    assert act(env, "Search[Silent Rivers]").text == "Similar: The Silent River, Ada Lanford"
+    corpus = {"Harrowgate": ["Harrowgate is a town."], "Silent Rivers": ["A band."]}
+    env.reset(TaskSpec("d2", "docqa", {"question": "q", "answer": "a", "corpus": corpus}))
+    assert act(env, "Search[Ada Lanford]").text == "Similar: Harrowgate, Silent Rivers"
+    assert act(env, "Search[Silent Rivers]").text == "A band."
+    assert act(env, "Search[The Silent River]").text == "Similar: Silent Rivers, Harrowgate"
+
+
+def test_docqa_computes_title_trigrams_on_the_first_miss_only(monkeypatch):
+    calls = []
+    real = docqa.trigrams
+    monkeypatch.setattr(docqa, "trigrams", lambda text: calls.append(text) or real(text))
+    env = DocQAEnv()
+    env.reset(docqa_task())
+    assert act(env, "Finish[Ada Lanford]").reward == 1.0
+    env.reset(docqa_task())
+    act(env, "Search[Ada Lanford]")  # a hit needs no trigrams
+    assert calls == []
+    act(env, "Search[Silent River novel]")
+    assert len(calls) == len(CORPUS) + 1
+    calls.clear()
+    act(env, "Search[Lanford author]")
+    assert calls == ["Lanford author"]
+
+
 def test_docqa_lookup_walks_matches_then_exhausts():
     env = DocQAEnv()
     env.reset(docqa_task())
@@ -462,6 +503,44 @@ def test_shop_payload_validation():
     dup = [dict(CATALOG[0]), dict(CATALOG[0])]
     with pytest.raises(TaskError):
         ShopEnv().reset(shop_task(catalog=dup))
+
+
+@pytest.mark.parametrize(
+    "product, task",
+    [
+        ({"options": {"size": "Large"}}, {}),
+        ({"options": [["size", ["Large"]]]}, {}),
+        ({"attributes": "wool"}, {}),
+        ({}, {"attributes": "wool"}),
+        ({}, {"options": [["color", "navy"]]}),
+    ],
+    ids=[
+        "option-string",
+        "options-pairs",
+        "attributes-string",
+        "task-attributes-string",
+        "task-options-pairs",
+    ],
+)
+def test_shop_rejects_a_non_list_where_a_list_belongs(product, task):
+    catalog = [dict(CATALOG[0], **product)] + CATALOG[1:]
+    with pytest.raises(TaskError):
+        ShopEnv().reset(shop_task(catalog=catalog, **task))
+
+
+def test_shop_title_index_follows_reset():
+    env = ShopEnv()
+    env.reset(shop_task())
+    assert act(env, "search[hiking jacket]").text.splitlines()[1] == "[B001]"
+    # the same ids with other titles: the ranking must come from the new ones
+    catalog = [
+        {"id": "B001", "title": "Plain wool socks", "price": 5.0},
+        {"id": "B002", "title": "Acme hiking jacket", "price": 50.0},
+    ]
+    env.reset(shop_task(catalog=catalog, attributes=[], options={}))
+    lines = act(env, "search[hiking jacket]").text.splitlines()
+    assert lines[1:3] == ["[B002]", "Acme hiking jacket"]
+    assert lines[4:6] == ["[B001]", "Plain wool socks"]
 
 
 def test_title_overlap_counts_shared_words():

@@ -103,3 +103,29 @@ def test_solve_agrees_with_solvable(values):
     ok, lines = solve(nums)
     assert ok == solvable(nums)
     assert ok == bool(lines)
+
+
+_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=13).map(Fraction),
+    st.builds(
+        Fraction, st.integers(min_value=0, max_value=13), st.integers(min_value=2, max_value=13)
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=4))
+def test_memoised_correct_steps_match_their_definition(nums):
+    expected = [s for s in legal_steps(nums) if solvable(step_result(nums, s))]
+    assert correct_steps(nums) == expected
+    assert correct_steps(list(reversed(nums))) == expected  # the memo is order-blind
+
+
+def test_changing_a_returned_correct_steps_list_leaves_the_memo_intact():
+    nums = F([4, 9, 10, 13])
+    first = correct_steps(nums)
+    assert first
+    expected = list(first)
+    first.clear()
+    assert correct_steps(nums) == expected
+    assert correct_steps(nums) is not correct_steps(nums)
