@@ -146,11 +146,11 @@ class HttpChatBackend:
     Responses are cached keyed by a hash of (prompt, n, seed, model,
     temperature), so each seeded call is its own sample and repeating a run
     against a warm cache makes no network calls. A cache file is renamed into
-    place once written, so no reader sees a partial one; an unreadable one
-    (say, left half-written by an older version) counts as a miss. Transport
-    errors and 5xx responses are retried up to `retries` times with
-    exponential backoff; other HTTP errors and non-JSON replies raise
-    BackendError immediately.
+    place once written, so no reader sees a partial one; one that does not
+    hold n completion strings (say, left half-written by an older version)
+    counts as a miss. Transport errors and 5xx responses are retried up to
+    `retries` times with exponential backoff; other HTTP errors, non-JSON
+    replies and non-string completions raise BackendError immediately.
     """
 
     def __init__(
@@ -195,9 +195,12 @@ class HttpChatBackend:
         path = self._cache_path(self._cache_key(prompt, n, seed))
         if path is not None and path.exists():
             try:
-                return list(json.loads(path.read_text())["texts"])
-            except (json.JSONDecodeError, KeyError, TypeError):
-                pass  # the write below replaces the corrupt file
+                texts = json.loads(path.read_text())["texts"]
+            except (ValueError, KeyError, TypeError):  # not UTF-8, not JSON, no texts
+                texts = None
+            if _are_texts(texts, n):
+                return texts
+            # anything else is a miss, and the write below replaces the file
         texts = self._request(prompt, n)
         if path is not None:
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
@@ -257,7 +260,14 @@ class HttpChatBackend:
             raise BackendError(f"malformed completion payload: {exc}") from exc
         if len(texts) < n:
             raise BackendError(f"backend returned {len(texts)} completions, wanted {n}")
+        if not _are_texts(texts[:n], n):
+            raise BackendError("completion content is not a string")
         return texts[:n]
+
+
+def _are_texts(value, n: int) -> bool:
+    """Whether value is a list of exactly n completion strings."""
+    return isinstance(value, list) and len(value) == n and all(isinstance(t, str) for t in value)
 
 
 _REMAINING_RE = re.compile(r"Remaining numbers:\s*([^\n]+)")

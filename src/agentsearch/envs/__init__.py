@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .base import Environment, EnvObservation, EnvSnapshot, TaskError, TaskSpec
 from .docqa import DocQAEnv
-from .game24 import Game24Env
+from .game24 import Game24Env, question_text
 from .shop import ShopEnv
 from .solution import SolutionEnv
 
@@ -63,8 +63,6 @@ def load_task(path) -> TaskSpec:
 def task_input(task: TaskSpec) -> str:
     """The question/instruction text a task poses, used as the tree root input."""
     if task.kind == "game24":
-        from .game24 import question_text
-
         return question_text(task.payload.get("numbers", []))
     key = {"docqa": "question", "shop": "instruction", "solution": "statement"}.get(task.kind)
     if key is None:

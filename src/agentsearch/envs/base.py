@@ -4,16 +4,17 @@ An environment is reset with a TaskSpec and stepped with parsed
 ActionSamples. Everything a step may change lives in one dataclass, the
 environment's `State`, whose fields and defaults are declared once; the
 rest (catalog, corpus, answer, tests) is fixed per task and set at reset.
-The State's fields are the snapshot: `snapshot()` encodes them into an
-opaque token and `restore()` rebuilds the State from it. Restoring a
-snapshot and replaying the same actions must reproduce the same
-observations byte for byte; the search engine leans on that to revert to
-arbitrary tree nodes.
+The State is a frozen value that a step replaces, never changes, so the
+State object is the snapshot: `snapshot()` keeps it and `restore()` assigns
+it back. Every snapshot shares its nested values (shop selections), which a
+step rebuilds too. A snapshot's `token` is only a JSON view of it, for
+callers that measure or log it. Restoring a snapshot and replaying the same
+actions must reproduce the same observations byte for byte; the search
+engine leans on that to revert to arbitrary tree nodes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,7 +41,12 @@ class EnvObservation:
 class EnvSnapshot:
     kind: str
     task_id: str
-    token: str
+    done: bool
+    state: object  # the environment's State value, shared, not copied
+
+    @property
+    def token(self) -> str:
+        return encode({"done": self.done, "state": vars(self.state)})
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class Environment:
     kind: str = ""
     grammar: ActionGrammar = ActionGrammar()
 
-    @dataclass
+    @dataclass(frozen=True)
     class State:
         """What a step may change; subclasses declare their own. This one
         has no fields, for an environment whose steps change nothing."""
@@ -105,18 +111,12 @@ class Environment:
     def snapshot(self) -> EnvSnapshot:
         if self._task is None:
             raise RuntimeError("snapshot() before reset()")
-        token = encode({"done": self._done, "state": vars(self.state)})
-        return EnvSnapshot(kind=self.kind, task_id=self._task.task_id, token=token)
+        return EnvSnapshot(self.kind, self._task.task_id, self._done, self.state)
 
     def restore(self, snap: EnvSnapshot) -> None:
         if self._task is None:
             raise RuntimeError("restore() before reset()")
         if snap.kind != self.kind or snap.task_id != self._task.task_id:
             raise ValueError("snapshot belongs to a different environment or task")
-        data = json.loads(snap.token)
-        self._done = data["done"]
-        self.state = self.State(**data["state"])
-
-    @staticmethod
-    def invalid() -> EnvObservation:
-        return EnvObservation(INVALID)
+        self._done = snap.done
+        self.state = snap.state

@@ -8,11 +8,11 @@ Finish[answer] ends the episode, scored by normalized exact match.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
-from .base import Environment, EnvObservation, TaskError, TaskSpec
+from .base import INVALID, Environment, EnvObservation, TaskError, TaskSpec
 
 GRAMMAR = ActionGrammar(
     verbs=("search", "lookup", "finish"),
@@ -47,16 +47,11 @@ def _jaccard(ta: frozenset, tb: frozenset) -> float:
     return len(ta & tb) / len(ta | tb)
 
 
-def similarity(a: str, b: str) -> float:
-    """Jaccard overlap of character trigrams of the normalized strings."""
-    return _jaccard(trigrams(a), trigrams(b))
-
-
 class DocQAEnv(Environment):
     kind = "docqa"
     grammar = GRAMMAR
 
-    @dataclass
+    @dataclass(frozen=True)
     class State:
         page: Optional[str] = None
         lookup_keyword: Optional[str] = None
@@ -107,17 +102,15 @@ class DocQAEnv(Environment):
         if action.verb == "lookup":
             state = self.state
             if state.page is None:
-                return self.invalid()
+                return EnvObservation(INVALID)
             keyword = argument.casefold()
-            if keyword != state.lookup_keyword:
-                state.lookup_keyword = keyword
-                state.lookup_pos = 0
+            start = state.lookup_pos if keyword == state.lookup_keyword else 0
             sentences = self._corpus[state.page]
-            for idx in range(state.lookup_pos, len(sentences)):
+            for idx in range(start, len(sentences)):
                 if keyword in sentences[idx].casefold():
-                    state.lookup_pos = idx + 1
+                    self.state = replace(state, lookup_keyword=keyword, lookup_pos=idx + 1)
                     return EnvObservation(sentences[idx])
-            state.lookup_pos = len(sentences)
+            self.state = replace(state, lookup_keyword=keyword, lookup_pos=len(sentences))
             return EnvObservation("No more results.")
         # finish, the grammar's one other verb
         reward = 1.0 if normalize_answer(argument) == normalize_answer(self._answer) else 0.0

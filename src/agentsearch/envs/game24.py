@@ -8,12 +8,12 @@ combination the episode ends with reward 1.0 exactly when 24 remains.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import solver24
 from ..actions import ActionGrammar, ActionSample
-from .base import Environment, EnvObservation, TaskError, TaskSpec
+from .base import INVALID, Environment, EnvObservation, TaskError, TaskSpec
 
 GRAMMAR = ActionGrammar(verbs=("combine",), thought_verbs=("think",))
 
@@ -54,10 +54,10 @@ class Game24Env(Environment):
     kind = "game24"
     grammar = GRAMMAR
 
-    @dataclass
+    @dataclass(frozen=True)
     class State:
-        # the remaining numbers, as [numerator, denominator] pairs
-        nums: list = field(default_factory=list)
+        # the remaining numbers, as (numerator, denominator) pairs
+        nums: tuple = ()
 
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
         numbers = task.payload.get("numbers")
@@ -67,18 +67,18 @@ class Game24Env(Environment):
             nums = [Fraction(n) for n in numbers]
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise TaskError(f"bad number in game24 payload: {exc}") from exc
-        self.state.nums = [[n.numerator, n.denominator] for n in nums]
+        self.state = self.State(tuple((n.numerator, n.denominator) for n in nums))
         return EnvObservation(f"Remaining numbers: {format_numbers(nums)}")
 
     def _apply(self, action: ActionSample) -> EnvObservation:
         step = parse_step_argument(action.argument or "")
         if step is None:
-            return self.invalid()
+            return EnvObservation(INVALID)
         try:
             nums = solver24.step_result([Fraction(n, d) for n, d in self.state.nums], step)
         except (ValueError, ZeroDivisionError):  # an operand not in the pool, or x / 0
-            return self.invalid()
-        self.state.nums = [[n.numerator, n.denominator] for n in nums]
+            return EnvObservation(INVALID)
+        self.state = self.State(tuple((n.numerator, n.denominator) for n in nums))
         text = f"Remaining numbers: {format_numbers(nums)}"
         if len(nums) == 1:
             reward = 1.0 if nums[0] == solver24.TARGET else 0.0

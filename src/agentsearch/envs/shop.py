@@ -12,11 +12,11 @@ so 1.0 means the bought item satisfied the instruction completely.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
-from .base import Environment, EnvObservation, TaskError, TaskSpec
+from .base import INVALID, Environment, EnvObservation, TaskError, TaskSpec
 
 GRAMMAR = ActionGrammar(
     verbs=("search", "choose", "click"),
@@ -31,10 +31,6 @@ _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
 def _terms(text: str) -> set:
     return set(text.casefold().translate(_PUNCT_TABLE).split())
-
-
-def title_overlap(query: str, title: str) -> int:
-    return len(_terms(query) & _terms(title))
 
 
 def _strings(values, what: str) -> list:
@@ -53,13 +49,14 @@ class ShopEnv(Environment):
     kind = "shop"
     grammar = GRAMMAR
 
-    @dataclass
+    @dataclass(frozen=True)
     class State:
         page_kind: str = "search"  # search | results | item
-        ranked: list = field(default_factory=list)  # product ids, best first
+        ranked: tuple = ()  # product ids, best first
         page_index: int = 0
         current: Optional[str] = None  # the open item's id
-        selections: dict = field(default_factory=dict)  # id -> {option type: value}
+        # id -> {option type: value}; shared with snapshots, so never mutated
+        selections: dict = field(default_factory=dict)
 
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
         catalog = task.payload.get("catalog")
@@ -91,7 +88,9 @@ class ShopEnv(Environment):
         self._instruction = instruction
         self._required_attrs = _strings(task.payload.get("attributes", []), "task attributes")
         options = _mapping(task.payload.get("options", {}), "task options")
-        self._required_options = {str(t): str(v) for t, v in options.items()}
+        if not all(isinstance(v, str) for v in options.values()):
+            raise TaskError("each task option value must be a string")
+        self._required_options = {str(t): v for t, v in options.items()}
         try:
             self._price_cap = float(task.payload["price_cap"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -120,7 +119,7 @@ class ShopEnv(Environment):
         lines.append("[Buy Now]")
         return "\n".join(lines)
 
-    def _visible_ids(self) -> list:
+    def _visible_ids(self) -> tuple:
         start = self.state.page_index * PAGE_SIZE
         return self.state.ranked[start : start + PAGE_SIZE]
 
@@ -130,31 +129,29 @@ class ShopEnv(Environment):
         state = self.state
         if action.verb == "search":
             if state.page_kind != "search":
-                return self.invalid()
+                return EnvObservation(INVALID)
             if self._title_terms is None:
                 self._title_terms = {pid: _terms(p["title"]) for pid, p in self._catalog.items()}
             query, titles = _terms(argument), self._title_terms
-            state.ranked = sorted(titles, key=lambda pid: (-len(query & titles[pid]), pid))
-            state.page_index = 0
-            state.page_kind = "results"
+            ranked = tuple(sorted(titles, key=lambda pid: (-len(query & titles[pid]), pid)))
+            self.state = replace(state, page_kind="results", ranked=ranked, page_index=0)
             return EnvObservation(self._results_page())
         # choose and click are synonyms
         key = argument.casefold()
         if key == "buy now":
             if state.page_kind != "item":
-                return self.invalid()
+                return EnvObservation(INVALID)
             return self._buy()
         if key == "next page":
-            if state.page_kind != "results":
-                return self.invalid()
-            if (state.page_index + 1) * PAGE_SIZE >= len(state.ranked):
-                return self.invalid()
-            state.page_index += 1
+            end = (state.page_index + 1) * PAGE_SIZE
+            if state.page_kind != "results" or end >= len(state.ranked):
+                return EnvObservation(INVALID)
+            self.state = replace(state, page_index=state.page_index + 1)
             return EnvObservation(self._results_page())
         if key == "prev page":
             if state.page_kind != "results" or state.page_index == 0:
-                return self.invalid()
-            state.page_index -= 1
+                return EnvObservation(INVALID)
+            self.state = replace(state, page_index=state.page_index - 1)
             return EnvObservation(self._results_page())
         if key == "back to search":
             self.state = self.State(selections=state.selections)
@@ -162,18 +159,19 @@ class ShopEnv(Environment):
         if state.page_kind == "results":
             for pid in self._visible_ids():
                 if pid.casefold() == key:
-                    state.current = pid
-                    state.page_kind = "item"
+                    self.state = replace(state, page_kind="item", current=pid)
                     return EnvObservation(self._item_page())
-            return self.invalid()
+            return EnvObservation(INVALID)
         if state.page_kind == "item":
             product = self._catalog[state.current]
             for opt_type in sorted(product["options"]):
                 for value in product["options"][opt_type]:
                     if value.casefold() == key:
-                        state.selections.setdefault(state.current, {})[opt_type] = value
+                        chosen = {**state.selections.get(state.current, {}), opt_type: value}
+                        selections = {**state.selections, state.current: chosen}
+                        self.state = replace(state, selections=selections)
                         return EnvObservation(f"You have clicked {value}.")
-        return self.invalid()
+        return EnvObservation(INVALID)
 
     def _buy(self) -> EnvObservation:
         product = self._catalog[self.state.current]

@@ -267,13 +267,31 @@ def test_http_backend_cache_skips_network(tmp_path):
 
 
 def test_http_backend_corrupt_cache_file_is_a_miss(tmp_path):
-    session = StubSession([StubResponse(200, completion_payload(["fresh"]))])
+    corrupt = [
+        b'{"texts": ["half',  # cut short
+        b"\xff\xfe",  # not UTF-8
+        b'{"texts": "ab"}',  # a string, not a list of them
+        b'{"texts": [null, 3]}',  # not strings
+        b'{"texts": ["a", "b"]}',  # not n of them
+        b'["a", "b"]',  # no texts key
+    ]
+    for content in corrupt:
+        session = StubSession([StubResponse(200, completion_payload(["fresh", "more"]))])
+        backend = make_backend(session, cache_dir=tmp_path)
+        path = backend._cache_path(backend._cache_key("p", 1, 0))
+        path.write_bytes(content)
+        assert backend.propose("p", 1, 0) == ["fresh"], content
+        assert len(session.calls) == 1
+        assert json.loads(path.read_text()) == {"texts": ["fresh"]}
+
+
+def test_http_backend_null_content_raises_backend_error(tmp_path):
+    session = StubSession([StubResponse(200, completion_payload(["one", None]))])
     backend = make_backend(session, cache_dir=tmp_path)
-    path = backend._cache_path(backend._cache_key("p", 1, 0))
-    path.write_text('{"texts": ["half')
-    assert backend.propose("p", 1, 0) == ["fresh"]
+    with pytest.raises(BackendError, match="not a string"):
+        backend.propose("p", 2, 0)
     assert len(session.calls) == 1
-    assert json.loads(path.read_text()) == {"texts": ["fresh"]}
+    assert list(tmp_path.iterdir()) == []  # nothing cached
 
 
 def test_http_backend_client_error_raises_without_retry():

@@ -1,5 +1,6 @@
 """Environment behavior tests for the four bundled simulators."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from agentsearch.actions import parse_action
 from agentsearch.envs import docqa
 from agentsearch.envs import (
     DEFAULT_LAMBDA,
+    REGISTRY,
     DocQAEnv,
     Game24Env,
     ShopEnv,
@@ -20,10 +22,10 @@ from agentsearch.envs import (
     task_input,
 )
 from agentsearch.envs.base import INVALID
-from agentsearch.envs.docqa import normalize_answer, similarity
+from agentsearch.envs.docqa import normalize_answer
 from agentsearch.envs.game24 import parse_step_argument, question_text
-from agentsearch.envs.shop import title_overlap
 from agentsearch.envs.solution import ExprError, evaluate_expression
+from helpers import bundled_task_files
 
 
 def act(env, raw):
@@ -312,14 +314,6 @@ def test_normalize_answer_drops_articles_and_punctuation():
     assert normalize_answer("A  Prize,  an  honor") == "prize honor"
 
 
-def test_similarity_is_symmetric_and_bounded():
-    a, b = "The Silent River", "Silent Rivers"
-    assert similarity(a, b) == similarity(b, a)
-    assert 0.0 < similarity(a, b) < 1.0
-    assert similarity(a, a) == 1.0
-    assert similarity(a, "zzzz") == 0.0
-
-
 def test_docqa_payload_validation():
     with pytest.raises(TaskError):
         DocQAEnv().reset(TaskSpec(task_id="d", kind="docqa", payload={"corpus": {}}))
@@ -399,6 +393,9 @@ def test_shop_search_ranks_by_title_overlap_then_id():
     assert lines[4] == "[B002]"
     assert lines[7] == "[B003]"
     assert "$49.99" in obs.text
+    # words match whatever their case and punctuation
+    env.reset(shop_task())
+    assert act(env, "search[HIKING, jacket!]").text == obs.text
 
 
 def test_shop_paging_bounds():
@@ -528,6 +525,20 @@ def test_shop_rejects_a_non_list_where_a_list_belongs(product, task):
         ShopEnv().reset(shop_task(catalog=catalog, **task))
 
 
+@pytest.mark.parametrize("value", [["navy"], 3, None], ids=["list", "number", "null"])
+def test_shop_rejects_a_task_option_value_that_is_not_a_string(value):
+    # str(["navy"]) would be a requirement no click can meet
+    with pytest.raises(TaskError):
+        ShopEnv().reset(shop_task(options={"color": value}))
+
+
+def test_bundled_shop_tasks_load():
+    paths = bundled_task_files("shop")
+    assert len(paths) == 20
+    for path in paths:
+        ShopEnv().reset(load_task(path))
+
+
 def test_shop_title_index_follows_reset():
     env = ShopEnv()
     env.reset(shop_task())
@@ -541,12 +552,6 @@ def test_shop_title_index_follows_reset():
     lines = act(env, "search[hiking jacket]").text.splitlines()
     assert lines[1:3] == ["[B002]", "Acme hiking jacket"]
     assert lines[4:6] == ["[B001]", "Plain wool socks"]
-
-
-def test_title_overlap_counts_shared_words():
-    assert title_overlap("hiking jacket", "Acme waterproof hiking jacket") == 2
-    assert title_overlap("HIKING, jacket!", "hiking jacket") == 2
-    assert title_overlap("boots", "Plain cotton tee") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +725,17 @@ def test_snapshot_round_trip_mid_episode_each_env():
     env.restore(snap)
     assert act(env, "Lookup[Harrowgate]").text == after
 
+    # A snapshot shares its state with the env restored from it, so every
+    # step from it must start from it again, and leave its token alone.
+    env.reset(docqa_task())
+    act(env, "Search[Ada Lanford]")
+    page = env.snapshot()
+    token = page.token
+    for _ in range(2):
+        env.restore(page)
+        assert act(env, "Lookup[Harrowgate]").text == "Ada Lanford was born in Harrowgate."
+    assert page.token == token
+
     shop = ShopEnv()
     shop.reset(shop_task())
     act(shop, "search[hiking jacket]")
@@ -728,6 +744,27 @@ def test_snapshot_round_trip_mid_episode_each_env():
     act(shop, "click[prev page]")
     shop.restore(snap)
     assert act(shop, "click[next page]").text == page2
+
+    act(shop, "click[prev page]")
+    act(shop, "click[B001]")
+    item = shop.snapshot()
+    token = item.token
+    act(shop, "click[red]")
+    shop.restore(item)
+    act(shop, "click[navy]")
+    assert act(shop, "click[buy now]").reward == 1.0
+    shop.restore(item)
+    assert act(shop, "click[buy now]").reward == pytest.approx(2 / 3)  # no colour chosen
+    assert item.token == token
+
+
+@pytest.mark.parametrize("env_cls", REGISTRY.values(), ids=REGISTRY)
+def test_env_state_is_a_frozen_dataclass(env_cls):
+    # snapshots share State objects, so a step can only replace one
+    state = env_cls.State()
+    assert dataclasses.is_dataclass(state)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.anything = 1
 
 
 @pytest.mark.parametrize(
