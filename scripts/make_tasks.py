@@ -21,7 +21,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from agentsearch.envs.solution import evaluate_expression
 from agentsearch.seeding import stable_seed
-from agentsearch.solver24 import canon, legal_steps, solve, solvable, step_result
+from agentsearch.solver24 import (
+    TARGET, canon, legal_steps, number, solve, solvable, step_result,
+)
 
 import random
 
@@ -48,7 +50,7 @@ def rollout_probability(numbers, memo):
     if key in memo:
         return memo[key]
     if len(numbers) == 1:
-        q = 1.0 if numbers[0] == Fraction(24) else 0.0
+        q = 1.0 if numbers[0] == TARGET else 0.0
         memo[key] = q
         return q
     steps = legal_steps(numbers)
@@ -74,7 +76,7 @@ def make_game24(root: Path) -> int:
     memo = {}
     rows = []
     for combo in itertools.combinations_with_replacement(range(1, 14), 4):
-        nums = [Fraction(v) for v in combo]
+        nums = [number(v) for v in combo]
         if not solvable(nums):
             continue
         frac1 = first_step_fraction(nums)
@@ -87,7 +89,7 @@ def make_game24(root: Path) -> int:
     out_dir = root / "game24" / "puzzles"
     for rank, (q, combo, frac1) in enumerate(picked, start=1):
         task_id = "24-" + "-".join(str(v) for v in combo)
-        _, lines = solve([Fraction(v) for v in combo])
+        _, lines = solve([number(v) for v in combo])
         write_json(out_dir / f"{task_id}.json", {
             "task_id": task_id,
             "kind": "game24",

@@ -27,7 +27,6 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Protocol, runtime_checkable
 
@@ -281,7 +280,7 @@ def parse_remaining_numbers(prompt: str) -> list:
         raise BackendError("prompt contains no 'Remaining numbers:' state line")
     tokens = matches[-1].split()
     try:
-        return [Fraction(tok) for tok in tokens]
+        return [solver24.number(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise BackendError(f"unparseable number state {matches[-1]!r}") from exc
 

@@ -27,7 +27,6 @@ import json
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from . import solver24
@@ -311,11 +310,11 @@ def cmd_report(args) -> int:
 
 def cmd_oracle24(args) -> int:
     try:
-        nums = [Fraction(tok) for tok in args.numbers]
+        nums = [solver24.number(tok) for tok in args.numbers]
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad number: {exc}") from exc
     solvable, solutions = solver24.solve(nums)
-    print(f"numbers: {' '.join(str(n) for n in nums)}")
+    print(f"numbers: {' '.join(solver24.format_number(n) for n in nums)}")
     print(f"solvable: {'yes' if solvable else 'no'}")
     for lines in solutions[: args.max_solutions]:
         print("  " + " ; ".join(lines))

@@ -1,15 +1,15 @@
 """Make-24 arithmetic environment.
 
-State is the multiset of remaining numbers (exact rationals). Each
-combine[a op b] consumes two of them and appends the result; after the last
-combination the episode ends with reward 1.0 exactly when 24 remains.
+State is the multiset of remaining numbers, as solver24's exact
+(numerator, denominator) pairs. Each combine[a op b] consumes two of them
+and appends the result; after the last combination the episode ends with
+reward 1.0 exactly when 24 remains.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .. import solver24
 from ..actions import ActionGrammar, ActionSample
@@ -29,8 +29,8 @@ def parse_step_argument(argument: str):
     if not m:
         return None
     try:
-        a = Fraction(m.group(1))
-        b = Fraction(m.group(3))
+        a = solver24.number(m.group(1))
+        b = solver24.number(m.group(3))
     except (ValueError, ZeroDivisionError):
         return None
     op = _OP_ALIASES.get(m.group(2), m.group(2))
@@ -38,7 +38,7 @@ def parse_step_argument(argument: str):
 
 
 def format_numbers(nums) -> str:
-    return " ".join(str(n) for n in nums)
+    return " ".join(solver24.format_number(n) for n in nums)
 
 
 def question_text(numbers) -> str:
@@ -64,10 +64,10 @@ class Game24Env(Environment):
         if not isinstance(numbers, list) or len(numbers) < 2:
             raise TaskError("game24 payload needs a 'numbers' list of at least two values")
         try:
-            nums = [Fraction(n) for n in numbers]
+            nums = tuple(solver24.number(n) for n in numbers)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise TaskError(f"bad number in game24 payload: {exc}") from exc
-        self.state = self.State(tuple((n.numerator, n.denominator) for n in nums))
+        self.state = self.State(nums)
         return EnvObservation(f"Remaining numbers: {format_numbers(nums)}")
 
     def _apply(self, action: ActionSample) -> EnvObservation:
@@ -75,10 +75,10 @@ class Game24Env(Environment):
         if step is None:
             return EnvObservation(INVALID)
         try:
-            nums = solver24.step_result([Fraction(n, d) for n, d in self.state.nums], step)
+            nums = tuple(solver24.step_result(self.state.nums, step))
         except (ValueError, ZeroDivisionError):  # an operand not in the pool, or x / 0
             return EnvObservation(INVALID)
-        self.state = self.State(tuple((n.numerator, n.denominator) for n in nums))
+        self.state = self.State(nums)
         text = f"Remaining numbers: {format_numbers(nums)}"
         if len(nums) == 1:
             reward = 1.0 if nums[0] == solver24.TARGET else 0.0

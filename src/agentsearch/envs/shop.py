@@ -36,7 +36,9 @@ def _terms(text: str) -> set:
 def _strings(values, what: str) -> list:
     if not isinstance(values, list):
         raise TaskError(f"{what} must be a list, not {type(values).__name__}")
-    return [str(v) for v in values]
+    if not all(isinstance(v, str) for v in values):
+        raise TaskError(f"each of the {what} must be a string")
+    return list(values)
 
 
 def _mapping(value, what: str) -> dict:

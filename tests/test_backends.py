@@ -1,7 +1,6 @@
 """Backend tests: scripted rules, game-of-24 oracles, HTTP client plumbing."""
 
 import json
-from fractions import Fraction
 
 import pytest
 import requests
@@ -116,11 +115,12 @@ def test_static_backend_answers_everything():
 
 def test_parse_remaining_numbers_takes_last_state_line():
     prompt = "Remaining numbers: 1 2 3 4\nObservation\nRemaining numbers: 3 8"
-    assert parse_remaining_numbers(prompt) == [Fraction(3), Fraction(8)]
+    assert parse_remaining_numbers(prompt) == [(3, 1), (8, 1)]
 
 
 def test_parse_remaining_numbers_reads_fractions():
-    assert parse_remaining_numbers("Remaining numbers: 7/3 24") == [Fraction(7, 3), Fraction(24)]
+    assert parse_remaining_numbers("Remaining numbers: 7/3 24") == [(7, 3), (24, 1)]
+    assert parse_remaining_numbers("Remaining numbers: -8/6 3") == [(-4, 3), (3, 1)]
 
 
 def test_parse_remaining_numbers_errors():
@@ -137,7 +137,7 @@ STATE_PROMPT = "Question: reach 24\nRemaining numbers: 4 9 10 13"
 
 
 def test_policy_oracle_p1_only_proposes_solvable_steps():
-    nums = [Fraction(4), Fraction(9), Fraction(10), Fraction(13)]
+    nums = [(4, 1), (9, 1), (10, 1), (13, 1)]
     correct = {solver24.render_step(s) for s in solver24.correct_steps(nums)}
     oracle = Game24PolicyOracle(p_correct=1.0, seed=3)
     for call_seed in range(20):
@@ -147,7 +147,7 @@ def test_policy_oracle_p1_only_proposes_solvable_steps():
 
 
 def test_policy_oracle_p0_proposes_legal_steps():
-    nums = [Fraction(4), Fraction(9), Fraction(10), Fraction(13)]
+    nums = [(4, 1), (9, 1), (10, 1), (13, 1)]
     legal = {solver24.render_step(s) for s in solver24.legal_steps(nums)}
     oracle = Game24PolicyOracle(p_correct=0.0, seed=3)
     seen = set()

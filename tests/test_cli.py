@@ -512,6 +512,43 @@ def test_oracle24_subcommand(capsys):
     assert main(["oracle24", "not-a-number"]) == 2
 
 
+@pytest.mark.parametrize(
+    "numbers, expected",
+    [
+        (
+            ["3", "3", "8", "8"],
+            "numbers: 3 3 8 8\n"
+            "solvable: yes\n"
+            "  8 / 3 ; 3 - 8/3 ; 8 / 1/3\n",
+        ),
+        (
+            ["4/2", "6", "-3", "1"],
+            "numbers: 2 6 -3 1\n"
+            "solvable: yes\n"
+            "  -3 + 1 ; 2 - -2 ; 4 * 6\n"
+            "  2 - -3 ; 5 - 1 ; 4 * 6\n"
+            "  2 - 1 ; 1 - -3 ; 4 * 6\n",
+        ),
+        (
+            ["-1", "5/3", "7", "2"],
+            "numbers: -1 5/3 7 2\n"
+            "solvable: yes\n"
+            "  2 + 7 ; 5/3 - -1 ; 8/3 * 9\n"
+            "  -1 - 7 ; 5/3 - 2 ; -8 / -1/3\n"
+            "  5/3 - -1 ; 2 + 7 ; 8/3 * 9\n"
+            "  5/3 - 2 ; -1 - 7 ; -8 / -1/3\n"
+            "  2 - 5/3 ; 7 - -1 ; 8 / 1/3\n"
+            "  ... and 1 more\n",
+        ),
+    ],
+    ids=["3-3-8-8", "normalised", "negative-fractions"],
+)
+def test_oracle24_prints_numbers_and_steps_as_fractions_do(capsys, numbers, expected):
+    # recorded when the solver computed on fractions.Fraction
+    assert main(["oracle24", *numbers]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_exit_code_2_on_config_errors(tmp_path, capsys):
     task = tmp_path / "t.json"
     write_game24_task(task, [4, 9, 10, 13])

@@ -171,10 +171,11 @@ def test_game24_payload_validation():
 
 
 def test_parse_step_argument_accepts_unicode_operators():
-    assert parse_step_argument("4 × 6") == (Fraction(4), "*", Fraction(6))
-    assert parse_step_argument("9 − 5") == (Fraction(9), "-", Fraction(5))
-    assert parse_step_argument("24 ÷ 3") == (Fraction(24), "/", Fraction(3))
-    assert parse_step_argument("7/3 + 2") == (Fraction(7, 3), "+", Fraction(2))
+    assert parse_step_argument("4 × 6") == ((4, 1), "*", (6, 1))
+    assert parse_step_argument("9 − 5") == ((9, 1), "-", (5, 1))
+    assert parse_step_argument("24 ÷ 3") == ((24, 1), "/", (3, 1))
+    assert parse_step_argument("7/3 + 2") == ((7, 3), "+", (2, 1))
+    assert parse_step_argument("-4/6 - 2") == ((-2, 3), "-", (2, 1))
     assert parse_step_argument("four + 6") is None
 
 
@@ -520,6 +521,22 @@ def test_shop_payload_validation():
     ],
 )
 def test_shop_rejects_a_non_list_where_a_list_belongs(product, task):
+    catalog = [dict(CATALOG[0], **product)] + CATALOG[1:]
+    with pytest.raises(TaskError):
+        ShopEnv().reset(shop_task(catalog=catalog, **task))
+
+
+@pytest.mark.parametrize(
+    "product, task",
+    [
+        ({}, {"attributes": ["waterproof", None]}),
+        ({"attributes": ["waterproof", 3]}, {}),
+        ({"options": {"color": ["red", None]}}, {}),
+    ],
+    ids=["task-attribute-null", "attribute-number", "option-value-null"],
+)
+def test_shop_rejects_a_list_element_that_is_not_a_string(product, task):
+    # str(None) would be a requirement, or an option, that no product means
     catalog = [dict(CATALOG[0], **product)] + CATALOG[1:]
     with pytest.raises(TaskError):
         ShopEnv().reset(shop_task(catalog=catalog, **task))

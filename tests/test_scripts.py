@@ -1,9 +1,7 @@
 """The scripts under scripts/ still run against the package.
 
 compare_variants.py runs in a subprocess on two puzzles. make_tasks.py's
-docqa, shop and solution generators must rebuild the bundled data byte for
-byte. make_game24 is left out: it ranks every candidate puzzle by exact
-rollout probability, which takes about 12 seconds on a 2-vCPU host.
+four generators must rebuild the bundled data byte for byte.
 """
 
 import importlib.util
@@ -43,7 +41,7 @@ def make_tasks():
     return module
 
 
-@pytest.mark.parametrize("kind", ["docqa", "shop", "solution"])
+@pytest.mark.parametrize("kind", ["game24", "docqa", "shop", "solution"])
 def test_make_tasks_rebuilds_the_bundled_data(make_tasks, tmp_path, kind):
     getattr(make_tasks, f"make_{kind}")(tmp_path)
     made = {p.relative_to(tmp_path): p for p in (tmp_path / kind).rglob("*") if p.is_file()}
