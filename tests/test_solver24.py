@@ -1,5 +1,6 @@
 """Exhaustive Game-of-24 solver used as the oracle ground truth."""
 
+import operator
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -184,12 +185,7 @@ def _fraction_legal_steps(nums):
     return steps
 
 
-_FRACTION_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-}
+_FRACTION_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 @settings(max_examples=300, deadline=None)
