@@ -65,7 +65,7 @@ class Game24Env(Environment):
             raise TaskError("game24 payload needs a 'numbers' list of at least two values")
         try:
             nums = tuple(solver24.number(n) for n in numbers)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise TaskError(f"bad number in game24 payload: {exc}") from exc
         self.state = self.State(nums)
         return EnvObservation(f"Remaining numbers: {format_numbers(nums)}")

@@ -83,7 +83,8 @@ class ShopEnv(Environment):
             if pid in self._catalog:
                 raise TaskError(f"duplicate product id {pid!r}")
             self._catalog[pid] = entry
-        self._title_terms = None  # pid -> title terms, built by the first search
+        self._title_terms = {pid: _terms(p["title"]) for pid, p in self._catalog.items()}
+        self._rankings = {}  # query terms -> ranked ids; a task asks few distinct queries
         instruction = task.payload.get("instruction")
         if not isinstance(instruction, str) or not instruction:
             raise TaskError("shop payload needs an 'instruction' string")
@@ -132,10 +133,13 @@ class ShopEnv(Environment):
         if action.verb == "search":
             if state.page_kind != "search":
                 return EnvObservation(INVALID)
-            if self._title_terms is None:
-                self._title_terms = {pid: _terms(p["title"]) for pid, p in self._catalog.items()}
-            query, titles = _terms(argument), self._title_terms
-            ranked = tuple(sorted(titles, key=lambda pid: (-len(query & titles[pid]), pid)))
+            query = frozenset(_terms(argument))
+            if query not in self._rankings:
+                titles = self._title_terms
+                self._rankings[query] = tuple(
+                    sorted(titles, key=lambda pid: (-len(query & titles[pid]), pid))
+                )
+            ranked = self._rankings[query]
             self.state = replace(state, page_kind="results", ranked=ranked, page_index=0)
             return EnvObservation(self._results_page())
         # choose and click are synonyms

@@ -7,14 +7,23 @@ function of (bundle, context): same inputs, same string.
 
 Section order is fixed: instruction, examples, reflections under their
 header, failed trajectories, then the current question with its trajectory.
+
+Prompts are built once per node. Bundles are never mutated (injection
+copies them), so each joins its static sections once, as the cached `head`.
+A node's acting-style block is its parent's block plus its own step;
+node_block caches it on the Node when the node is expanded, reflected on or
+reported, and a child that is only value-scored gets its block on the spot.
+The reasoning style (policy prompts only) still renders from a StateContext:
+it drops observations, and its cue depends on the whole path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
-from .tree import StateContext
+from .tree import SearchTree, StateContext
 
 DEFAULT_REFLECTIONS_HEADER = (
     "You have attempted this task before and failed. The following "
@@ -35,24 +44,64 @@ class PromptBundle:
     # None picks the per-style default cue; "" suppresses the cue entirely.
     cue: Optional[str] = None
 
+    @cached_property
+    def intro(self) -> str:
+        """The instruction and examples, joined."""
+        parts = [self.instruction.strip()]
+        parts.extend(example.strip() for example in self.few_shot)
+        return "\n\n".join(p for p in parts if p)
+
+    @cached_property
+    def head(self) -> str:
+        """Every section before the query: the intro, the deduplicated
+        reflections under their header, and any failed trajectories."""
+        reflections = []
+        for text in self.reflections:
+            if text and text not in reflections:
+                reflections.append(text)
+        parts = [self.intro]
+        if reflections:
+            parts.append(self.reflections_header.strip() + "\n\n" + "\n\n".join(reflections))
+        if self.include_failed_trajectories and self.failed_trajectories:
+            parts.extend(t.strip() for t in self.failed_trajectories)
+        return "\n\n".join(p for p in parts if p)
+
+
+def render_step(i: int, action, observation: Optional[str]) -> str:
+    """Step i as "Thought i: ..." or "Action i: ...", then "Observation i:
+    ..." when there is one (for a thought, one other than "OK.")."""
+    if action.kind == "thought":
+        text = f"Thought {i}: {action.raw}"
+        if observation is not None and observation != "OK.":
+            text += f"\nObservation {i}: {observation}"
+    else:
+        text = f"Action {i}: {action.raw}"
+        if observation is not None:
+            text += f"\nObservation {i}: {observation}"
+    return text
+
 
 def render_acting_steps(ctx: StateContext) -> str:
-    """Trajectory block in acting style.
-
-    Thought steps render as "Thought i: ...", action steps as "Action i: ..."
-    followed by "Observation i: ..." when an observation exists.
-    """
+    """Trajectory block in acting style: the question, then each step."""
     lines = [f"Question: {ctx.input}"]
-    for i, (action, observation) in enumerate(ctx.steps, start=1):
-        if action.kind == "thought":
-            lines.append(f"Thought {i}: {action.raw}")
-            if observation is not None and observation != "OK.":
-                lines.append(f"Observation {i}: {observation}")
-        else:
-            lines.append(f"Action {i}: {action.raw}")
-            if observation is not None:
-                lines.append(f"Observation {i}: {observation}")
+    lines.extend(render_step(i, a, o) for i, (a, o) in enumerate(ctx.steps, start=1))
     return "\n".join(lines)
+
+
+def node_block(tree: SearchTree, node_id: int) -> str:
+    """The node's acting-style block, cached on it and on every ancestor
+    below the nearest one that already has its block."""
+    pending = []
+    node = tree.node(node_id)
+    while node.block is None and node.parent is not None:
+        pending.append(node)
+        node = tree.node(node.parent)
+    if node.block is None:
+        node.block = f"Question: {tree.input}"
+    for child in reversed(pending):
+        child.block = node.block + "\n" + render_step(child.depth, child.action, child.observation)
+        node = child
+    return node.block
 
 
 def render_reasoning_steps(ctx: StateContext) -> str:
@@ -67,36 +116,29 @@ def render_reasoning_steps(ctx: StateContext) -> str:
     return "\n".join(lines)
 
 
-def _sections(bundle: PromptBundle, query_block: str) -> str:
-    reflections = []
-    for text in bundle.reflections:
-        if text and text not in reflections:
-            reflections.append(text)
-    parts = [bundle.instruction.strip()]
-    parts.extend(example.strip() for example in bundle.few_shot)
-    if reflections:
-        parts.append(bundle.reflections_header.strip() + "\n\n" + "\n\n".join(reflections))
-    if bundle.include_failed_trajectories and bundle.failed_trajectories:
-        parts.extend(t.strip() for t in bundle.failed_trajectories)
-    parts.append(query_block)
-    return "\n\n".join(p for p in parts if p)
+def join_head(head: str, block: str) -> str:
+    return head + "\n\n" + block if head else block
 
 
-def _with_cue(bundle: PromptBundle, ctx: StateContext, block: str, default_cue: str) -> str:
+def _with_cue(bundle: PromptBundle, depth: int, block: str, default_cue: str) -> str:
     """block followed by the bundle's cue ("{i}" numbers the next step), or
     by default_cue once any step exists when the bundle sets none."""
     if bundle.cue is None:
-        return block + "\n" + default_cue if ctx.steps else block
+        return block + "\n" + default_cue if depth else block
     if bundle.cue:
-        return block + "\n" + bundle.cue.replace("{i}", str(len(ctx.steps) + 1))
+        return block + "\n" + bundle.cue.replace("{i}", str(depth + 1))
     return block
 
 
+def acting_prompt(bundle: PromptBundle, block: str, depth: int) -> str:
+    """Full acting-style prompt for a block of depth steps. With no steps it
+    ends right after the question; otherwise with a next-step cue."""
+    return join_head(bundle.head, _with_cue(bundle, depth, block, f"Thought {depth + 1}:"))
+
+
 def assemble_acting_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
-    """Full acting-style prompt. With an empty trajectory the prompt ends
-    right after the question; otherwise it ends with a next-step cue."""
-    block = _with_cue(bundle, ctx, render_acting_steps(ctx), f"Thought {len(ctx.steps) + 1}:")
-    return _sections(bundle, block)
+    """acting_prompt for a StateContext, rendered from the root."""
+    return acting_prompt(bundle, render_acting_steps(ctx), len(ctx.steps))
 
 
 def assemble_reasoning_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
@@ -104,8 +146,8 @@ def assemble_reasoning_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
     thought steps exist and the trajectory has not already answered."""
     block = render_reasoning_steps(ctx)
     if not any(a.kind == "final_answer" for a, _ in ctx.steps):
-        block = _with_cue(bundle, ctx, block, "Action:")
-    return _sections(bundle, block)
+        block = _with_cue(bundle, len(ctx.steps), block, "Action:")
+    return join_head(bundle.head, block)
 
 
 def assemble_prompt(bundle: PromptBundle, ctx: StateContext, style: str) -> str:

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 from .backends import BackendError, PolicyBackend
-from .prompts import PromptBundle, render_acting_steps
+from .prompts import PromptBundle, join_head
 from .trace import jsonl
-from .tree import StateContext
 
 SUCCESS_THRESHOLD = 1.0
 
@@ -66,23 +65,17 @@ class ReflectionStore:
         return jsonl(asdict(r) for r in self._records)
 
 
-def assemble_reflection_prompt(bundle: PromptBundle, ctx: StateContext, reward: float) -> str:
-    parts = [bundle.instruction.strip()]
-    parts.extend(example.strip() for example in bundle.few_shot)
-    block = render_acting_steps(ctx)
+def assemble_reflection_prompt(bundle: PromptBundle, trajectory: str, reward: float) -> str:
+    """The bundle's instruction and examples, then the failed trajectory's
+    acting-style block with its status and a reflection cue."""
     trailer = f"STATUS: FAIL (reward: {reward:g})\n\nReflection:"
-    parts.append(block + "\n" + trailer)
-    return "\n\n".join(p for p in parts if p)
+    return join_head(bundle.intro, trajectory + "\n" + trailer)
 
 
 def generate_reflection(
-    ctx: StateContext,
-    reward: float,
-    bundle: PromptBundle,
-    backend: PolicyBackend,
-    seed: int = 0,
+    trajectory: str, reward: float, bundle: PromptBundle, backend: PolicyBackend, seed: int = 0
 ) -> str:
-    """Ask the reflection backend to critique a failed trajectory.
+    """Ask the reflection backend to critique a failed trajectory's block.
 
     Precondition: the trajectory actually failed (reward < 1.0). On backend
     failure returns an empty string so the caller can skip storing it and
@@ -90,7 +83,7 @@ def generate_reflection(
     """
     if reward >= SUCCESS_THRESHOLD:
         raise ValueError("refusing to reflect on a successful trajectory")
-    prompt = assemble_reflection_prompt(bundle, ctx, reward)
+    prompt = assemble_reflection_prompt(bundle, trajectory, reward)
     try:
         texts = backend.propose(prompt, 1, seed)
     except BackendError:

@@ -44,7 +44,8 @@ from .envs import (
     task_input,
 )
 from .envs.base import INVALID
-from .prompts import assemble_prompt, render_acting_steps
+# render_acting_steps is unused here, but perfbench/spans.py wraps it by name.
+from .prompts import acting_prompt, assemble_prompt, node_block, render_acting_steps
 from .reflection import ReflectionStore, generate_reflection, inject
 from .seeding import stable_seed
 from .templates import TemplateSet
@@ -273,6 +274,7 @@ class _Engine:
         self.reflect_bundle = templates.reflect
         self.act_bundle = self.base_act
         self.value_bundle = self.base_value
+        self.value_seed = stable_seed(cfg.seed, task.task_id, "value")
         obs = self.env.reset(task)
         self.tree = SearchTree.create(task_input(task), root_observation=obs.text)
         self.snapshots = {0: self.env.snapshot()}
@@ -312,8 +314,12 @@ class _Engine:
 
     def _expand(self, parent_id: int, episode: int, width: Optional[int] = None) -> list:
         width = width if width is not None else self.cfg.n
-        ctx = reconstruct_context(self.tree, parent_id)
-        prompt = assemble_prompt(self.act_bundle, ctx, self.cfg.prompt_style)
+        if self.cfg.prompt_style == "acting":
+            depth = self.tree.node(parent_id).depth
+            prompt = acting_prompt(self.act_bundle, node_block(self.tree, parent_id), depth)
+        else:
+            ctx = reconstruct_context(self.tree, parent_id)
+            prompt = assemble_prompt(self.act_bundle, ctx, self.cfg.prompt_style)
         seed = stable_seed(self.cfg.seed, self.task.task_id, "policy", episode, parent_id)
         texts = self.policy.propose(prompt, width, seed)
         if not texts:
@@ -355,7 +361,7 @@ class _Engine:
             self.cfg.lam,
             bundle=self.value_bundle,
             backend=self.value,
-            seed=stable_seed(self.cfg.seed, self.task.task_id, "value"),
+            seed=self.value_seed,
             pool=self.value_pool,
         )
         scores = [
@@ -389,19 +395,12 @@ class _Engine:
     def _maybe_reflect(self, node: Node, reward: float, episode: int) -> None:
         if not self.reflective or not node.is_terminal or _solved(node):
             return
-        ctx = reconstruct_context(self.tree, node.id)
-        text = generate_reflection(
-            ctx,
-            reward,
-            self.reflect_bundle,
-            self.reflector,
-            seed=stable_seed(self.cfg.seed, self.task.task_id, "reflection", episode),
-        )
+        trajectory = node_block(self.tree, node.id)
+        seed = stable_seed(self.cfg.seed, self.task.task_id, "reflection", episode)
+        text = generate_reflection(trajectory, reward, self.reflect_bundle, self.reflector, seed)
         if not text:
             return
-        record = self.store.record(
-            self.task.task_id, render_acting_steps(ctx), reward, text, episode
-        )
+        record = self.store.record(self.task.task_id, trajectory, reward, text, episode)
         self.new_reflections.append(record)
         self.trace.emit("reflect", episode=episode, node=node.id, reward=reward, reflection=text)
 
@@ -552,7 +551,7 @@ class _Engine:
     def _finalize(self, reason: str) -> SearchResult:
         best, best_reward = _best(self.tree.nodes)
         success = _solved(best)
-        trajectory = render_acting_steps(reconstruct_context(self.tree, best.id))
+        trajectory = node_block(self.tree, best.id)
         self.trace.emit(
             "terminate",
             reason=reason,

@@ -9,6 +9,10 @@ backpropagation of reward r through a node does
 so V is always the mean of the rewards backpropagated through the node. An
 evaluation step may seed V before the first backpropagation; the update above
 discards that seed at N=1 by construction, so the mean property is preserved.
+
+A Node caches its acting-style trajectory block once prompts.node_block has
+built it (engine thread only); value-scored children keep none, so a tree
+holds about one block per expanded node. The dumps leave blocks out.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ class Node:
     # a terminal, a leaf pinned at the depth limit, or an inner node whose
     # children are all exhausted.
     exhausted: bool = False
+    block: Optional[str] = None
 
 
 @dataclass

@@ -10,10 +10,10 @@ frequency of the child's normalized action text among its siblings. The
 combined score seeds the child's selection value until the first real
 backpropagation replaces it.
 
-The value prompts of one node's fresh children are independent of each
-other. Once a run's value calls prove slow they go out together on the
-run's ValuePool; the scores are still applied in child order, so the result
-does not depend on which call returns first.
+Each fresh child's value prompt, its parent's cached block plus its own
+step, is built in the calling thread. Once a run's value calls prove slow
+they go out together on the run's ValuePool; the scores are still applied
+in child order, so the result does not depend on which call returns first.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from typing import Optional, Sequence
 
 from .actions import ActionSample, normalize_action_text
 from .backends import BackendError, PolicyBackend
-from .prompts import PromptBundle, assemble_acting_prompt
+# assemble_acting_prompt and reconstruct_context are unused here, but
+# perfbench/spans.py wraps them by name.
+from .prompts import PromptBundle, acting_prompt, assemble_acting_prompt, node_block, render_step
 from .seeding import stable_seed
 from .tree import SearchTree, reconstruct_context
 
@@ -65,18 +67,12 @@ def parse_score(text: str) -> Optional[int]:
     return int(matches[-1])
 
 
-def lm_score(
-    ctx,
-    bundle: PromptBundle,
-    backend: PolicyBackend,
-    seed: int = 0,
-) -> tuple:
+def lm_score(prompt: str, backend: PolicyBackend, seed: int = 0) -> tuple:
     """Query the value backend once (retrying once on unparseable output).
 
     Returns (score_in_unit_interval, raw_integer_or_None). Raw scores are
     clamped into [1, 10] before scaling, so an off-scale "12" reads as 10.
     """
-    prompt = assemble_acting_prompt(bundle, ctx)
     for attempt in range(2):
         texts = backend.propose(prompt, 1, stable_seed(seed, attempt))
         raw = parse_score(texts[0]) if texts else None
@@ -130,30 +126,29 @@ class ValuePool:
             self._executor = None
 
 
-def _timed_lm_score(tree, child_id, bundle, backend, seed) -> tuple:
+def _timed_lm_score(child_id, prompt, backend, seed) -> tuple:
     """(seconds taken, (lm score, raw)) for one child's value query. A
     BackendError reads as an unparseable (0.0, None)."""
     start = time.perf_counter()
-    ctx = reconstruct_context(tree, child_id)
     try:
-        result = lm_score(ctx, bundle, backend, stable_seed(seed, child_id))
+        result = lm_score(prompt, backend, stable_seed(seed, child_id))
     except BackendError:
         result = 0.0, None
     return time.perf_counter() - start, result
 
 
-def _lm_scores(tree, child_ids, bundle, backend, seed, pool) -> list:
-    """(lm score, raw) per child, in child order. Children are queried one
-    at a time until a call takes SLOW_CALL_S; the rest, and every fresh
+def _lm_scores(queries, backend, seed, pool) -> list:
+    """(lm score, raw) per (child id, prompt), in order. Children are queried
+    one at a time until a call takes SLOW_CALL_S; the rest, and every fresh
     child of later nodes, then go to the pool together, until a pooled
     batch's fastest call is quick again. Without a pool, all run inline."""
     results = []
     futures = []
-    for child_id in child_ids:
+    for child_id, prompt in queries:
         if pool is not None and pool.slow:
-            futures.append(pool.submit(_timed_lm_score, tree, child_id, bundle, backend, seed))
+            futures.append(pool.submit(_timed_lm_score, child_id, prompt, backend, seed))
             continue
-        elapsed, result = _timed_lm_score(tree, child_id, bundle, backend, seed)
+        elapsed, result = _timed_lm_score(child_id, prompt, backend, seed)
         results.append(result)
         if pool is not None and elapsed >= SLOW_CALL_S:
             pool.slow = True
@@ -200,7 +195,13 @@ def evaluate_children(
     if mode == "full" and fresh:
         if bundle is None or backend is None:
             raise ValueError("full value mode needs a value bundle and backend")
-        lm_results = _lm_scores(tree, [c for _, c in fresh], bundle, backend, seed, pool)
+        block = node_block(tree, parent_id)
+        queries = []
+        for _, child_id in fresh:
+            child = tree.node(child_id)
+            step = render_step(child.depth, child.action, child.observation)
+            queries.append((child_id, acting_prompt(bundle, block + "\n" + step, child.depth)))
+        lm_results = _lm_scores(queries, backend, seed, pool)
     for position, (index, child_id) in enumerate(fresh):
         child = tree.node(child_id)
         sc = sc_score(siblings, index)

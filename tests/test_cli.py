@@ -371,6 +371,21 @@ def test_run_finishes_batch_past_an_unknown_kind(tmp_path, capsys):
     assert rows["a"]["terminate_reason"] == "task_error" and rows["a"]["kind"] == "unknown"
     assert rows["b"]["success"] is True
 
+def test_run_gives_task_error_row_for_an_infinite_game24_number(tmp_path, capsys):
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    write_game24_task(task_dir / "a.json", [float("inf"), 1, 2, 3])  # written as Infinity
+    write_game24_task(task_dir / "b.json", [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    code = main(["run", str(task_dir), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "b: ok" in captured.out and "error: a:" in captured.err
+    rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
+    assert rows["a"]["terminate_reason"] == "task_error" and rows["a"]["kind"] == "game24"
+    assert rows["b"]["success"] is True
+
+
 def test_run_gives_task_error_row_for_a_string_where_shop_wants_a_list(tmp_path, capsys):
     task_dir = tmp_path / "tasks"
     task_dir.mkdir()

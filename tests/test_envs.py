@@ -168,6 +168,10 @@ def test_game24_payload_validation():
         Game24Env().reset(TaskSpec(task_id="t", kind="game24", payload={"numbers": [4]}))
     with pytest.raises(TaskError):
         Game24Env().reset(TaskSpec(task_id="t", kind="game24", payload={"numbers": [4, "x"]}))
+    # json.loads reads Infinity, for which Fraction raises OverflowError
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(TaskError):
+            Game24Env().reset(TaskSpec(task_id="t", kind="game24", payload={"numbers": [bad, 1]}))
 
 
 def test_parse_step_argument_accepts_unicode_operators():
@@ -566,9 +570,23 @@ def test_shop_title_index_follows_reset():
         {"id": "B002", "title": "Acme hiking jacket", "price": 50.0},
     ]
     env.reset(shop_task(catalog=catalog, attributes=[], options={}))
-    lines = act(env, "search[hiking jacket]").text.splitlines()
+    # the same query terms: neither the index nor the ranking memo survives
+    lines = act(env, "search[Jacket hiking]").text.splitlines()
     assert lines[1:3] == ["[B002]", "Acme hiking jacket"]
     assert lines[4:6] == ["[B001]", "Plain wool socks"]
+
+
+def test_shop_ranks_each_query_once_per_task():
+    env = ShopEnv()
+    env.reset(shop_task())
+    first = act(env, "search[hiking jacket]").text
+    ranked = env.state.ranked
+    act(env, "click[back to search]")
+    # another text with the same terms gets the memoised ranking and page
+    assert act(env, "search[Jacket, HIKING!]").text == first
+    assert env.state.ranked is ranked
+    act(env, "click[back to search]")
+    assert act(env, "search[boots]").text.splitlines()[1] == "[B003]"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ digests below; a refactor must leave them alone.
 """
 
 import hashlib
+import json
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ from agentsearch.backends import (
     static_backend,
 )
 from agentsearch.envs import load_task
+from agentsearch.reflection import ReflectionStore
 from agentsearch.search import BackendSet, SearchConfig, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
@@ -122,6 +124,10 @@ def _case(name):
         return _task("shop", "shop-01"), _scripted(SHOP_POLICY, [4, 8, 6, 2]), SearchConfig(
             n=3, k=5, depth_limit=5, seed=7
         )
+    if name == "docqa-mcts-reasoning":
+        return _task("docqa", "docqa-01"), _scripted(DOCQA_POLICY, [3, 7, 5, 9, 2]), SearchConfig(
+            n=3, k=6, depth_limit=4, prompt_style="reasoning", seed=7
+        )
     if name == "solution-mcts":
         return _task("solution", "expr-01"), _scripted(SOLUTION_POLICY, [5, 3, 8]), SearchConfig(
             n=3, k=4, seed=7
@@ -144,6 +150,7 @@ GOLDEN = {
     "mcts-tree-exhausted": "33e739a2b58026a93a2f03350a1ed1cb075ce5a5973d7bbd800315ded5c4cf06",
     "greedy_retry-fails-mid-rollout": "b7f6585cbe50eae63c545eea51d2fd5ee0aefffbff5ba1983a371ffb874adab4",
     "docqa-mcts": "c6542c2984c5d2b6b2f5e22bc99ed201478fb0f083aa0813082707bfc1886c4f",
+    "docqa-mcts-reasoning": "8c600201a0ec91e85bed55849fe856c2096d844566fa24bbace23ed20c6ecd21",
     "shop-mcts": "3ccee30172cccb44c40576b0c8478036d6ca7cc8483ce9f411c38722d31d315c",
     "solution-mcts": "2bb1c639136e352156c0cac44b32866069e24e781f7711eda82db7e8d361797d",
 }
@@ -162,6 +169,73 @@ def trace_digest(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trace_matches_golden_digest(name):
     assert trace_digest(name) == GOLDEN[name]
+
+
+# The traces carry only the policy prompts. These digests pin the rest of
+# what a run sends and stores: every value and reflection (seed, prompt)
+# pair, sorted so that pool thread order cannot matter, the reflection
+# store's JSONL, which holds each failed trajectory's text, and the best
+# trajectory's text.
+SIDE_PROMPTS = {
+    "game24-mcts-24-3-4-5-9": "8ec8381ffa81667966080103da43c61cc69995f37d32e325093adf31b54756fa",
+    "game24-mcts-24-4-5-6-7": "9c1e47906d3ec529330b2d482aba43c009aed936e396c41e3229c72b53bec4ea",
+    "game24-dfs_prune-24-3-4-5-9": "3fe75b521c7f24a664f4fa09a64c2b52ebf17a3a4f9572a61e4e2446d1631fd9",
+    "game24-dfs_prune-24-4-5-6-7": "5ff8261c31df607ffe95516898af4a2355f4945228f15f14ee3a822a955b18e8",
+    "game24-best_of_k-24-3-4-5-9": "3bf49c21de5e8ba75b85ec9e493cdae1347a297c8bad314ebef295db4bd764ad",
+    "game24-best_of_k-24-4-5-6-7": "6365c305a1e3df305f80930dc68f079df373e557a43201709b96895a3c9a0c4f",
+    "game24-greedy_retry-24-3-4-5-9": "8e369da4785678aacdedaf53a44d72e727bfd67dc146955fe0a101d1d6d2bc62",
+    "game24-greedy_retry-24-4-5-6-7": "5dac86c8f09d0028714c17485d23c662e21966fc4b4e875926f39a4617ee80c4",
+    "mcts-skip-simulation": "d6974b6bd7fcb7cea0e7ad312e4ffa37f762a132d9a2cd69c0b0dc40085f1817",
+    "mcts-fails-once": "16847f3028ad5fca32069652b239e0edd4a9934033d0cadfd36deafbd404a0e2",
+    "mcts-fails-in-simulation": "1894073b9870e0b2c903d8b09295ecdabce586a3233c1fa3d683af7bb4998d2e",
+    "mcts-tree-exhausted": "fe90edee4fb77e22ae4f63dbbc43c00baba247a2b9c6b376c9c909014ff7f81a",
+    "greedy_retry-fails-mid-rollout": "8c87252c69db4f6a708e757252b6a63db49207eff91b87b75aa84c6596d983c6",
+    "docqa-mcts": "7c258d92b0a778bd19b73c60206776ab5793460cabccb8cf82dae0acfc6fc296",
+    "docqa-mcts-reasoning": "7c258d92b0a778bd19b73c60206776ab5793460cabccb8cf82dae0acfc6fc296",
+    "shop-mcts": "8485c2b70045c1772f66935c600e31b611b6f376c828ec6cdb368c70263bbb74",
+    "solution-mcts": "aa61fdc013f06e34894a4f4532680c8fc489991b893070fe8e402369db02d90f",
+}
+
+
+class PromptLog:
+    """Delegates every call and keeps its (seed, prompt) pair."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.order_dependent = getattr(inner, "order_dependent", False)
+        self.pairs = []
+        self._lock = threading.Lock()
+
+    def propose(self, prompt: str, n: int, seed: int) -> list:
+        with self._lock:
+            self.pairs.append((seed, prompt))
+        return self.inner.propose(prompt, n, seed)
+
+
+def side_prompt_digest(name):
+    task, backends, config = _case(name)
+    backends.value = PromptLog(backends.value)
+    backends.reflection = PromptLog(backends.reflection)
+    store = ReflectionStore()
+    result = run_search(
+        task, backends, load_template_set(task.kind), config, reflection_store=store
+    )
+    record = {
+        "value": sorted(backends.value.pairs),
+        "reflection": sorted(backends.reflection.pairs),
+        "store": store.to_jsonl(),
+        "best_trajectory": result.best_trajectory,
+    }
+    return hashlib.sha256(json.dumps(record).encode("utf-8")).hexdigest()
+
+
+def test_side_prompts_cover_every_golden_case():
+    assert sorted(SIDE_PROMPTS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(SIDE_PROMPTS))
+def test_value_and_reflection_prompts_match_golden_digest(name):
+    assert side_prompt_digest(name) == SIDE_PROMPTS[name]
 
 
 class SlowScriptedBackend(ScriptedBackend):

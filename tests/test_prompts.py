@@ -1,18 +1,26 @@
 """Prompt assembly tests: section order, trajectory rendering, cues."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agentsearch.actions import ActionGrammar, parse_action
+from agentsearch.actions import ActionGrammar, ActionSample, parse_action
+from agentsearch.envs.base import INVALID
 from agentsearch.prompts import (
     DEFAULT_REFLECTIONS_HEADER,
     PromptBundle,
+    acting_prompt,
     assemble_acting_prompt,
     assemble_prompt,
     assemble_reasoning_prompt,
+    join_head,
+    node_block,
     render_acting_steps,
     render_reasoning_steps,
 )
-from agentsearch.tree import StateContext
+from agentsearch.reflection import assemble_reflection_prompt
+from agentsearch.tree import ChildSpec, SearchTree, StateContext, add_children, reconstruct_context
+from agentsearch.valuation import evaluate_children
 
 
 GRAMMAR = ActionGrammar(
@@ -165,3 +173,108 @@ def test_assembly_is_pure():
     assert assemble_acting_prompt(bundle, ctx) == first
     assert bundle.reflections == ["r"]
     assert len(ctx.steps) == 1
+
+
+# -- incremental prompts -------------------------------------------------------
+
+ACTIONS = [
+    ActionSample(kind="thought", raw="think it over"),
+    ActionSample(kind="env_action", raw="search[x]", verb="search", argument="x"),
+    ActionSample(kind="final_answer", raw="finish[y]", verb="finish", argument="y"),
+]
+OBSERVATIONS = [None, "OK.", INVALID, "line one\nline two", ""]
+TEXTS = ["", "  ", "Solve it.", "  padded example\n", "multi\nline"]
+
+bundles = st.builds(
+    PromptBundle,
+    instruction=st.sampled_from(TEXTS),
+    few_shot=st.lists(st.sampled_from(TEXTS), max_size=3),
+    reflections=st.lists(st.sampled_from(["", "avoid x", "try y", "avoid x"]), max_size=4),
+    failed_trajectories=st.lists(st.sampled_from(TEXTS), max_size=2),
+    include_failed_trajectories=st.booleans(),
+    cue=st.sampled_from([None, "", "Thought {i}:", "Next ({i}):"]),
+)
+
+
+@st.composite
+def trees(draw):
+    """A tree of up to 40 nodes and depth 15: each node extends the newest
+    node or a random earlier one."""
+    tree = SearchTree.create("the question\nin two lines")
+    for _ in range(draw(st.integers(0, 39))):
+        newest = len(tree.nodes) - 1
+        parent = newest if draw(st.booleans()) else draw(st.integers(0, newest))
+        if tree.node(parent).depth >= 15:
+            continue
+        spec = ChildSpec(
+            action=draw(st.sampled_from(ACTIONS)), observation=draw(st.sampled_from(OBSERVATIONS))
+        )
+        add_children(tree, parent, [spec])
+    return tree
+
+
+def sections_from_scratch(bundle, query_block):
+    """The static sections joined afresh on every call, as before the head
+    was cached."""
+    reflections = []
+    for text in bundle.reflections:
+        if text and text not in reflections:
+            reflections.append(text)
+    parts = [bundle.instruction.strip()]
+    parts.extend(example.strip() for example in bundle.few_shot)
+    if reflections:
+        parts.append(bundle.reflections_header.strip() + "\n\n" + "\n\n".join(reflections))
+    if bundle.include_failed_trajectories and bundle.failed_trajectories:
+        parts.extend(t.strip() for t in bundle.failed_trajectories)
+    parts.append(query_block)
+    return "\n\n".join(p for p in parts if p)
+
+
+def reflection_from_scratch(bundle, ctx, reward):
+    parts = [bundle.instruction.strip()]
+    parts.extend(example.strip() for example in bundle.few_shot)
+    parts.append(render_acting_steps(ctx) + f"\nSTATUS: FAIL (reward: {reward:g})\n\nReflection:")
+    return "\n\n".join(p for p in parts if p)
+
+
+class ScorePrompts:
+    def __init__(self):
+        self.prompts = []
+
+    def propose(self, prompt, n, seed):
+        self.prompts.append(prompt)
+        return ["the correctness score is 5"] * n
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree=trees(), bundle=bundles, data=st.data())
+def test_incremental_prompts_equal_the_from_scratch_assembly(tree, bundle, data):
+    assert join_head(bundle.head, "Question: q") == sections_from_scratch(bundle, "Question: q")
+    # Visit the nodes in any order, so a block is often first filled deep
+    # in the tree, below ancestors that have none yet.
+    for node_id in data.draw(st.permutations(range(len(tree.nodes)))):
+        node = tree.node(node_id)
+        ctx = reconstruct_context(tree, node_id)
+        expected = assemble_acting_prompt(bundle, ctx)
+        assert acting_prompt(bundle, node_block(tree, node_id), node.depth) == expected
+        assert node_block(tree, node_id) == render_acting_steps(ctx)
+        assert assemble_reflection_prompt(
+            bundle, node_block(tree, node_id), 0.25
+        ) == reflection_from_scratch(bundle, ctx, 0.25)
+        if node.children:
+            backend = ScorePrompts()
+            evaluate_children(tree, node_id, "full", 0.5, bundle=bundle, backend=backend)
+            assert backend.prompts == [
+                assemble_acting_prompt(bundle, reconstruct_context(tree, c)) for c in node.children
+            ]
+
+
+def test_value_scoring_stores_no_child_block():
+    tree = SearchTree.create("q")
+    specs = [ChildSpec(action=a, observation="seen") for a in ACTIONS]
+    child_ids = add_children(tree, 0, specs)
+    evaluate_children(
+        tree, 0, "full", 0.5, bundle=PromptBundle(instruction="rate"), backend=ScorePrompts()
+    )
+    assert tree.root.block == "Question: q"
+    assert all(tree.node(c).block is None for c in child_ids)

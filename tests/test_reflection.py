@@ -5,7 +5,7 @@ import json
 import pytest
 
 from agentsearch.actions import ActionGrammar, parse_action
-from agentsearch.prompts import PromptBundle
+from agentsearch.prompts import PromptBundle, render_acting_steps
 from agentsearch.reflection import (
     ReflectionStore,
     assemble_reflection_prompt,
@@ -17,10 +17,10 @@ from agentsearch.tree import StateContext
 from helpers import FailingBackend, StubBackend
 
 
-def failed_ctx():
+def failed_trajectory():
     grammar = ActionGrammar(verbs=("finish",), terminal_verbs=("finish",))
     steps = [(parse_action("Finish[wrong answer]", grammar), "Episode finished, reward = 0")]
-    return StateContext(input="what is the capital?", steps=steps)
+    return render_acting_steps(StateContext(input="what is the capital?", steps=steps))
 
 
 def test_store_selects_m_most_recent_oldest_first():
@@ -71,7 +71,7 @@ def test_store_jsonl_bytes_are_pinned():
 
 def test_reflection_prompt_shows_trajectory_and_fail_status():
     bundle = PromptBundle(instruction="You failed. Explain why.")
-    prompt = assemble_reflection_prompt(bundle, failed_ctx(), reward=0.5)
+    prompt = assemble_reflection_prompt(bundle, failed_trajectory(), reward=0.5)
     assert prompt.startswith("You failed. Explain why.")
     assert "Question: what is the capital?" in prompt
     assert "Action 1: Finish[wrong answer]" in prompt
@@ -82,7 +82,7 @@ def test_reflection_prompt_shows_trajectory_and_fail_status():
 def test_generate_reflection_calls_backend_once():
     backend = StubBackend(["I answered without searching first."])
     bundle = PromptBundle(instruction="inst")
-    text = generate_reflection(failed_ctx(), 0.0, bundle, backend, seed=4)
+    text = generate_reflection(failed_trajectory(), 0.0, bundle, backend, seed=4)
     assert text == "I answered without searching first."
     assert len(backend.calls) == 1
     call = backend.calls[0]
@@ -92,12 +92,12 @@ def test_generate_reflection_calls_backend_once():
 
 def test_generate_reflection_refuses_success():
     with pytest.raises(ValueError):
-        generate_reflection(failed_ctx(), 1.0, PromptBundle(instruction="i"), StubBackend([]))
+        generate_reflection(failed_trajectory(), 1.0, PromptBundle(instruction="i"), StubBackend([]))
 
 
 def test_generate_reflection_swallows_backend_error():
     backend = FailingBackend(StubBackend(["never reached"]), failures=5)
-    text = generate_reflection(failed_ctx(), 0.0, PromptBundle(instruction="i"), backend)
+    text = generate_reflection(failed_trajectory(), 0.0, PromptBundle(instruction="i"), backend)
     assert text == ""
 
 

@@ -56,45 +56,37 @@ class OneShotBackend:
     def __init__(self, texts):
         self.texts = list(texts)
         self.seeds = []
+        self.prompts = []
 
     def propose(self, prompt, n, seed):
         self.seeds.append(seed)
+        self.prompts.append(prompt)
         return [self.texts.pop(0)] if self.texts else [""]
 
 
 def test_lm_score_parses_first_attempt():
     backend = OneShotBackend(["Thus the correctness score is 8"])
-    bundle = PromptBundle(instruction="rate it")
-    from agentsearch.tree import StateContext
-
-    ctx = StateContext(input="q")
-    score, raw = lm_score(ctx, bundle, backend, seed=11)
+    score, raw = lm_score("rate it\n\nQuestion: q", backend, seed=11)
     assert raw == 8
     assert score == 0.8
     assert len(backend.seeds) == 1
 
 
 def test_lm_score_clamps_raw_scores():
-    from agentsearch.tree import StateContext
-
-    bundle = PromptBundle(instruction="rate it")
-    ctx = StateContext(input="q")
-    score, raw = lm_score(ctx, bundle, OneShotBackend(["correctness score is 15"]), seed=1)
+    prompt = "rate it\n\nQuestion: q"
+    score, raw = lm_score(prompt, OneShotBackend(["correctness score is 15"]), seed=1)
     assert (score, raw) == (1.0, 10)
-    score, raw = lm_score(ctx, bundle, OneShotBackend(["correctness score is 0"]), seed=1)
+    score, raw = lm_score(prompt, OneShotBackend(["correctness score is 0"]), seed=1)
     assert (score, raw) == (0.1, 1)
 
 
 def test_lm_score_retries_once_then_flags():
     backend = OneShotBackend(["nothing", "still nothing"])
-    bundle = PromptBundle(instruction="rate it")
-    from agentsearch.tree import StateContext
-
-    ctx = StateContext(input="q")
-    score, raw = lm_score(ctx, bundle, backend, seed=11)
+    score, raw = lm_score("rate it\n\nQuestion: q", backend, seed=11)
     assert (score, raw) == (0.0, None)
     assert len(backend.seeds) == 2
     assert backend.seeds[0] != backend.seeds[1]
+    assert backend.prompts == ["rate it\n\nQuestion: q"] * 2
 
 
 # -- sc_score ----------------------------------------------------------------------
