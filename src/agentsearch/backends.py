@@ -18,6 +18,7 @@ responses by call order.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -145,9 +146,10 @@ class HttpChatBackend:
     Responses are cached keyed by a hash of (prompt, n, seed, model,
     temperature), so each seeded call is its own sample and repeating a run
     against a warm cache makes no network calls. A cache file is renamed into
-    place once written, so no reader sees a partial one; one that does not
-    hold n completion strings (say, left half-written by an older version)
-    counts as a miss. Transport errors and 5xx responses are retried up to
+    place once written, so no reader sees a partial one; one that cannot be
+    read or does not hold n completion strings (say, left half-written by an
+    older version) counts as a miss, and one that cannot be written is
+    skipped. Transport errors and 5xx responses are retried up to
     `retries` times with exponential backoff; other HTTP errors, non-JSON
     replies and non-string completions raise BackendError immediately.
     """
@@ -192,25 +194,34 @@ class HttpChatBackend:
 
     def propose(self, prompt: str, n: int, seed: int) -> list:
         path = self._cache_path(self._cache_key(prompt, n, seed))
-        if path is not None and path.exists():
+        if path is not None:
             try:
                 texts = json.loads(path.read_text())["texts"]
-            except (ValueError, KeyError, TypeError):  # not UTF-8, not JSON, no texts
+            # absent or unreadable, not UTF-8, not JSON, no texts
+            except (OSError, ValueError, KeyError, TypeError):
                 texts = None
             if _are_texts(texts, n):
                 return texts
             # anything else is a miss, and the write below replaces the file
         texts = self._request(prompt, n)
         if path is not None:
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps({"texts": texts}, sort_keys=True))
-                os.replace(tmp, path)
-            except OSError:
-                os.unlink(tmp)
-                raise
+            self._store(path, texts)
         return texts
+
+    def _store(self, path: Path, texts: list) -> None:
+        """Write a cache file. A write that fails (a full disk, a directory
+        at the path) leaves no temp file behind; the caller still gets the
+        texts, and the next call for the key asks the server again."""
+        tmp = None
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps({"texts": texts}, sort_keys=True))
+            os.replace(tmp, path)
+        except OSError:
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
 
     def _request(self, prompt: str, n: int) -> list:
         import requests

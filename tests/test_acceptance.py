@@ -47,7 +47,7 @@ from agentsearch.tree import (
     select_path,
     uct,
 )
-from agentsearch.valuation import combine, normalize_action_text, sc_score
+from agentsearch.valuation import combine, normalize_action_text, sc_scores
 
 from helpers import bundled_task_files, grow_random_tree, task_metadata
 
@@ -263,8 +263,9 @@ def test_criterion_04_sc_score_brute_force():
         siblings = [pool[i] for i in picks]
         by_identity = Counter(picks)
         by_text = Counter(normalize_action_text(s) for s in siblings)
+        scores = sc_scores(siblings)
         for index in range(size):
-            got = sc_score(siblings, index)
+            got = scores[index]
             if got != by_identity[picks[index]] / size:
                 failures.append(f"trial {trial} index {index}: {got} vs identity count")
                 break
@@ -274,9 +275,8 @@ def test_criterion_04_sc_score_brute_force():
         if failures:
             break
     distinct = pool[:3]
-    for index in range(len(distinct)):
-        if sc_score(distinct, index) != 1 / len(distinct):
-            failures.append("all-distinct sibling set must score exactly 1/n")
+    if sc_scores(distinct) != [1 / len(distinct)] * len(distinct):
+        failures.append("all-distinct sibling set must score exactly 1/n")
     _verdict("criterion 04: sc frequency matches brute-force counting", failures)
 
 

@@ -1,6 +1,8 @@
 """Backend tests: scripted rules, game-of-24 oracles, HTTP client plumbing."""
 
 import json
+import os
+import tempfile
 
 import pytest
 import requests
@@ -283,6 +285,31 @@ def test_http_backend_corrupt_cache_file_is_a_miss(tmp_path):
         assert backend.propose("p", 1, 0) == ["fresh"], content
         assert len(session.calls) == 1
         assert json.loads(path.read_text()) == {"texts": ["fresh"]}
+
+
+def test_http_backend_unreadable_or_unwritable_cache_path_is_a_miss(tmp_path):
+    session = StubSession([StubResponse(200, completion_payload(["fresh"]))] * 2)
+    backend = make_backend(session, cache_dir=tmp_path)
+    path = backend._cache_path(backend._cache_key("p", 1, 0))
+    path.mkdir()  # reading it raises IsADirectoryError, and so does renaming onto it
+    assert backend.propose("p", 1, 0) == ["fresh"]
+    assert backend.propose("p", 1, 0) == ["fresh"]
+    assert len(session.calls) == 2
+    assert path.is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
+
+
+@pytest.mark.parametrize("failing", ["mkstemp", "replace"])
+def test_http_backend_failed_cache_write_returns_the_texts(tmp_path, monkeypatch, failing):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tempfile if failing == "mkstemp" else os, failing, full_disk)
+    session = StubSession([StubResponse(200, completion_payload(["fresh", "more"]))])
+    backend = make_backend(session, cache_dir=tmp_path)
+    assert backend.propose("p", 2, 0) == ["fresh", "more"]
+    assert len(session.calls) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_http_backend_null_content_raises_backend_error(tmp_path):

@@ -527,6 +527,15 @@ def test_oracle24_subcommand(capsys):
     assert main(["oracle24", "not-a-number"]) == 2
 
 
+def test_oracle24_rejects_a_negative_max_solutions(capsys):
+    assert main(["oracle24", "4", "7", "8", "8", "--max-solutions", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-solutions" in captured.err
+    assert captured.out == ""
+    assert main(["oracle24", "4", "7", "8", "8", "--max-solutions", "0"]) == 0
+    assert capsys.readouterr().out == "numbers: 4 7 8 8\nsolvable: yes\n  ... and 8 more\n"
+
+
 @pytest.mark.parametrize(
     "numbers, expected",
     [

@@ -2,13 +2,18 @@
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentsearch.envs import load_task
 from agentsearch.solver24 import (
+    OPS,
     TARGET,
+    _pair_reaches,
     apply_op,
     canon,
     correct_steps,
@@ -219,3 +224,105 @@ def test_every_reachable_state_keeps_the_fraction_step_order():
                 seen.add(after)
                 todo.append(after)
     assert len(seen) == 17_583  # 15,050 as multisets
+
+
+# ---------------------------------------------------------------------------
+# the search kernel against its former definitions
+
+
+def _reference_legal_steps(nums):
+    """legal_steps as it was written before the kernel sorted each state's
+    distinct values once: every pair of positions, a seen set, one keyed sort."""
+    scale = lcm(*(d for _, d in nums))
+    value = {x: x[0] * (scale // x[1]) for x in nums}
+    seen = set()
+    steps = []
+    n = len(nums)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = nums[i], nums[j]
+            lo, hi = (a, b) if value[a] <= value[b] else (b, a)
+            candidates = [(lo, "+", hi), (lo, "*", hi), (a, "-", b), (b, "-", a)]
+            if b[0]:
+                candidates.append((a, "/", b))
+            if a[0]:
+                candidates.append((b, "/", a))
+            for step in candidates:
+                if step not in seen:
+                    seen.add(step)
+                    steps.append(step)
+    steps.sort(key=lambda s: (OPS.index(s[1]), value[s[0]], value[s[2]]))
+    return steps
+
+
+@lru_cache(maxsize=None)
+def _reference_solvable(key):
+    """The normalising recursion over every state, as the solver ran it
+    before two- and three-number states got their own tests."""
+    if len(key) == 1:
+        return key[0] == TARGET
+    return any(
+        _reference_solvable(canon(step_result(key, step))) for step in _reference_legal_steps(key)
+    )
+
+
+# a few values drawn often, so states repeat numbers, hold zero and reach 24
+_OFTEN = P([0, 1, -1, 2, 3, 4, 6, 8, 24, "1/3", "-8/3"])
+_NUMBERS = st.one_of(_VALUES, st.sampled_from(_OFTEN))
+
+
+def _assert_matches_former_definitions(nums):
+    steps = _reference_legal_steps(nums)
+    assert legal_steps(nums) == steps
+    assert solvable(nums) == _reference_solvable(canon(nums))
+    expected = [s for s in steps if _reference_solvable(canon(step_result(nums, s)))]
+    assert correct_steps(nums) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_NUMBERS, max_size=4))
+def test_solver_matches_its_former_definitions(nums):
+    _assert_matches_former_definitions(nums)
+
+
+# The reference needs about 0.3 s for a five-number state of arbitrary
+# values, so these draw from the often-drawn values only.
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_OFTEN), min_size=5, max_size=5))
+def test_five_number_states_match_the_former_definitions(nums):
+    _assert_matches_former_definitions(nums)
+
+
+@pytest.mark.parametrize(
+    "a, b, reaches",
+    [
+        ((8, -1), (-3, 1), True),  # -8 * -3
+        ((-48, -2), (0, 1), True),  # an unnormalised 24, plus 0
+        ((-8, 1), (-1, 3), True),  # -8 / -1/3: division by a negative fraction
+        ((16, -2), (1, -3), True),  # the same with both denominators negative
+        ((30, 1), (-12, -2), True),  # 30 - 6
+        ((3, -4), (-18, 1), True),  # -18 / -3/4
+        ((8, -1), (3, 1), False),
+        ((0, 1), (0, -5), False),  # 0 / 0 is no step
+        ((48, 1), (0, -3), False),  # neither is 48 / 0
+    ],
+)
+def test_the_two_number_test_takes_unnormalised_denominators(a, b, reaches):
+    assert _pair_reaches(a, b) is reaches
+    assert _pair_reaches(b, a) is reaches
+    normal = [_pair(Fraction(*a)), _pair(Fraction(*b))]
+    assert _reference_solvable(canon(normal)) is reaches
+
+
+@pytest.mark.parametrize(
+    "values, step",
+    [
+        ((-4, "-1/3", 12), ("-4", "/", "-1/3")),  # -4 / -1/3 is built as (-12, -1)
+        (("-1/2", 8, 8), ("8", "/", "-1/2")),  # 8 / -1/2 is built as (16, -1)
+    ],
+)
+def test_three_number_states_reach_24_through_negative_denominators(values, step):
+    nums = P(values)
+    a, op, b = step
+    assert solvable(nums)
+    assert correct_steps(nums) == [(number(a), op, number(b))]

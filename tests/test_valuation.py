@@ -19,7 +19,7 @@ from agentsearch.valuation import (
     evaluate_children,
     lm_score,
     parse_score,
-    sc_score,
+    sc_scores,
 )
 
 from helpers import SlowBackend
@@ -89,35 +89,31 @@ def test_lm_score_retries_once_then_flags():
     assert backend.prompts == ["rate it\n\nQuestion: q"] * 2
 
 
-# -- sc_score ----------------------------------------------------------------------
+# -- sc_scores ---------------------------------------------------------------------
 
 def test_sc_score_counts_duplicates():
     sibs = combo_actions(["combine[1 + 2]", "combine[1 + 2]", "combine[3 * 4]"])
-    assert sc_score(sibs, 0) == pytest.approx(2 / 3)
-    assert sc_score(sibs, 2) == pytest.approx(1 / 3)
+    assert sc_scores(sibs) == [pytest.approx(2 / 3), pytest.approx(2 / 3), pytest.approx(1 / 3)]
 
 
 def test_sc_score_all_distinct_is_exactly_1_over_n():
     sibs = combo_actions([f"combine[{i} + 1]" for i in range(1, 6)])
-    for i in range(5):
-        assert sc_score(sibs, i) == 1 / 5
+    assert sc_scores(sibs) == [1 / 5] * 5
 
 
 def test_sc_score_case_fold_on_verb():
     sibs = combo_actions(["combine[1 + 2]", "COMBINE[1 + 2]"])
-    assert sc_score(sibs, 0) == 1.0
+    assert sc_scores(sibs) == [1.0, 1.0]
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8),
-       st.integers(min_value=0, max_value=7))
-def test_sc_score_matches_brute_force_frequency(tags, index):
-    if index >= len(tags):
-        index = index % len(tags)
+@given(st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=8))
+def test_sc_score_matches_brute_force_frequency(tags):
     sibs = combo_actions([f"combine[{t} + {t}]" for t in tags])
     counts = Counter(normalize_action_text(s) for s in sibs)
-    expected = counts[normalize_action_text(sibs[index])] / len(sibs)
-    assert sc_score(sibs, index) == pytest.approx(expected, abs=1e-12)
+    # the same division as counting each sibling on its own, so equal floats
+    expected = [counts[normalize_action_text(s)] / len(sibs) for s in sibs]
+    assert sc_scores(sibs) == expected
 
 
 # -- combine ------------------------------------------------------------------------
