@@ -141,6 +141,8 @@ def _pair_reaches(a: tuple, b: tuple) -> bool:
 
 
 def _solvable(nums: Sequence[tuple]) -> bool:
+    """Solvability of a state in any order; only states of three or more
+    numbers go through the memo."""
     n = len(nums)
     if n == 2:
         return _pair_reaches(nums[0], nums[1])
