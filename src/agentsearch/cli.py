@@ -282,7 +282,7 @@ def cmd_report(args) -> int:
     for path in args.reports:
         try:
             payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot read report {path}: {exc}") from exc
         file_rows = payload.get("rows", []) if isinstance(payload, dict) else None
         if not isinstance(file_rows, list):

@@ -38,7 +38,7 @@ def load_task(path) -> TaskSpec:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise TaskError(f"cannot read task file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise TaskError(f"task file {path} must hold a JSON object")
@@ -55,7 +55,7 @@ def load_task(path) -> TaskSpec:
             ref_path = (path.parent / ref).resolve()
             try:
                 payload[inline_key] = json.loads(ref_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:
                 raise TaskError(f"cannot read {ref_key} {ref_path}: {exc}") from exc
     return TaskSpec(task_id=str(task_id), kind=kind, payload=payload)
 

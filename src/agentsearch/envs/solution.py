@@ -48,9 +48,9 @@ class _Parser:
             ch = text[i]
             if ch.isspace():
                 i += 1
-            elif ch.isdigit():
+            elif ch.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 tokens.append(text[i:j])
                 i = j
@@ -115,14 +115,21 @@ class _Parser:
             return value
         if tok == "x":
             return self.x
-        if tok.isdigit():
-            return Fraction(int(tok))
+        if tok.isdecimal():
+            try:
+                return Fraction(int(tok))
+            except ValueError as exc:  # over int()'s 4,300-digit limit
+                raise ExprError(str(exc)) from exc
         raise ExprError(f"unexpected token {tok!r}")
 
 
 def evaluate_expression(text: str, x) -> Fraction:
-    """Evaluate a candidate expression at x; raises ExprError on bad input."""
-    return _Parser(text, Fraction(x)).parse()
+    """Evaluate a candidate expression at x; raises ExprError on bad input,
+    nesting too deep to parse included."""
+    try:
+        return _Parser(text, Fraction(x)).parse()
+    except RecursionError as exc:
+        raise ExprError("expression nested too deeply") from exc
 
 
 def _as_fraction(value) -> Fraction:

@@ -32,7 +32,6 @@ class ReflectionStore:
 
     def __init__(self):
         self._records = []
-        self._counter = 0
 
     def record(
         self,
@@ -48,9 +47,8 @@ class ReflectionStore:
             reward=reward,
             reflection=reflection,
             episode=episode,
-            created_at=self._counter,
+            created_at=len(self._records),
         )
-        self._counter += 1
         self._records.append(rec)
         return rec
 

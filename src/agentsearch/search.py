@@ -43,7 +43,7 @@ from .envs import (
     make_env,
     task_input,
 )
-from .envs.base import INVALID
+from .envs.base import INVALID, EnvObservation
 # render_acting_steps is unused here, but perfbench/spans.py wraps it by name.
 from .prompts import acting_prompt, assemble_prompt, node_block, render_acting_steps
 from .reflection import ReflectionStore, generate_reflection, inject
@@ -51,7 +51,6 @@ from .seeding import stable_seed
 from .templates import TemplateSet
 from .trace import TraceWriter
 from .tree import (
-    ChildSpec,
     Node,
     SearchTree,
     add_children,
@@ -294,23 +293,18 @@ class _Engine:
 
     def _apply_proposal(self, parent_id: int, text: str):
         """Parse one proposal and play it in the environment, from the
-        parent's saved state. Unparseable texts become thought nodes with an
-        invalid-action observation that share the parent's snapshot."""
+        parent's saved state; returns (action, observation, snapshot).
+        Unparseable texts become thoughts with an invalid-action observation
+        that share the parent's snapshot."""
         try:
             action = parse_action(text, self.env.grammar)
         except ValueError:
             raw = text if text and text.strip() else "(empty proposal)"
-            spec = ChildSpec(action=ActionSample(kind="thought", raw=raw), observation=INVALID)
-            return spec, self.snapshots[parent_id]
+            thought = ActionSample(kind="thought", raw=raw)
+            return thought, EnvObservation(INVALID), self.snapshots[parent_id]
         self.env.restore(self.snapshots[parent_id])
         obs = self.env.step(action)
-        spec = ChildSpec(
-            action=action,
-            observation=obs.text,
-            is_terminal=obs.terminal,
-            reward=obs.reward,
-        )
-        return spec, self.env.snapshot()
+        return action, obs, self.env.snapshot()
 
     def _expand(self, parent_id: int, episode: int, width: Optional[int] = None) -> list:
         width = width if width is not None else self.cfg.n
@@ -324,9 +318,9 @@ class _Engine:
         texts = self.policy.propose(prompt, width, seed)
         if not texts:
             raise BackendError("policy backend returned no proposals")
-        pairs = [self._apply_proposal(parent_id, text) for text in texts]
-        ids = add_children(self.tree, parent_id, [spec for spec, _ in pairs])
-        for node_id, (_, snap) in zip(ids, pairs):
+        played = [self._apply_proposal(parent_id, text) for text in texts]
+        ids = add_children(self.tree, parent_id, [(action, obs) for action, obs, _ in played])
+        for node_id, (_, _, snap) in zip(ids, played):
             self.snapshots[node_id] = snap
         children = [self.tree.node(node_id) for node_id in ids]
         for node in children:
@@ -435,11 +429,11 @@ class _Engine:
     # -- mcts -------------------------------------------------------------
 
     def _simulate(self, child_ids: list, episode: int):
-        """Greedy descent from the best fresh child to a terminal or the
-        depth limit."""
+        """Greedy descent from the best fresh child to an exhausted one: a
+        terminal or a node at the depth limit."""
         current = self._choose(child_ids)
         self.trace.emit("simulate_step", episode=episode, node=current.id, depth=current.depth)
-        while not current.is_terminal and current.depth < self.cfg.depth_limit:
+        while not current.exhausted:
             ids = self._expand(current.id, episode)
             winner = self._winning_child(ids)
             if winner is None:
@@ -485,6 +479,7 @@ class _Engine:
         """One proposal per step from the root to a terminal or the depth
         limit; no selection, evaluation or backpropagation."""
         current = self.tree.root
+        # Not `exhausted`: each rollout re-expands the root, exhausted since the first.
         while not current.is_terminal and current.depth < self.cfg.depth_limit:
             current = self.tree.node(self._expand(current.id, episode, width=1)[0])
         return _outcome(current)
@@ -511,7 +506,7 @@ class _Engine:
             survivors = []
             for child_id in ids:
                 child = self.tree.node(child_id)
-                if child.is_terminal or child.depth >= self.cfg.depth_limit:
+                if child.exhausted:
                     continue
                 # With no value function there is nothing to prune on.
                 if self.cfg.value_mode != "none" and child.value < self.cfg.prune_threshold:

@@ -1,14 +1,16 @@
 """Search tree core: nodes, UCT selection, expansion bookkeeping, backpropagation.
 
+Each child holds what the environment observed when its action was played.
 Node statistics follow the running-mean rule: visits start at zero, and each
 backpropagation of reward r through a node does
 
     N <- N + 1
     V <- (V * (N - 1) + r) / N
 
-so V is always the mean of the rewards backpropagated through the node. An
-evaluation step may seed V before the first backpropagation; the update above
-discards that seed at N=1 by construction, so the mean property is preserved.
+so V is always the mean of the rewards backpropagated through the node.
+Evaluation seeds each new child's V once, before its first backpropagation;
+the update above discards that seed at N=1 by construction, so the mean
+property is preserved.
 
 A Node caches its acting-style trajectory block once prompts.node_block has
 built it (engine thread only); value-scored children keep none, so a tree
@@ -19,13 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional
 
 from .actions import ActionSample
+from .envs.base import EnvObservation
 from .trace import jsonl
-
-if TYPE_CHECKING:
-    from .valuation import ValueScore
 
 NodeId = int
 
@@ -41,23 +41,12 @@ class Node:
     visits: int = 0
     is_terminal: bool = False
     reward: Optional[float] = None
-    eval_score: Optional["ValueScore"] = None
     children: list = field(default_factory=list)
     # True when selection can never return this node or anything below it:
     # a terminal, a leaf pinned at the depth limit, or an inner node whose
     # children are all exhausted.
     exhausted: bool = False
     block: Optional[str] = None
-
-
-@dataclass
-class ChildSpec:
-    """What expansion learned about one proposed child."""
-
-    action: ActionSample
-    observation: Optional[str]
-    is_terminal: bool = False
-    reward: Optional[float] = None
 
 
 @dataclass
@@ -146,8 +135,12 @@ def select_path(tree: SearchTree, w: float) -> Optional[NodeId]:
     return current.id
 
 
-def add_children(tree: SearchTree, parent_id: NodeId, specs: Iterable[ChildSpec]) -> list:
-    """Append one child per spec, in order, and return the new ids.
+def add_children(
+    tree: SearchTree, parent_id: NodeId, steps: Iterable[tuple[ActionSample, EnvObservation]]
+) -> list:
+    """Append one child per (action, observation) step, in order, and return
+    the new ids. Each child takes the observation's text, terminal flag and
+    reward; a terminal child is exhausted at once.
 
     Duplicate actions are retained as distinct nodes (sibling frequency is a
     signal for the value function). Expanding a terminal node is an error.
@@ -156,22 +149,17 @@ def add_children(tree: SearchTree, parent_id: NodeId, specs: Iterable[ChildSpec]
     if parent.is_terminal:
         raise ValueError(f"cannot expand terminal node {parent_id}")
     created = []
-    for spec in specs:
-        if spec.is_terminal and spec.reward is None:
-            raise ValueError("terminal child requires a reward")
-        if not spec.is_terminal and spec.reward is not None:
-            raise ValueError("non-terminal child must not carry a reward")
+    for action, obs in steps:
         node = Node(
             id=len(tree.nodes),
             parent=parent_id,
-            action=spec.action,
-            observation=spec.observation,
+            action=action,
+            observation=obs.text,
             depth=parent.depth + 1,
-            is_terminal=spec.is_terminal,
-            reward=spec.reward,
+            is_terminal=obs.terminal,
+            reward=obs.reward,
+            exhausted=obs.terminal,
         )
-        if spec.is_terminal:
-            node.exhausted = True
         tree.nodes.append(node)
         parent.children.append(node.id)
         created.append(node.id)

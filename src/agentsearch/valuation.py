@@ -1,6 +1,6 @@
 """Child valuation: a scored blend of an LM judgment and sibling agreement.
 
-Each freshly expanded child gets
+Every child of a just-expanded node is scored, once:
 
     combined = lam * lm_score + (1 - lam) * sc_score
 
@@ -10,7 +10,7 @@ frequency of the child's normalized action text among its siblings. The
 combined score seeds the child's selection value until the first real
 backpropagation replaces it.
 
-Each fresh child's value prompt, its parent's cached block plus its own
+Each child's value prompt, its parent's cached block plus its own
 step, is built in the calling thread. Once a run's value calls prove slow
 they go out together on the run's ValuePool; the scores are still applied
 in child order, so the result does not depend on which call returns first.
@@ -34,7 +34,7 @@ from .tree import SearchTree, reconstruct_context
 
 VALUE_MODES = ("full", "sc_only", "none")
 
-SCORE_RE = re.compile(r"correctness score is\s*(-?\d+)", re.IGNORECASE)
+SCORE_RE = re.compile(r"correctness score is\s*(-?)0*(\d+)", re.IGNORECASE)
 
 # A value call taking at least this many seconds marks the run's value calls
 # as slow. Handing a call to a pool thread costs about 110 us on a 2-vCPU
@@ -65,7 +65,11 @@ def parse_score(text: str) -> Optional[int]:
     matches = SCORE_RE.findall(text)
     if not matches:
         return None
-    return int(matches[-1])
+    sign, digits = matches[-1]
+    try:
+        return int(sign + digits)
+    except ValueError:  # past int()'s 4,300-digit limit; the first 3 clamp alike
+        return int(sign + digits[:3])
 
 
 def lm_score(prompt: str, backend: PolicyBackend, seed: int = 0) -> tuple:
@@ -169,43 +173,32 @@ def evaluate_children(
     seed: int = 0,
     pool: Optional[ValuePool] = None,
 ) -> list:
-    """Score every not yet scored child of parent_id in place and return
-    the (child id, ValueScore) pairs scored, in child order.
+    """Score every child of a just-expanded node, once: set each child's
+    value to its combined score and return the (child id, ValueScore) pairs,
+    in child order.
 
-    mode "full" blends LM and sibling-agreement scores, "sc_only" uses the
-    agreement term alone without any backend call, and "none" leaves the
-    children untouched (values stay 0, no calls). A backend failure on one
-    child flags that child and evaluation of the rest continues; any other
-    exception propagates (the earliest child's, if several raise). With a
-    pool, slow value calls run concurrently (see _lm_scores) to the same
-    result.
+    mode "full" blends LM and sibling-agreement scores and "sc_only" uses the
+    agreement term alone without any backend call; in mode "none" the engine
+    scores nothing and never calls this. A backend failure on one child flags
+    that child and evaluation of the rest continues; any other exception
+    propagates (the earliest child's, if several raise). With a pool, slow
+    value calls run concurrently (see _lm_scores) to the same result.
     """
-    if mode not in VALUE_MODES:
-        raise ValueError(f"unknown value mode {mode!r}")
-    scored = []
-    if mode == "none":
-        return scored
-    parent = tree.node(parent_id)
-    siblings = [tree.node(c).action for c in parent.children]
-    fresh = [
-        (index, child_id)
-        for index, child_id in enumerate(parent.children)
-        if tree.node(child_id).eval_score is None
-    ]
-    if mode == "full" and fresh:
+    if mode not in ("full", "sc_only"):
+        raise ValueError(f"no child scoring in value mode {mode!r}")
+    children = [tree.node(c) for c in tree.node(parent_id).children]
+    if mode == "full":
         if bundle is None or backend is None:
             raise ValueError("full value mode needs a value bundle and backend")
         block = node_block(tree, parent_id)
         queries = []
-        for _, child_id in fresh:
-            child = tree.node(child_id)
+        for child in children:
             step = render_step(child.depth, child.action, child.observation)
-            queries.append((child_id, acting_prompt(bundle, block + "\n" + step, child.depth)))
+            queries.append((child.id, acting_prompt(bundle, block + "\n" + step, child.depth)))
         lm_results = _lm_scores(queries, backend, seed, pool)
-    agreement = sc_scores(siblings) if fresh else []
-    for position, (index, child_id) in enumerate(fresh):
-        child = tree.node(child_id)
-        sc = agreement[index]
+    scored = []
+    agreement = sc_scores([child.action for child in children])
+    for position, (child, sc) in enumerate(zip(children, agreement)):
         if mode == "sc_only":
             score = ValueScore(lm_score=0.0, sc_score=sc, combined=sc)
         else:
@@ -216,8 +209,6 @@ def evaluate_children(
                 combined=combine(lm, sc, lam),
                 flagged=raw is None,
             )
-        child.eval_score = score
-        if child.visits == 0:
-            child.value = score.combined
-        scored.append((child_id, score))
+        child.value = score.combined
+        scored.append((child.id, score))
     return scored

@@ -13,7 +13,8 @@ from pathlib import Path
 
 from agentsearch.actions import ActionSample
 from agentsearch.backends import BackendError
-from agentsearch.tree import ChildSpec, SearchTree, add_children
+from agentsearch.envs.base import EnvObservation
+from agentsearch.tree import SearchTree, add_children
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "agentsearch" / "data"
 
@@ -104,17 +105,15 @@ def grow_random_tree(rng: random.Random, max_children: int = 4, max_nodes: int =
     while frontier and total < max_nodes:
         parent = frontier.pop(rng.randrange(len(frontier)))
         n_children = rng.randint(1, max_children)
-        specs = []
+        steps = []
         for i in range(n_children):
             terminal = rng.random() < 0.2
-            specs.append(ChildSpec(
-                action=ActionSample(kind="env_action", raw=f"step[{parent}-{i}]",
-                                    verb="step", argument=f"{parent}-{i}"),
-                observation="ok",
-                is_terminal=terminal,
-                reward=rng.random() if terminal else None,
+            steps.append((
+                ActionSample(kind="env_action", raw=f"step[{parent}-{i}]",
+                             verb="step", argument=f"{parent}-{i}"),
+                EnvObservation("ok", terminal, rng.random() if terminal else None),
             ))
-        ids = add_children(tree, parent, specs)
+        ids = add_children(tree, parent, steps)
         for cid in ids:
             if not tree.node(cid).is_terminal and rng.random() < 0.7:
                 frontier.append(cid)

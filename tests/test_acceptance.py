@@ -33,13 +33,12 @@ from agentsearch.backends import (
     static_backend,
 )
 from agentsearch.envs import DEFAULT_LAMBDA, load_task, make_env
-from agentsearch.envs.base import TaskSpec
+from agentsearch.envs.base import EnvObservation, TaskSpec
 from agentsearch.search import BackendSet, SearchConfig, run_search
 from agentsearch.seeding import stable_seed
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter, replay_trace
 from agentsearch.tree import (
-    ChildSpec,
     SearchTree,
     add_children,
     backpropagate,
@@ -197,14 +196,14 @@ def test_criterion_02_selection():
     # child-count episodes.
     for count in range(2, 7):
         tree = SearchTree.create("q")
-        specs = [
-            ChildSpec(
-                action=ActionSample(kind="env_action", raw=f"go[{i}]", verb="go", argument=str(i)),
-                observation="ok",
+        steps = [
+            (
+                ActionSample(kind="env_action", raw=f"go[{i}]", verb="go", argument=str(i)),
+                EnvObservation("ok"),
             )
             for i in range(count)
         ]
-        child_ids = add_children(tree, 0, specs)
+        child_ids = add_children(tree, 0, steps)
         seen = set()
         for _ in range(count):
             leaf = select_path(tree, 1.0)

@@ -22,6 +22,8 @@ from agentsearch.cli import (
 from agentsearch.search import SearchConfig
 from agentsearch.trace import read_trace, write_trace
 
+from helpers import DATA_DIR
+
 
 # ---------------------------------------------------------------------------
 # backend specs
@@ -386,6 +388,45 @@ def test_run_gives_task_error_row_for_an_infinite_game24_number(tmp_path, capsys
     assert rows["b"]["success"] is True
 
 
+def test_run_gives_task_error_rows_for_over_long_integers(tmp_path, capsys):
+    # json.loads refuses an integer of over 4,300 digits with a plain ValueError.
+    huge = "9" * 5000
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    (task_dir / "a.json").write_text(
+        '{"kind": "game24", "payload": {"numbers": [%s, 1, 2, 3]}}' % huge
+    )
+    (tmp_path / "corpus.json").write_text('{"Page": [%s]}' % huge)
+    (task_dir / "c.json").write_text(
+        json.dumps(
+            {
+                "kind": "docqa",
+                "payload": {"question": "q", "answer": "a", "corpus_file": "../corpus.json"},
+            }
+        )
+    )
+    write_game24_task(task_dir / "b.json", [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    code = main(["run", str(task_dir), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: a: cannot read task file" in captured.err
+    assert "error: c: cannot read corpus_file" in captured.err
+    rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
+    assert rows["a"]["terminate_reason"] == rows["c"]["terminate_reason"] == "task_error"
+    assert rows["b"]["success"] is True
+
+
+def test_run_scores_solution_candidates_it_cannot_evaluate(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    tasks = DATA_DIR / "solution" / "tasks"
+    code = main(["run", str(tasks), "--backend", "static:submit[\u00b2]", "--out", str(out_dir)])
+    assert code == 0
+    rows = json.loads((out_dir / "report.json").read_text())["rows"]
+    assert len(rows) == len(list(tasks.glob("*.json")))
+    assert all(row["best_reward"] == 0.0 and "error" not in row for row in rows)
+
+
 def test_run_gives_task_error_row_for_a_string_where_shop_wants_a_list(tmp_path, capsys):
     task_dir = tmp_path / "tasks"
     task_dir.mkdir()
@@ -480,6 +521,13 @@ def test_report_rejects_malformed_file(tmp_path, capsys, payload):
     path.write_text(json.dumps(payload))
     assert main(["report", str(path)]) == 2
     assert f"report {path}" in capsys.readouterr().err
+
+
+def test_report_rejects_an_over_long_integer(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"rows": [{"episodes": %s}]}' % ("9" * 5000))
+    assert main(["report", str(path)]) == 2
+    assert f"cannot read report {path}" in capsys.readouterr().err
 
 
 def test_report_merges_files(tmp_path, capsys):

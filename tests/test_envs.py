@@ -666,9 +666,25 @@ def test_evaluate_expression_language():
     assert evaluate_expression("x / 4", Fraction(1, 2)) == Fraction(1, 8)
     assert evaluate_expression("2 + 3 * 4", 0) == 14  # precedence
     assert evaluate_expression("X + x", 2) == 4
+    assert evaluate_expression("\u0663 * x", 2) == 6  # any decimal digit reads
     for bad in ("", "x +", "2 ** 3", "(x", "3.5", "y + 1", "1 / 0"):
         with pytest.raises(ExprError):
             evaluate_expression(bad, 1)
+
+
+@pytest.mark.parametrize(
+    "candidate",
+    ["\u00b2", "9" * 5000, "(" * 1000 + "x" + ")" * 1000],
+    ids=["superscript-two", "over-long-literal", "deep-nesting"],
+)
+def test_solution_candidate_it_cannot_evaluate_fails_every_test(candidate):
+    with pytest.raises(ExprError):
+        evaluate_expression(candidate, 1)
+    env = SolutionEnv()
+    env.reset(solution_task())
+    obs = act(env, f"submit[{candidate}]")
+    assert obs.terminal and obs.reward == 0.0
+    assert obs.text == "Passed 0 of 4 tests."
 
 
 def test_solution_payload_validation():

@@ -10,6 +10,8 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentsearch.backends import (
     BackendError,
@@ -21,9 +23,10 @@ from agentsearch.backends import (
 )
 from agentsearch.envs import load_task
 from agentsearch.reflection import ReflectionStore
-from agentsearch.search import BackendSet, SearchConfig, run_search
+from agentsearch.search import VARIANTS, BackendSet, SearchConfig, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
+from agentsearch.valuation import VALUE_MODES
 
 from helpers import DATA_DIR, FailingBackend, RoundTrips, SlowBackend
 
@@ -274,3 +277,78 @@ def test_order_dependent_value_backend_is_called_one_at_a_time():
     assert _digest(task, backends, config) == GOLDEN["docqa-mcts"]
     assert backends.value.trips.peak == 1
     assert backends.value.trips.threads == {threading.main_thread().name}
+
+
+# -- the engine's expand/evaluate contract ------------------------------------
+
+
+def assert_children_scored_once(events, variant):
+    """Under mcts and dfs_prune a node is expanded at most once, and each
+    evaluate event scores exactly the children of the expansion just made,
+    in order. The rollout variants never evaluate."""
+    expanded = set()
+    last = None
+    for event in events:
+        if event["type"] == "expand":
+            if variant in ("mcts", "dfs_prune"):
+                assert event["parent"] not in expanded
+            expanded.add(event["parent"])
+            last = event
+        elif event["type"] == "evaluate":
+            assert variant in ("mcts", "dfs_prune")
+            assert last is not None and event["parent"] == last["parent"]
+            assert [s["id"] for s in event["scores"]] == [c["id"] for c in last["children"]]
+            last = None
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_runs_score_each_expansion_once(name):
+    task, backends, config = _case(name)
+    trace = TraceWriter()
+    run_search(task, backends, load_template_set(task.kind), config, trace=trace)
+    assert_children_scored_once(trace.events, config.variant)
+    if config.variant in ("mcts", "dfs_prune"):
+        assert any(event["type"] == "evaluate" for event in trace.events)
+
+
+SCRIPTED_CASES = {
+    "game24": ("24-3-4-5-9", None),
+    "docqa": ("docqa-01", DOCQA_POLICY),
+    "shop": ("shop-01", SHOP_POLICY),
+    "solution": ("expr-01", SOLUTION_POLICY),
+}
+SCORE_TEXTS = [f"the correctness score is {s}" for s in (1, 3, 5, 8, 10)] + ["no verdict"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SCRIPTED_CASES)), variant=st.sampled_from(VARIANTS), data=st.data()
+)
+def test_random_runs_score_each_expansion_once(kind, variant, data):
+    name, pool = SCRIPTED_CASES[kind]
+    if pool is None:
+        policy = Game24PolicyOracle(data.draw(st.sampled_from([0.0, 0.3, 1.0])), seed=1)
+    else:
+        texts = st.sampled_from(pool + ["not an action", ""])
+        policy = ScriptedBackend(
+            [ScriptRule(pattern=".", responses=data.draw(st.lists(texts, min_size=1, max_size=8)))]
+        )
+    scores = data.draw(st.lists(st.sampled_from(SCORE_TEXTS), min_size=1, max_size=5))
+    backends = BackendSet(
+        policy=FailOnCalls(policy, data.draw(st.sets(st.integers(1, 12), max_size=3))),
+        value=ScriptedBackend([ScriptRule(pattern=".", responses=scores)]),
+        reflection=static_backend("Try another way."),
+    )
+    config = SearchConfig(
+        n=data.draw(st.integers(1, 4)),
+        k=data.draw(st.integers(1, 8)),
+        depth_limit=data.draw(st.integers(1, 6)),
+        variant=variant,
+        value_mode=data.draw(st.sampled_from(VALUE_MODES)),
+        skip_simulation=data.draw(st.booleans()),
+        seed=data.draw(st.integers(0, 99)),
+    )
+    task = _task(kind, name)
+    trace = TraceWriter()
+    run_search(task, backends, load_template_set(kind), config, trace=trace)
+    assert_children_scored_once(trace.events, variant)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentsearch.actions import ActionGrammar, ActionSample, parse_action
-from agentsearch.envs.base import INVALID
+from agentsearch.envs.base import INVALID, EnvObservation
 from agentsearch.prompts import (
     DEFAULT_REFLECTIONS_HEADER,
     PromptBundle,
@@ -19,7 +19,7 @@ from agentsearch.prompts import (
     render_reasoning_steps,
 )
 from agentsearch.reflection import assemble_reflection_prompt
-from agentsearch.tree import ChildSpec, SearchTree, StateContext, add_children, reconstruct_context
+from agentsearch.tree import SearchTree, StateContext, add_children, reconstruct_context
 from agentsearch.valuation import evaluate_children
 
 
@@ -206,10 +206,8 @@ def trees(draw):
         parent = newest if draw(st.booleans()) else draw(st.integers(0, newest))
         if tree.node(parent).depth >= 15:
             continue
-        spec = ChildSpec(
-            action=draw(st.sampled_from(ACTIONS)), observation=draw(st.sampled_from(OBSERVATIONS))
-        )
-        add_children(tree, parent, [spec])
+        action = draw(st.sampled_from(ACTIONS))
+        add_children(tree, parent, [(action, EnvObservation(draw(st.sampled_from(OBSERVATIONS))))])
     return tree
 
 
@@ -271,8 +269,7 @@ def test_incremental_prompts_equal_the_from_scratch_assembly(tree, bundle, data)
 
 def test_value_scoring_stores_no_child_block():
     tree = SearchTree.create("q")
-    specs = [ChildSpec(action=a, observation="seen") for a in ACTIONS]
-    child_ids = add_children(tree, 0, specs)
+    child_ids = add_children(tree, 0, [(a, EnvObservation("seen")) for a in ACTIONS])
     evaluate_children(
         tree, 0, "full", 0.5, bundle=PromptBundle(instruction="rate"), backend=ScorePrompts()
     )

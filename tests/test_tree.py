@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentsearch.actions import ActionSample
+from agentsearch.envs.base import EnvObservation
 from agentsearch.tree import (
-    ChildSpec,
     SearchTree,
     add_children,
     backpropagate,
@@ -25,7 +25,7 @@ from helpers import grow_random_tree
 
 
 def make_children(tree, parent, count, terminal_rewards=None):
-    specs = []
+    steps = []
     for i in range(count):
         reward = None
         terminal = False
@@ -33,8 +33,8 @@ def make_children(tree, parent, count, terminal_rewards=None):
             terminal = True
             reward = terminal_rewards[i]
         action = ActionSample(kind="env_action", raw=f"a{i}", verb="a", argument=str(i))
-        specs.append(ChildSpec(action, f"obs{i}", terminal, reward))
-    return add_children(tree, parent, specs)
+        steps.append((action, EnvObservation(f"obs{i}", terminal, reward)))
+    return add_children(tree, parent, steps)
 
 
 # -- structure ---------------------------------------------------------------
@@ -60,11 +60,10 @@ def test_add_children_assigns_sequential_ids_and_depth():
 
 
 def test_reward_requires_terminal():
-    tree = SearchTree.create("q")
     with pytest.raises(ValueError):
-        add_children(tree, 0, [ChildSpec("a", "o", False, 0.5)])
+        EnvObservation("o", False, 0.5)
     with pytest.raises(ValueError):
-        add_children(tree, 0, [ChildSpec("a", "o", True, None)])
+        EnvObservation("o", True, None)
 
 
 def test_terminal_children_are_exhausted_and_unexpandable():
@@ -153,9 +152,7 @@ def test_select_path_eval_seeded_children_still_count_as_unvisited():
     tree = SearchTree.create("q")
     ids = make_children(tree, 0, 3)
     for i in ids:
-        node = tree.node(i)
-        node.eval_score = 0.9
-        node.value = 0.9
+        tree.node(i).value = 0.9
     backpropagate(tree, ids[2], 1.0)
     assert select_path(tree, 1.0) == ids[0]
 
@@ -214,7 +211,6 @@ def test_backprop_overwrites_eval_seed_on_first_visit():
     tree = SearchTree.create("q")
     a, = make_children(tree, 0, 1)
     node = tree.node(a)
-    node.eval_score = 0.6
     node.value = 0.6
     backpropagate(tree, a, 1.0)
     assert node.visits == 1
@@ -293,16 +289,14 @@ def test_tree_jsonl_bytes_are_pinned():
         tree,
         0,
         [
-            ChildSpec(
+            (
                 ActionSample(kind="env_action", raw="combine[4 / 6]", verb="combine",
                              argument="4 / 6"),
-                "Remaining numbers: 1 9 2/3",
+                EnvObservation("Remaining numbers: 1 9 2/3"),
             ),
-            ChildSpec(
+            (
                 ActionSample(kind="env_action", raw="finish[x]", verb="finish", argument="x"),
-                "done \u2014 half",
-                True,
-                0.5,
+                EnvObservation("done \u2014 half", True, 0.5),
             ),
         ],
     )

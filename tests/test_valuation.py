@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from agentsearch.actions import normalize_action_text, parse_action
 from agentsearch.backends import BackendError
+from agentsearch.envs.base import EnvObservation
 from agentsearch.envs.game24 import GRAMMAR
 from agentsearch.prompts import PromptBundle
-from agentsearch.tree import ChildSpec, SearchTree, add_children
+from agentsearch.tree import SearchTree, add_children
 from agentsearch.valuation import (
     ValuePool,
     ValueScore,
@@ -78,6 +79,10 @@ def test_lm_score_clamps_raw_scores():
     assert (score, raw) == (1.0, 10)
     score, raw = lm_score(prompt, OneShotBackend(["correctness score is 0"]), seed=1)
     assert (score, raw) == (0.1, 1)
+    # int() refuses over 4,300 digits; a score of any length still clamps.
+    for digits, clamped in (("9" * 5000, 10), ("-" + "9" * 5000, 1), ("0" * 5000 + "7", 7)):
+        text = "Thus the correctness score is " + digits
+        assert lm_score(prompt, OneShotBackend([text]), seed=1) == (clamped / 10, clamped)
 
 
 def test_lm_score_retries_once_then_flags():
@@ -147,12 +152,12 @@ def test_default_lambda_per_kind():
 
 def scored_tree():
     tree = SearchTree.create("Use 1 4 6 to make 24.")
-    specs = [
-        ChildSpec(parse_action("combine[4 + 6]", GRAMMAR), "Remaining numbers: 1 10"),
-        ChildSpec(parse_action("combine[4 + 6]", GRAMMAR), "Remaining numbers: 1 10"),
-        ChildSpec(parse_action("combine[4 * 6]", GRAMMAR), "Remaining numbers: 1 24"),
+    steps = [
+        (parse_action("combine[4 + 6]", GRAMMAR), EnvObservation("Remaining numbers: 1 10")),
+        (parse_action("combine[4 + 6]", GRAMMAR), EnvObservation("Remaining numbers: 1 10")),
+        (parse_action("combine[4 * 6]", GRAMMAR), EnvObservation("Remaining numbers: 1 24")),
     ]
-    add_children(tree, 0, specs)
+    add_children(tree, 0, steps)
     return tree
 
 
@@ -170,10 +175,12 @@ def test_evaluate_children_full_mode_mixes_lm_and_sc():
     tree = scored_tree()
     backend = FixedScoreBackend(10)
     bundle = PromptBundle(instruction="rate")
-    evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3)
+    pairs = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3)
     assert tree.node(1).value == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
     assert tree.node(3).value == pytest.approx(0.5 * 1.0 + 0.5 * (1 / 3))
-    assert all(isinstance(tree.node(i).eval_score, ValueScore) for i in (1, 2, 3))
+    assert [child_id for child_id, _ in pairs] == [1, 2, 3]
+    assert all(isinstance(score, ValueScore) for _, score in pairs)
+    assert [score.combined for _, score in pairs] == [tree.node(i).value for i in (1, 2, 3)]
     assert backend.calls == 3
 
 
@@ -187,27 +194,10 @@ def test_evaluate_children_sc_only_skips_backend():
     assert tree.node(3).value == pytest.approx(1 / 3)
 
 
-def test_evaluate_children_skips_already_scored():
-    tree = scored_tree()
-    backend = FixedScoreBackend(10)
-    bundle = PromptBundle(instruction="rate")
-    first = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3)
-    assert first == [(i, tree.node(i).eval_score) for i in (1, 2, 3)]
-    calls_after_first = backend.calls
-    assert evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3) == []
-    assert backend.calls == calls_after_first
-
-
-def test_evaluate_children_does_not_touch_visited_value():
-    tree = scored_tree()
-    from agentsearch.tree import backpropagate
-
-    backpropagate(tree, 1, 0.9)
-    backend = FixedScoreBackend(10)
-    bundle = PromptBundle(instruction="rate")
-    evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3)
-    assert tree.node(1).value == 0.9
-    assert tree.node(1).eval_score is not None
+def test_evaluate_children_rejects_modes_that_score_nothing():
+    for mode in ("none", "bogus"):
+        with pytest.raises(ValueError):
+            evaluate_children(scored_tree(), 0, mode, 0.5)
 
 
 class ExplodingBackend:
@@ -218,9 +208,9 @@ class ExplodingBackend:
 def test_evaluate_children_flags_backend_failures():
     tree = scored_tree()
     bundle = PromptBundle(instruction="rate")
-    evaluate_children(tree, 0, "full", 0.5, bundle, ExplodingBackend(), seed=3)
-    for i in (1, 2, 3):
-        score = tree.node(i).eval_score
+    pairs = evaluate_children(tree, 0, "full", 0.5, bundle, ExplodingBackend(), seed=3)
+    assert [child_id for child_id, _ in pairs] == [1, 2, 3]
+    for _, score in pairs:
         assert score.flagged
         assert score.lm_score == 0.0
 
@@ -237,11 +227,14 @@ class PerChildBackend:
 
 def fanned_tree():
     tree = scored_tree()
-    specs = [
-        ChildSpec(parse_action(f"combine[1 + {i}]", GRAMMAR), f"Remaining numbers: {i + 1} 6")
+    steps = [
+        (
+            parse_action(f"combine[1 + {i}]", GRAMMAR),
+            EnvObservation(f"Remaining numbers: {i + 1} 6"),
+        )
         for i in range(4)
     ]
-    add_children(tree, 0, specs)
+    add_children(tree, 0, steps)
     return tree
 
 
@@ -258,7 +251,7 @@ def test_evaluate_children_gives_the_same_pairs_with_fan_out():
             tree = fanned_tree()
             pairs = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3, pool=pool)
             assert pairs == inline
-            assert [tree.node(i).eval_score for i, _ in pairs] == [s for _, s in inline]
+            assert [tree.node(i).value for i, _ in pairs] == [s.combined for _, s in inline]
             assert backend.trips.peak > 1
             assert pool.slow
     finally:
