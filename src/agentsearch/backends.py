@@ -33,6 +33,7 @@ from typing import Optional, Protocol, runtime_checkable
 
 from . import solver24
 from .seeding import stable_seed
+from .trace import decode
 
 
 class BackendError(RuntimeError):
@@ -85,7 +86,7 @@ class ScriptedBackend:
         """Read {"rules": [{"contains" or "pattern": ..., "responses": [...]}],
         "default": TEXT}. A malformed file is a ValueError here, before any
         prompt reaches it."""
-        data = json.loads(Path(path).read_text())
+        data = decode(Path(path).read_text())
         if not isinstance(data, dict) or not isinstance(data.get("rules", []), list):
             raise ValueError(f"{path} must hold an object with a 'rules' list")
         rules = []
@@ -196,7 +197,7 @@ class HttpChatBackend:
         path = self._cache_path(self._cache_key(prompt, n, seed))
         if path is not None:
             try:
-                texts = json.loads(path.read_text())["texts"]
+                texts = decode(path.read_text())["texts"]
             # absent or unreadable, not UTF-8, not JSON, no texts
             except (OSError, ValueError, KeyError, TypeError):
                 texts = None
@@ -255,7 +256,7 @@ class HttpChatBackend:
                 else:
                     try:
                         data = resp.json()
-                    except ValueError as exc:
+                    except (ValueError, RecursionError) as exc:
                         raise BackendError(f"completion reply is not JSON: {exc}") from exc
                     return self._parse(data, n)
             if attempt + 1 < self.retries:

@@ -23,7 +23,6 @@ run is malformed; run still searches the other tasks and writes its report.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +47,7 @@ from .search import (
     run_search,
 )
 from .templates import load_template_set
-from .trace import TraceWriter, read_trace, replay_trace, write_trace
+from .trace import TraceWriter, decode, read_trace, replay_trace, write_trace
 from .tree import tree_to_jsonl
 from .valuation import VALUE_MODES
 
@@ -281,7 +280,7 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.reports:
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = decode(Path(path).read_text())
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read report {path}: {exc}") from exc
         file_rows = payload.get("rows", []) if isinstance(payload, dict) else None

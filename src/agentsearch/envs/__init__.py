@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from ..trace import decode
 from .base import Environment, EnvObservation, EnvSnapshot, TaskError, TaskSpec
 from .docqa import DocQAEnv
 from .game24 import Game24Env, question_text
@@ -37,7 +37,7 @@ def load_task(path) -> TaskSpec:
     no registered environment is a TaskError here, before any search."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = decode(path.read_text())
     except (OSError, ValueError) as exc:
         raise TaskError(f"cannot read task file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -54,7 +54,7 @@ def load_task(path) -> TaskSpec:
         if ref is not None and inline_key not in payload:
             ref_path = (path.parent / ref).resolve()
             try:
-                payload[inline_key] = json.loads(ref_path.read_text())
+                payload[inline_key] = decode(ref_path.read_text())
             except (OSError, ValueError) as exc:
                 raise TaskError(f"cannot read {ref_key} {ref_path}: {exc}") from exc
     return TaskSpec(task_id=str(task_id), kind=kind, payload=payload)

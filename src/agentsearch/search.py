@@ -10,6 +10,11 @@ Four variants share one expansion/valuation substrate:
     best_of_k     k independent greedy rollouts, one proposal per step
     greedy_retry  best_of_k plus failure reflections carried across rollouts
 
+mcts (in selection and simulation alike) and dfs_prune advance by steps: a
+node is expanded into n children, the first solved child in child order ends
+the search before anything is scored, and otherwise each child is scored
+once. The rollouts never score.
+
 mcts, best_of_k and greedy_retry share one episode loop: each of up to k
 episodes refreshes the reflection-injected prompts, plays the variant's body
 to an end node and reward, then stops the run on success or reflects on a
@@ -56,6 +61,7 @@ from .tree import (
     add_children,
     backpropagate,
     mark_unexpandable,
+    node_record,
     reconstruct_context,
     select_path,
 )
@@ -194,7 +200,12 @@ def _best(nodes: list):
     terminal = [n for n in nodes if n.is_terminal]
     if terminal:
         return _outcome(max(terminal, key=lambda n: (n.reward, n.value, -n.id)))
-    return _outcome(max(nodes, key=lambda n: (n.value, -n.id)))
+    return _outcome(_choose(nodes))
+
+
+def _choose(nodes: list) -> Node:
+    """The node of highest value; ties go to the lowest id."""
+    return max(nodes, key=lambda n: (n.value, -n.id))
 
 
 class _CountingBackend:
@@ -320,10 +331,9 @@ class _Engine:
             raise BackendError("policy backend returned no proposals")
         played = [self._apply_proposal(parent_id, text) for text in texts]
         ids = add_children(self.tree, parent_id, [(action, obs) for action, obs, _ in played])
-        for node_id, (_, _, snap) in zip(ids, played):
-            self.snapshots[node_id] = snap
         children = [self.tree.node(node_id) for node_id in ids]
-        for node in children:
+        for node, (_, _, snap) in zip(children, played):
+            self.snapshots[node.id] = snap
             if not node.is_terminal and node.depth >= self.cfg.depth_limit:
                 mark_unexpandable(self.tree, node.id)
         self.expansions += 1
@@ -332,22 +342,21 @@ class _Engine:
             episode=episode,
             parent=parent_id,
             prompt=self.trace.prompt_field(prompt),
-            children=[
-                {
-                    "id": node.id,
-                    "action": node.action.raw,
-                    "observation": node.observation,
-                    "terminal": node.is_terminal,
-                    "reward": node.reward,
-                }
-                for node in children
-            ],
+            children=[node_record(node) for node in children],
         )
-        return ids
+        return children
+
+    def _step(self, node_id: int, episode: int):
+        """Expand a node and return (children, winner). The winner is the
+        first solved child in child order; it ends the search before any
+        child is scored. With no winner (None) the children are evaluated."""
+        children = self._expand(node_id, episode)
+        winner = next((child for child in children if _solved(child)), None)
+        if winner is None and self.cfg.value_mode != "none":
+            self._evaluate(node_id, episode)
+        return children, winner
 
     def _evaluate(self, parent_id: int, episode: int) -> None:
-        if self.cfg.value_mode == "none":
-            return
         scored = evaluate_children(
             self.tree,
             parent_id,
@@ -374,17 +383,6 @@ class _Engine:
         path = self.tree.path_to_root(leaf_id)
         backpropagate(self.tree, leaf_id, reward)
         self.trace.emit("backprop", episode=episode, leaf=leaf_id, reward=reward, path=path)
-
-    def _winning_child(self, child_ids: list) -> Optional[Node]:
-        for child_id in child_ids:
-            node = self.tree.node(child_id)
-            if _solved(node):
-                return node
-        return None
-
-    def _choose(self, child_ids: list) -> Node:
-        nodes = [self.tree.node(c) for c in child_ids]
-        return max(nodes, key=lambda c: (c.value, -c.id))
 
     def _maybe_reflect(self, node: Node, reward: float, episode: int) -> None:
         if not self.reflective or not node.is_terminal or _solved(node):
@@ -428,28 +426,23 @@ class _Engine:
 
     # -- mcts -------------------------------------------------------------
 
-    def _simulate(self, child_ids: list, episode: int):
+    def _simulate(self, children: list, episode: int):
         """Greedy descent from the best fresh child to an exhausted one: a
         terminal or a node at the depth limit."""
-        current = self._choose(child_ids)
+        current = _choose(children)
         self.trace.emit("simulate_step", episode=episode, node=current.id, depth=current.depth)
         while not current.exhausted:
-            ids = self._expand(current.id, episode)
-            winner = self._winning_child(ids)
-            if winner is None:
-                self._evaluate(current.id, episode)
-                current = self._choose(ids)
-            else:
-                current = winner
+            children, winner = self._step(current.id, episode)
+            current = winner or _choose(children)
             self.trace.emit(
                 "simulate_step", episode=episode, node=current.id, depth=current.depth
             )
         return _outcome(current)
 
     def _mcts_episode(self, episode: int):
-        """Select a leaf and expand it. A winning child ends the episode at
-        once; otherwise evaluate the children, then simulate or skip. The
-        end reward is backpropagated either way."""
+        """Select a leaf and step it. A winning child ends the episode at
+        once; otherwise simulate from the scored children, or skip. The end
+        reward is backpropagated either way."""
         leaf_id = select_path(self.tree, self.cfg.w)
         if leaf_id is None:
             return None
@@ -459,17 +452,14 @@ class _Engine:
             node=leaf_id,
             path=list(reversed(self.tree.path_to_root(leaf_id))),
         )
-        child_ids = self._expand(leaf_id, episode)
-        winner = self._winning_child(child_ids)
+        children, winner = self._step(leaf_id, episode)
         if winner is not None:
             end, reward = _outcome(winner)
+        elif self.cfg.skip_simulation:
+            # Skip simulation: score the episode by its best child.
+            end, reward = _best(children)
         else:
-            self._evaluate(leaf_id, episode)
-            if self.cfg.skip_simulation:
-                # Skip simulation: score the episode by its best child.
-                end, reward = _best([self.tree.node(c) for c in child_ids])
-            else:
-                end, reward = self._simulate(child_ids, episode)
+            end, reward = self._simulate(children, episode)
         self._backprop(end.id, reward, episode)
         return end, reward
 
@@ -481,7 +471,7 @@ class _Engine:
         current = self.tree.root
         # Not `exhausted`: each rollout re-expands the root, exhausted since the first.
         while not current.is_terminal and current.depth < self.cfg.depth_limit:
-            current = self.tree.node(self._expand(current.id, episode, width=1)[0])
+            current = self._expand(current.id, episode, width=1)[0]
         return _outcome(current)
 
     # -- dfs with pruning --------------------------------------------------
@@ -496,22 +486,15 @@ class _Engine:
             tag = self.episodes
             self.episodes += 1
             try:
-                ids = self._expand(node_id, tag)
+                children, winner = self._step(node_id, tag)
             except BackendError:
                 stack.append(node_id)
                 continue
-            if self._winning_child(ids) is not None:
+            if winner is not None:
                 return "success"
-            self._evaluate(node_id, tag)
-            survivors = []
-            for child_id in ids:
-                child = self.tree.node(child_id)
-                if child.exhausted:
-                    continue
-                # With no value function there is nothing to prune on.
-                if self.cfg.value_mode != "none" and child.value < self.cfg.prune_threshold:
-                    continue
-                survivors.append(child)
+            # With no value function there is nothing to prune on.
+            floor = self.cfg.prune_threshold if self.cfg.value_mode != "none" else -math.inf
+            survivors = [c for c in children if not c.exhausted and c.value >= floor]
             survivors.sort(key=lambda c: (c.value, -c.id))  # best popped first
             stack.extend(c.id for c in survivors)
             kept = {c.id for c in survivors}
@@ -519,7 +502,7 @@ class _Engine:
                 "prune",
                 parent=node_id,
                 kept=sorted(kept),
-                dropped=[c for c in ids if c not in kept],
+                dropped=[c.id for c in children if c.id not in kept],
             )
         if not stack:
             return "tree_exhausted"

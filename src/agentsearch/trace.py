@@ -26,6 +26,14 @@ def encode(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+def decode(text: str):
+    """json.loads, but input nested too deeply to parse is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def jsonl(records: Iterable[dict]) -> str:
     """One encoded record per line, each ending in a newline."""
     return "".join(encode(r) + "\n" for r in records)
@@ -70,7 +78,7 @@ def read_trace(path) -> list:
         for line in fh:
             line = line.strip()
             if line:
-                events.append(json.loads(line))
+                events.append(decode(line))
     return events
 
 
@@ -82,7 +90,8 @@ def replay_trace(events) -> dict:
     """Rebuild the search tree implied by a trace and check its accounting.
 
     Expansion events create nodes, evaluation events seed values, and
-    backprop events replay the running-mean update. The final per-node
+    backprop events replay the running-mean update. A node is scored at
+    most once, and never after a backprop has reached it. The final per-node
     value/visit statistics carried by the terminate event must agree with
     the reconstruction: visits exactly, values within 1e-9. A malformed
     event (not an object, a missing field, a field of the wrong type) is a
@@ -99,6 +108,7 @@ def replay_trace(events) -> dict:
 def _replay(events) -> dict:
     values: dict = {}
     visits: dict = {}
+    scored = set()
     expected_seq = 0
     terminate = None
     for event in events:
@@ -125,8 +135,10 @@ def _replay(events) -> dict:
                 cid = entry["id"]
                 if cid not in values:
                     raise ReplayError(f"evaluate before creation of node {cid}")
-                if visits[cid] == 0:
-                    values[cid] = entry["combined"]
+                if cid in scored or visits[cid]:
+                    raise ReplayError(f"node {cid} scored twice or after a backprop")
+                scored.add(cid)
+                values[cid] = entry["combined"]
         elif etype == "backprop":
             reward = event["reward"]
             for nid in event["path"]:

@@ -207,23 +207,25 @@ def reconstruct_context(tree: SearchTree, node_id: NodeId) -> StateContext:
     return StateContext(input=tree.input, steps=steps)
 
 
+def node_record(node: Node) -> dict:
+    """What a node was when created: its id, action text, observation,
+    terminal flag and reward. Expand events list children in this form."""
+    return {
+        "id": node.id,
+        "action": node.action.raw if node.action is not None else None,
+        "observation": node.observation,
+        "terminal": node.is_terminal,
+        "reward": node.reward,
+    }
+
+
 def dump_tree(tree: SearchTree) -> list:
-    """One plain dict per node, in id order, for the line-delimited dump."""
-    rows = []
-    for node in tree.nodes:
-        rows.append(
-            {
-                "id": node.id,
-                "parent": node.parent,
-                "action": node.action.raw if node.action is not None else None,
-                "observation": node.observation,
-                "value": node.value,
-                "visits": node.visits,
-                "terminal": node.is_terminal,
-                "reward": node.reward,
-            }
-        )
-    return rows
+    """One plain dict per node, in id order, for the line-delimited dump:
+    the node's record plus its parent, value and visits."""
+    return [
+        {**node_record(node), "parent": node.parent, "value": node.value, "visits": node.visits}
+        for node in tree.nodes
+    ]
 
 
 def tree_to_jsonl(tree: SearchTree) -> str:

@@ -276,6 +276,7 @@ def test_http_backend_corrupt_cache_file_is_a_miss(tmp_path):
         b'{"texts": [null, 3]}',  # not strings
         b'{"texts": ["a", "b"]}',  # not n of them
         b'["a", "b"]',  # no texts key
+        b"[" * 100_000,  # nested too deeply for json.loads
     ]
     for content in corrupt:
         session = StubSession([StubResponse(200, completion_payload(["fresh", "more"]))])
@@ -355,6 +356,28 @@ def test_http_backend_non_json_reply_raises_backend_error():
     with pytest.raises(BackendError, match="not JSON"):
         backend.propose("p", 1, 0)
     assert len(session.calls) == 1
+
+
+def test_http_backend_too_deeply_nested_reply_raises_backend_error():
+    reply = requests.Response()
+    reply.status_code = 200
+    reply._content = b"[" * 100_000  # json.loads raises RecursionError on it
+    backend = make_backend(StubSession([reply]), retries=3)
+    with pytest.raises(BackendError, match="not JSON"):
+        backend.propose("p", 1, 0)
+
+
+@pytest.mark.parametrize("key", ["sk-test", None])
+def test_http_backend_sends_the_api_key_only_when_set(monkeypatch, key):
+    if key is None:
+        monkeypatch.delenv("AGENTSEARCH_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("AGENTSEARCH_API_KEY", key)
+    session = StubSession([StubResponse(200, completion_payload(["one"]))])
+    assert make_backend(session).propose("p", 1, 0) == ["one"]
+    headers = session.calls[0]["headers"]
+    assert headers.get("Authorization") == (f"Bearer {key}" if key else None)
+    assert headers["Content-Type"] == "application/json"
 
 
 def test_http_backend_rejects_short_completions():

@@ -388,15 +388,13 @@ def test_run_gives_task_error_row_for_an_infinite_game24_number(tmp_path, capsys
     assert rows["b"]["success"] is True
 
 
-def test_run_gives_task_error_rows_for_over_long_integers(tmp_path, capsys):
-    # json.loads refuses an integer of over 4,300 digits with a plain ValueError.
-    huge = "9" * 5000
+def assert_unreadable_json_gives_task_error_rows(tmp_path, capsys, bad_task, bad_corpus):
+    """Task a's file and task c's corpus_file hold the given texts; the two
+    get task_error rows, and task b beside them still runs."""
     task_dir = tmp_path / "tasks"
     task_dir.mkdir()
-    (task_dir / "a.json").write_text(
-        '{"kind": "game24", "payload": {"numbers": [%s, 1, 2, 3]}}' % huge
-    )
-    (tmp_path / "corpus.json").write_text('{"Page": [%s]}' % huge)
+    (task_dir / "a.json").write_text(bad_task)
+    (tmp_path / "corpus.json").write_text(bad_corpus)
     (task_dir / "c.json").write_text(
         json.dumps(
             {
@@ -415,6 +413,34 @@ def test_run_gives_task_error_rows_for_over_long_integers(tmp_path, capsys):
     rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
     assert rows["a"]["terminate_reason"] == rows["c"]["terminate_reason"] == "task_error"
     assert rows["b"]["success"] is True
+
+
+def test_run_gives_task_error_rows_for_over_long_integers(tmp_path, capsys):
+    # json.loads refuses an integer of over 4,300 digits with a plain ValueError.
+    huge = "9" * 5000
+    assert_unreadable_json_gives_task_error_rows(
+        tmp_path,
+        capsys,
+        '{"kind": "game24", "payload": {"numbers": [%s, 1, 2, 3]}}' % huge,
+        '{"Page": [%s]}' % huge,
+    )
+
+
+# json.loads raises RecursionError, not a ValueError, on input nested this deeply.
+TOO_DEEP = "[" * 100_000
+
+
+def test_run_gives_task_error_rows_for_too_deeply_nested_json(tmp_path, capsys):
+    assert_unreadable_json_gives_task_error_rows(tmp_path, capsys, TOO_DEEP, TOO_DEEP)
+
+
+def test_run_rejects_a_too_deeply_nested_script_file(tmp_path, capsys):
+    task = tmp_path / "t.json"
+    write_game24_task(task, [4, 9, 10, 13])
+    rules = tmp_path / "rules.json"
+    rules.write_text(TOO_DEEP)
+    assert main(["run", str(task), "--backend", f"script:{rules}"]) == 2
+    assert "bad backend spec" in capsys.readouterr().err
 
 
 def test_run_scores_solution_candidates_it_cannot_evaluate(tmp_path, capsys):
@@ -528,6 +554,27 @@ def test_report_rejects_an_over_long_integer(tmp_path, capsys):
     path.write_text('{"rows": [{"episodes": %s}]}' % ("9" * 5000))
     assert main(["report", str(path)]) == 2
     assert f"cannot read report {path}" in capsys.readouterr().err
+
+
+def test_report_rejects_too_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(TOO_DEEP)
+    assert main(["report", str(path)]) == 2
+    assert f"cannot read report {path}" in capsys.readouterr().err
+
+
+def test_replay_fails_a_too_deeply_nested_trace_and_checks_the_rest(tmp_path, capsys):
+    task = tmp_path / "t.json"
+    write_game24_task(task, [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    main(["run", str(task), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir)])
+    capsys.readouterr()
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text(TOO_DEEP + "\n")
+    assert main(["replay", str(deep), str(out_dir / "t.trace.jsonl")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["FAIL", "OK"]
+    assert "nested too deeply" in lines[0]
 
 
 def test_report_merges_files(tmp_path, capsys):

@@ -194,6 +194,24 @@ def test_mcts_reflects_on_failed_terminals(game24_templates):
     assert all(r.reflection == "Try a different first step." for r in result.reflections)
 
 
+def test_whitespace_reflections_are_neither_stored_nor_traced(game24_templates):
+    task = game24_task([1, 1, 1, 1])
+    store = ReflectionStore()
+    trace = TraceWriter()
+    result = run_search(
+        task,
+        oracle_backends(p=0.0, reflection_text=" \n\t "),
+        game24_templates,
+        SearchConfig(n=2, k=3, seed=5),
+        trace=trace,
+        reflection_store=store,
+    )
+    assert result.backend_calls["reflection"]["calls"] == result.episodes_used == 3
+    assert result.reflections == []
+    assert store.select(task.task_id, 10) == []
+    assert not any(e["type"] == "reflect" for e in trace.events)
+
+
 def test_reflection_disabled_means_zero_reflection_calls(game24_templates):
     result = run_search(
         game24_task([1, 1, 1, 1]),
@@ -242,6 +260,51 @@ def test_all_episodes_erroring_reports_backend_error(game24_templates, variant):
     assert result.terminate_reason == "backend_error"
     assert result.episodes_used == 3
     assert result.backend_calls["policy"]["calls"] == 3
+
+
+class NoProposals:
+    """A policy backend that answers every call with an empty list."""
+
+    def propose(self, prompt: str, n: int, seed: int) -> list:
+        return []
+
+
+def test_mcts_episodes_given_no_proposals_each_end_with_an_error(game24_templates):
+    backends = oracle_backends()
+    backends.policy = NoProposals()
+    trace = TraceWriter()
+    result = run_search(
+        game24_task([4, 9, 10, 13]),
+        backends,
+        game24_templates,
+        SearchConfig(n=5, k=3, seed=0),
+        trace=trace,
+    )
+    assert result.terminate_reason == "backend_error"
+    ends = [e for e in trace.events if e["type"] == "episode_end"]
+    assert [e["episode"] for e in ends] == [1, 2, 3]
+    assert {e["error"] for e in ends} == {"policy backend returned no proposals"}
+    assert len(result.tree.nodes) == 1 and result.nodes_expanded == 0
+    assert result.backend_calls["value"]["calls"] == 0
+
+
+def test_dfs_retries_a_node_given_no_proposals_until_k_is_spent(game24_templates):
+    backends = oracle_backends()
+    backends.policy = RecordingBackend(NoProposals())
+    trace = TraceWriter()
+    result = run_search(
+        game24_task([4, 9, 10, 13]),
+        backends,
+        game24_templates,
+        SearchConfig(n=3, k=4, variant="dfs_prune", seed=0),
+        trace=trace,
+    )
+    assert result.terminate_reason == "backend_error"
+    assert result.episodes_used == 4
+    assert len(backends.policy.calls) == 4
+    assert len({call["prompt"] for call in backends.policy.calls}) == 1  # the root each time
+    assert len(result.tree.nodes) == 1 and result.nodes_expanded == 0
+    assert [e["type"] for e in trace.events] == ["run_start", "terminate"]
 
 
 # ---------------------------------------------------------------------------

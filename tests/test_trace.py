@@ -5,6 +5,7 @@ import pytest
 from agentsearch.trace import (
     ReplayError,
     TraceWriter,
+    decode,
     prompt_digest,
     read_trace,
     replay_trace,
@@ -62,6 +63,12 @@ def test_prompt_field_digest_by_default():
     assert verbose.prompt_field("some long prompt") == "some long prompt"
 
 
+def test_decode_reads_too_deep_nesting_as_a_value_error():
+    assert decode('{"a": [1, 2]}') == {"a": [1, 2]}
+    with pytest.raises(ValueError, match="nested too deeply"):
+        decode("[" * 100_000)
+
+
 def test_write_read_round_trip(tmp_path):
     events = minimal_events()
     path = tmp_path / "run.jsonl"
@@ -102,6 +109,35 @@ def test_replay_rejects_duplicate_or_unknown_nodes():
     events = minimal_events()
     events[4]["path"] = [7, 0]
     with pytest.raises(ReplayError, match="unknown node"):
+        replay_trace(events)
+
+
+def test_replay_rejects_scoring_before_creation():
+    events = minimal_events()
+    events[3]["scores"].append({"id": 7, "combined": 0.5})
+    with pytest.raises(ReplayError, match="evaluate before creation of node 7"):
+        replay_trace(events)
+
+
+@pytest.mark.parametrize("where", ["again", "after_backprop"])
+def test_replay_rejects_a_node_scored_twice_or_after_a_backprop(where):
+    events = minimal_events()
+    rescore = {"type": "evaluate", "scores": [{"id": 1, "combined": 0.9}]}
+    events.insert(4 if where == "again" else 5, rescore)
+    for seq, event in enumerate(events):
+        event["seq"] = seq
+    with pytest.raises(ReplayError, match="node 1 scored twice or after a backprop"):
+        replay_trace(events)
+
+
+def test_replay_rejects_node_stats_that_disagree_on_the_nodes():
+    events = minimal_events()
+    del events[-1]["node_stats"][2]
+    with pytest.raises(ReplayError, match="created 3 nodes but terminate reports 2"):
+        replay_trace(events)
+    events = minimal_events()
+    events[-1]["node_stats"][2]["id"] = 7
+    with pytest.raises(ReplayError, match="terminate reports unknown node 7"):
         replay_trace(events)
 
 
