@@ -29,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol
 
 from . import solver24
 from .seeding import stable_seed
@@ -40,7 +40,6 @@ class BackendError(RuntimeError):
     """A backend could not produce completions (bad state, exhausted retries)."""
 
 
-@runtime_checkable
 class PolicyBackend(Protocol):
     def propose(self, prompt: str, n: int, seed: int) -> list: ...
 
@@ -141,6 +140,11 @@ def static_backend(text: str) -> ScriptedBackend:
     return ScriptedBackend([], default=text)
 
 
+# HttpChatBackend's bearer-token variable and per-completion token cap.
+API_KEY_ENV = "AGENTSEARCH_API_KEY"
+MAX_TOKENS = 256
+
+
 class HttpChatBackend:
     """Chat-completions client with retry and an on-disk response cache.
 
@@ -160,9 +164,7 @@ class HttpChatBackend:
         endpoint: str,
         model: str,
         temperature: float = 0.7,
-        api_key_env: str = "AGENTSEARCH_API_KEY",
         cache_dir=None,
-        max_tokens: int = 256,
         timeout: float = 60.0,
         retries: int = 3,
         backoff: float = 0.5,
@@ -173,9 +175,7 @@ class HttpChatBackend:
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
-        self.api_key_env = api_key_env
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.max_tokens = max_tokens
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -228,7 +228,7 @@ class HttpChatBackend:
         import requests
 
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env, "")
+        api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         body = {
@@ -236,7 +236,7 @@ class HttpChatBackend:
             "messages": [{"role": "user", "content": prompt}],
             "n": n,
             "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
         last_error = "no attempt made"
         for attempt in range(self.retries):

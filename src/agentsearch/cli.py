@@ -232,7 +232,10 @@ def cmd_run(args) -> int:
     out_dir = None
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot make output directory {out_dir}: {exc}") from exc
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(lambda p: _run_one(p, args, config, out_dir), paths))

@@ -34,7 +34,9 @@ def make_env(kind: str) -> Environment:
 def load_task(path) -> TaskSpec:
     """Read one task JSON file; sibling corpus/catalog files referenced by
     `corpus_file` / `catalog_file` are inlined into the payload. A kind with
-    no registered environment is a TaskError here, before any search."""
+    no registered environment, or a task_id holding '/' or NUL, is a
+    TaskError here, before any search: output files are named after the
+    task_id."""
     path = Path(path)
     try:
         data = decode(path.read_text())
@@ -47,7 +49,9 @@ def load_task(path) -> TaskSpec:
         raise TaskError(f"task file {path} is missing a 'kind'")
     if kind not in REGISTRY:
         raise TaskError(f"task file {path} has unknown environment kind {kind!r}")
-    task_id = data.get("task_id") or path.stem
+    task_id = str(data.get("task_id") or path.stem)
+    if "/" in task_id or "\0" in task_id:
+        raise TaskError(f"task file {path} has a task_id {task_id!r} holding '/' or NUL")
     payload = dict(data.get("payload") or {})
     for ref_key, inline_key in (("corpus_file", "corpus"), ("catalog_file", "catalog")):
         ref = payload.pop(ref_key, None)
@@ -57,7 +61,7 @@ def load_task(path) -> TaskSpec:
                 payload[inline_key] = decode(ref_path.read_text())
             except (OSError, ValueError) as exc:
                 raise TaskError(f"cannot read {ref_key} {ref_path}: {exc}") from exc
-    return TaskSpec(task_id=str(task_id), kind=kind, payload=payload)
+    return TaskSpec(task_id=task_id, kind=kind, payload=payload)
 
 
 def task_input(task: TaskSpec) -> str:

@@ -353,31 +353,18 @@ class _Engine:
         children = self._expand(node_id, episode)
         winner = next((child for child in children if _solved(child)), None)
         if winner is None and self.cfg.value_mode != "none":
-            self._evaluate(node_id, episode)
+            scores = evaluate_children(
+                self.tree,
+                node_id,
+                self.cfg.value_mode,
+                self.cfg.lam,
+                bundle=self.value_bundle,
+                backend=self.value,
+                seed=self.value_seed,
+                pool=self.value_pool,
+            )
+            self.trace.emit("evaluate", episode=episode, parent=node_id, scores=scores)
         return children, winner
-
-    def _evaluate(self, parent_id: int, episode: int) -> None:
-        scored = evaluate_children(
-            self.tree,
-            parent_id,
-            self.cfg.value_mode,
-            self.cfg.lam,
-            bundle=self.value_bundle,
-            backend=self.value,
-            seed=self.value_seed,
-            pool=self.value_pool,
-        )
-        scores = [
-            {
-                "id": child_id,
-                "lm": score.lm_score,
-                "sc": score.sc_score,
-                "combined": score.combined,
-                "flagged": score.flagged,
-            }
-            for child_id, score in scored
-        ]
-        self.trace.emit("evaluate", episode=episode, parent=parent_id, scores=scores)
 
     def _backprop(self, leaf_id: int, reward: float, episode: int) -> None:
         path = self.tree.path_to_root(leaf_id)

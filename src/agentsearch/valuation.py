@@ -2,11 +2,14 @@
 
 Every child of a just-expanded node is scored, once:
 
-    combined = lam * lm_score + (1 - lam) * sc_score
+    combined = lam * lm + (1 - lam) * sc
 
-where lm_score comes from a value prompt whose completion must end with
-"... correctness score is <1..10>" (mapped to [0, 1]), and sc_score is the
-frequency of the child's normalized action text among its siblings. The
+where lm comes from a value prompt whose completion must end with
+"... correctness score is <1..10>" (clamped into that range and mapped to
+[0.1, 1.0]), and sc is the frequency of the child's normalized action text
+among its siblings. Each scored child gets one record, the one the trace's
+`evaluate` event holds: its id, lm, sc, combined and flagged. A child whose
+value call failed or never parsed is flagged and scores lm = 0. The
 combined score seeds the child's selection value until the first real
 backpropagation replaces it.
 
@@ -21,7 +24,6 @@ from __future__ import annotations
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .actions import ActionSample, normalize_action_text
@@ -44,22 +46,6 @@ SCORE_RE = re.compile(r"correctness score is\s*(-?)0*(\d+)", re.IGNORECASE)
 SLOW_CALL_S = 0.001
 
 
-@dataclass(frozen=True)
-class ValueScore:
-    """Evaluation result for one child.
-
-    combined always equals lam*lm + (1-lam)*sc for the lambda in force at
-    evaluation time; sc_only mode stores lm_score=0 and an effective lambda
-    of zero, so combined == sc_score there. flagged marks children whose LM
-    call failed or never produced a parseable score.
-    """
-
-    lm_score: float
-    sc_score: float
-    combined: float
-    flagged: bool = False
-
-
 def parse_score(text: str) -> Optional[int]:
     """Last "correctness score is <int>" occurrence in a completion, or None."""
     matches = SCORE_RE.findall(text)
@@ -72,19 +58,22 @@ def parse_score(text: str) -> Optional[int]:
         return int(sign + digits[:3])
 
 
-def lm_score(prompt: str, backend: PolicyBackend, seed: int = 0) -> tuple:
-    """Query the value backend once (retrying once on unparseable output).
+def lm_score(prompt: str, backend: PolicyBackend, seed: int = 0) -> Optional[float]:
+    """Query the value backend once, retrying once on unparseable output.
 
-    Returns (score_in_unit_interval, raw_integer_or_None). Raw scores are
-    clamped into [1, 10] before scaling, so an off-scale "12" reads as 10.
+    Returns the stated score clamped into [1, 10] and divided by 10, so an
+    off-scale "12" reads as 1.0; or None when neither attempt parsed or the
+    backend raised BackendError.
     """
     for attempt in range(2):
-        texts = backend.propose(prompt, 1, stable_seed(seed, attempt))
+        try:
+            texts = backend.propose(prompt, 1, stable_seed(seed, attempt))
+        except BackendError:
+            return None
         raw = parse_score(texts[0]) if texts else None
         if raw is not None:
-            clamped = min(10, max(1, raw))
-            return clamped / 10.0, clamped
-    return 0.0, None
+            return min(10, max(1, raw)) / 10.0
+    return None
 
 
 def sc_scores(siblings: Sequence[ActionSample]) -> list:
@@ -96,12 +85,6 @@ def sc_scores(siblings: Sequence[ActionSample]) -> list:
 
 
 def combine(lm: float, sc: float, lam: float) -> float:
-    if not 0.0 <= lm <= 1.0:
-        raise ValueError(f"lm score {lm} outside [0, 1]")
-    if not 0.0 <= sc <= 1.0:
-        raise ValueError(f"sc score {sc} outside [0, 1]")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda {lam} outside [0, 1]")
     return lam * lm + (1.0 - lam) * sc
 
 
@@ -131,18 +114,14 @@ class ValuePool:
 
 
 def _timed_lm_score(child_id, prompt, backend, seed) -> tuple:
-    """(seconds taken, (lm score, raw)) for one child's value query. A
-    BackendError reads as an unparseable (0.0, None)."""
+    """(seconds taken, lm score or None) for one child's value query."""
     start = time.perf_counter()
-    try:
-        result = lm_score(prompt, backend, stable_seed(seed, child_id))
-    except BackendError:
-        result = 0.0, None
-    return time.perf_counter() - start, result
+    score = lm_score(prompt, backend, stable_seed(seed, child_id))
+    return time.perf_counter() - start, score
 
 
 def _lm_scores(queries, backend, seed, pool) -> list:
-    """(lm score, raw) per (child id, prompt), in order. Children are queried
+    """lm score or None per (child id, prompt), in order. Children are queried
     one at a time until a call takes SLOW_CALL_S; the rest, and every fresh
     child of later nodes, then go to the pool together, until a pooled
     batch's fastest call is quick again. Without a pool, all run inline."""
@@ -174,18 +153,21 @@ def evaluate_children(
     pool: Optional[ValuePool] = None,
 ) -> list:
     """Score every child of a just-expanded node, once: set each child's
-    value to its combined score and return the (child id, ValueScore) pairs,
+    value to its combined score and return the children's value records,
     in child order.
 
-    mode "full" blends LM and sibling-agreement scores and "sc_only" uses the
-    agreement term alone without any backend call; in mode "none" the engine
-    scores nothing and never calls this. A backend failure on one child flags
-    that child and evaluation of the rest continues; any other exception
-    propagates (the earliest child's, if several raise). With a pool, slow
-    value calls run concurrently (see _lm_scores) to the same result.
+    mode "full" blends LM and sibling-agreement scores. "sc_only" makes no
+    backend call: each child scores lm = 0 and combined = sc, unflagged. In
+    mode "none" the engine scores nothing and never calls this. A backend
+    failure on one child flags that child and evaluation of the rest
+    continues; any other exception propagates (the earliest child's, if
+    several raise). With a pool, slow value calls run concurrently (see
+    _lm_scores) to the same result.
     """
     if mode not in ("full", "sc_only"):
         raise ValueError(f"no child scoring in value mode {mode!r}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda {lam} outside [0, 1]")
     children = [tree.node(c) for c in tree.node(parent_id).children]
     if mode == "full":
         if bundle is None or backend is None:
@@ -196,19 +178,16 @@ def evaluate_children(
             step = render_step(child.depth, child.action, child.observation)
             queries.append((child.id, acting_prompt(bundle, block + "\n" + step, child.depth)))
         lm_results = _lm_scores(queries, backend, seed, pool)
-    scored = []
+    else:
+        lm_results = [0.0] * len(children)
+    records = []
     agreement = sc_scores([child.action for child in children])
-    for position, (child, sc) in enumerate(zip(children, agreement)):
-        if mode == "sc_only":
-            score = ValueScore(lm_score=0.0, sc_score=sc, combined=sc)
-        else:
-            lm, raw = lm_results[position]
-            score = ValueScore(
-                lm_score=lm,
-                sc_score=sc,
-                combined=combine(lm, sc, lam),
-                flagged=raw is None,
-            )
-        child.value = score.combined
-        scored.append((child.id, score))
-    return scored
+    for child, lm, sc in zip(children, lm_results, agreement):
+        flagged = lm is None
+        lm = 0.0 if flagged else lm
+        # sc_only keeps sc itself: 0*lam + (1-lam)*sc is another float.
+        child.value = sc if mode == "sc_only" else combine(lm, sc, lam)
+        records.append(
+            {"id": child.id, "lm": lm, "sc": sc, "combined": child.value, "flagged": flagged}
+        )
+    return records

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+import shlex
 
 import pytest
 
@@ -372,6 +374,55 @@ def test_run_finishes_batch_past_an_unknown_kind(tmp_path, capsys):
     rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
     assert rows["a"]["terminate_reason"] == "task_error" and rows["a"]["kind"] == "unknown"
     assert rows["b"]["success"] is True
+
+@pytest.mark.parametrize("task_id", ["sub/x", "nul\0byte", "../escaped"])
+def test_run_gives_task_error_row_for_a_task_id_that_is_no_file_name(tmp_path, capsys, task_id):
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    task = {"kind": "game24", "task_id": task_id, "payload": {"numbers": [4, 9, 10, 13]}}
+    (task_dir / "a.json").write_text(json.dumps(task))
+    write_game24_task(task_dir / "b.json", [4, 9, 10, 13])
+    out_dir = tmp_path / "runs" / "out"
+    code = main(["run", str(task_dir), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "b: ok" in captured.out and "error: a:" in captured.err
+    rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
+    assert rows["a"]["terminate_reason"] == "task_error" and "task_id" in rows["a"]["error"]
+    assert rows["b"]["success"] is True
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["runs", "tasks"]
+    assert [path.name for path in (tmp_path / "runs").iterdir()] == ["out"]
+    written = sorted(path.name for path in out_dir.iterdir())
+    assert written == ["b.trace.jsonl", "b.tree.jsonl", "report.csv", "report.json"]
+
+
+def test_run_rejects_an_out_path_naming_a_file_before_any_search(tmp_path, capsys):
+    task = tmp_path / "t.json"
+    write_game24_task(task, [4, 9, 10, 13])
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    assert main(["run", str(task), "--backend", "oracle:p=1.0,seed=1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot make output directory")
+    assert captured.out == ""
+    assert out.read_text() == "not a directory"
+
+
+def test_readme_run_example_prints_its_lines_and_stores_reflections(tmp_path, capsys, monkeypatch):
+    root = DATA_DIR.parents[2]
+    readme = (root / "README.md").read_text()
+    command, printed = re.search(
+        r"```bash\n(agentsearch run .*?)```\n\n```\n(.*?)```", readme, re.DOTALL
+    ).groups()
+    argv = shlex.split(command.replace("\\\n", " "))[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "demo")
+    monkeypatch.chdir(root)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
+    rows = json.loads((tmp_path / "demo" / "report.json").read_text())["rows"]
+    assert all(row["reflections"] == row["reflection_calls"] for row in rows)
+    assert [row["reflections"] for row in rows] == [4, 0, 4]
+
 
 def test_run_gives_task_error_row_for_an_infinite_game24_number(tmp_path, capsys):
     task_dir = tmp_path / "tasks"

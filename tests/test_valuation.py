@@ -15,7 +15,6 @@ from agentsearch.prompts import PromptBundle
 from agentsearch.tree import SearchTree, add_children
 from agentsearch.valuation import (
     ValuePool,
-    ValueScore,
     combine,
     evaluate_children,
     lm_score,
@@ -67,28 +66,23 @@ class OneShotBackend:
 
 def test_lm_score_parses_first_attempt():
     backend = OneShotBackend(["Thus the correctness score is 8"])
-    score, raw = lm_score("rate it\n\nQuestion: q", backend, seed=11)
-    assert raw == 8
-    assert score == 0.8
+    assert lm_score("rate it\n\nQuestion: q", backend, seed=11) == 0.8
     assert len(backend.seeds) == 1
 
 
 def test_lm_score_clamps_raw_scores():
     prompt = "rate it\n\nQuestion: q"
-    score, raw = lm_score(prompt, OneShotBackend(["correctness score is 15"]), seed=1)
-    assert (score, raw) == (1.0, 10)
-    score, raw = lm_score(prompt, OneShotBackend(["correctness score is 0"]), seed=1)
-    assert (score, raw) == (0.1, 1)
+    assert lm_score(prompt, OneShotBackend(["correctness score is 15"]), seed=1) == 1.0
+    assert lm_score(prompt, OneShotBackend(["correctness score is 0"]), seed=1) == 0.1
     # int() refuses over 4,300 digits; a score of any length still clamps.
     for digits, clamped in (("9" * 5000, 10), ("-" + "9" * 5000, 1), ("0" * 5000 + "7", 7)):
         text = "Thus the correctness score is " + digits
-        assert lm_score(prompt, OneShotBackend([text]), seed=1) == (clamped / 10, clamped)
+        assert lm_score(prompt, OneShotBackend([text]), seed=1) == clamped / 10
 
 
 def test_lm_score_retries_once_then_flags():
     backend = OneShotBackend(["nothing", "still nothing"])
-    score, raw = lm_score("rate it\n\nQuestion: q", backend, seed=11)
-    assert (score, raw) == (0.0, None)
+    assert lm_score("rate it\n\nQuestion: q", backend, seed=11) is None
     assert len(backend.seeds) == 2
     assert backend.seeds[0] != backend.seeds[1]
     assert backend.prompts == ["rate it\n\nQuestion: q"] * 2
@@ -130,15 +124,6 @@ def test_combine_grid_matches_formula_exactly():
             assert combine(lm, sc, lam) == lam * lm + (1 - lam) * sc
 
 
-def test_combine_validates_ranges():
-    with pytest.raises(ValueError):
-        combine(-0.1, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        combine(0.5, 1.2, 0.5)
-    with pytest.raises(ValueError):
-        combine(0.5, 0.5, 1.5)
-
-
 def test_default_lambda_per_kind():
     from agentsearch.envs import DEFAULT_LAMBDA
 
@@ -175,12 +160,13 @@ def test_evaluate_children_full_mode_mixes_lm_and_sc():
     tree = scored_tree()
     backend = FixedScoreBackend(10)
     bundle = PromptBundle(instruction="rate")
-    pairs = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3)
+    records = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3)
     assert tree.node(1).value == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
     assert tree.node(3).value == pytest.approx(0.5 * 1.0 + 0.5 * (1 / 3))
-    assert [child_id for child_id, _ in pairs] == [1, 2, 3]
-    assert all(isinstance(score, ValueScore) for _, score in pairs)
-    assert [score.combined for _, score in pairs] == [tree.node(i).value for i in (1, 2, 3)]
+    assert records == [
+        {"id": i, "lm": 1.0, "sc": sc, "combined": tree.node(i).value, "flagged": False}
+        for i, sc in ((1, 2 / 3), (2, 2 / 3), (3, 1 / 3))
+    ]
     assert backend.calls == 3
 
 
@@ -188,16 +174,82 @@ def test_evaluate_children_sc_only_skips_backend():
     tree = scored_tree()
     backend = FixedScoreBackend(10)
     bundle = PromptBundle(instruction="rate")
-    evaluate_children(tree, 0, "sc_only", 0.5, bundle, backend, seed=3)
+    records = evaluate_children(tree, 0, "sc_only", 0.5, bundle, backend, seed=3)
     assert backend.calls == 0
-    assert tree.node(1).value == pytest.approx(2 / 3)
-    assert tree.node(3).value == pytest.approx(1 / 3)
+    # combined is sc itself, not 0.5 * 0 + 0.5 * sc
+    assert records == [
+        {"id": i, "lm": 0.0, "sc": sc, "combined": sc, "flagged": False}
+        for i, sc in ((1, 2 / 3), (2, 2 / 3), (3, 1 / 3))
+    ]
+    assert [tree.node(i).value for i in (1, 2, 3)] == [2 / 3, 2 / 3, 1 / 3]
 
 
 def test_evaluate_children_rejects_modes_that_score_nothing():
     for mode in ("none", "bogus"):
         with pytest.raises(ValueError):
             evaluate_children(scored_tree(), 0, mode, 0.5)
+
+
+def test_evaluate_children_rejects_lambda_outside_unit_interval():
+    backend = FixedScoreBackend(10)
+    for mode in ("full", "sc_only"):
+        for lam in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="lambda"):
+                evaluate_children(scored_tree(), 0, mode, lam, PromptBundle("rate"), backend)
+    assert backend.calls == 0
+
+
+# One child's value answer per attempt: a stated score, unparseable text, or
+# a BackendError.
+ANSWER = st.one_of(st.integers(-20, 30), st.just("no verdict"), st.just(BackendError))
+
+
+class AnsweringBackend:
+    """Answers each child's value calls in turn from its list of answers; the
+    child is told apart by the "<child i>" marker in its observation."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.calls = Counter()
+
+    def propose(self, prompt, n, seed):
+        child = next(i for i in range(len(self.answers)) if f"<child {i}>" in prompt)
+        answer = self.answers[child][self.calls[child]]
+        self.calls[child] += 1
+        if answer is BackendError:
+            raise BackendError("down")
+        return [answer if isinstance(answer, str) else f"Thus the correctness score is {answer}"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.tuples(ANSWER, ANSWER)), min_size=1, max_size=8),
+    st.floats(0.0, 1.0),
+)
+def test_value_records_blend_in_range_scores_and_flag_failures(children, lam):
+    tree = SearchTree.create("Use 1 4 6 to make 24.")
+    steps = [
+        (parse_action(f"combine[{tag} + {tag}]", GRAMMAR), EnvObservation(f"<child {i}>"))
+        for i, (tag, _) in enumerate(children)
+    ]
+    add_children(tree, 0, steps)
+    backend = AnsweringBackend([answers for _, answers in children])
+    records = evaluate_children(tree, 0, "full", lam, PromptBundle("rate"), backend, seed=5)
+    assert [record["id"] for record in records] == list(range(1, len(children) + 1))
+    for record, (_, (first, second)) in zip(records, children):
+        lm, sc = record["lm"], record["sc"]
+        assert record["combined"] == lam * lm + (1 - lam) * sc
+        assert tree.node(record["id"]).value == record["combined"]
+        assert 0.0 <= lm <= 1.0 and 0.0 <= sc <= 1.0
+        # An error ends the query; unparseable text gets one retry.
+        if isinstance(first, int):
+            stated = first
+        elif first == "no verdict" and isinstance(second, int):
+            stated = second
+        else:
+            stated = None
+        assert record["flagged"] == (stated is None)
+        assert lm == (0.0 if stated is None else min(10, max(1, stated)) / 10)
 
 
 class ExplodingBackend:
@@ -208,11 +260,11 @@ class ExplodingBackend:
 def test_evaluate_children_flags_backend_failures():
     tree = scored_tree()
     bundle = PromptBundle(instruction="rate")
-    pairs = evaluate_children(tree, 0, "full", 0.5, bundle, ExplodingBackend(), seed=3)
-    assert [child_id for child_id, _ in pairs] == [1, 2, 3]
-    for _, score in pairs:
-        assert score.flagged
-        assert score.lm_score == 0.0
+    records = evaluate_children(tree, 0, "full", 0.5, bundle, ExplodingBackend(), seed=3)
+    assert [record["id"] for record in records] == [1, 2, 3]
+    for record in records:
+        assert record["flagged"]
+        assert record["lm"] == 0.0
 
 
 class PerChildBackend:
@@ -238,20 +290,20 @@ def fanned_tree():
     return tree
 
 
-def test_evaluate_children_gives_the_same_pairs_with_fan_out():
+def test_evaluate_children_gives_the_same_records_with_fan_out():
     bundle = PromptBundle(instruction="rate")
     inline = evaluate_children(fanned_tree(), 0, "full", 0.5, bundle, PerChildBackend(), seed=3)
-    assert [child_id for child_id, _ in inline] == [1, 2, 3, 4, 5, 6, 7]
-    assert [score.flagged for _, score in inline] == [False, False, True] + [False] * 4
+    assert [record["id"] for record in inline] == [1, 2, 3, 4, 5, 6, 7]
+    assert [record["flagged"] for record in inline] == [False, False, True] + [False] * 4
     pool = ValuePool(3)
     try:
         for slow_from_the_start in (False, True):
             pool.slow = slow_from_the_start
             backend = SlowBackend(PerChildBackend())
             tree = fanned_tree()
-            pairs = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3, pool=pool)
-            assert pairs == inline
-            assert [tree.node(i).value for i, _ in pairs] == [s.combined for _, s in inline]
+            records = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3, pool=pool)
+            assert records == inline
+            assert [tree.node(r["id"]).value for r in records] == [r["combined"] for r in inline]
             assert backend.trips.peak > 1
             assert pool.slow
     finally:
