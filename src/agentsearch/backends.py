@@ -140,9 +140,12 @@ def static_backend(text: str) -> ScriptedBackend:
     return ScriptedBackend([], default=text)
 
 
-# HttpChatBackend's bearer-token variable and per-completion token cap.
+# HttpChatBackend: bearer-token variable, token cap, timeout, attempts, first retry delay.
 API_KEY_ENV = "AGENTSEARCH_API_KEY"
 MAX_TOKENS = 256
+TIMEOUT_S = 60.0
+RETRIES = 3
+BACKOFF_S = 0.5
 
 
 class HttpChatBackend:
@@ -154,8 +157,8 @@ class HttpChatBackend:
     place once written, so no reader sees a partial one; one that cannot be
     read or does not hold n completion strings (say, left half-written by an
     older version) counts as a miss, and one that cannot be written is
-    skipped. Transport errors and 5xx responses are retried up to
-    `retries` times with exponential backoff; other HTTP errors, non-JSON
+    skipped. Transport errors and 5xx responses are retried, RETRIES
+    attempts in all, with exponential backoff; other HTTP errors, non-JSON
     replies and non-string completions raise BackendError immediately.
     """
 
@@ -165,9 +168,6 @@ class HttpChatBackend:
         model: str,
         temperature: float = 0.7,
         cache_dir=None,
-        timeout: float = 60.0,
-        retries: int = 3,
-        backoff: float = 0.5,
         session=None,
     ):
         import requests
@@ -176,9 +176,6 @@ class HttpChatBackend:
         self.model = model
         self.temperature = temperature
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         self._session = session or requests.Session()
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -239,10 +236,10 @@ class HttpChatBackend:
             "max_tokens": MAX_TOKENS,
         }
         last_error = "no attempt made"
-        for attempt in range(self.retries):
+        for attempt in range(RETRIES):
             try:
                 resp = self._session.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
+                    self.endpoint, json=body, headers=headers, timeout=TIMEOUT_S
                 )
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc}"
@@ -259,9 +256,9 @@ class HttpChatBackend:
                     except (ValueError, RecursionError) as exc:
                         raise BackendError(f"completion reply is not JSON: {exc}") from exc
                     return self._parse(data, n)
-            if attempt + 1 < self.retries:
-                time.sleep(self.backoff * (2**attempt))
-        raise BackendError(f"http backend failed after {self.retries} attempts; {last_error}")
+            if attempt + 1 < RETRIES:
+                time.sleep(BACKOFF_S * (2**attempt))
+        raise BackendError(f"http backend failed after {RETRIES} attempts; {last_error}")
 
     @staticmethod
     def _parse(data: dict, n: int) -> list:

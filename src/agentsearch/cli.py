@@ -17,7 +17,8 @@ Backend specs (for --backend / --value-backend / --reflection-backend):
 
 Exit codes: 0 on success, 1 when replay finds a mismatch, 2 for bad
 configuration (unknown spec, missing arguments) and when any task file of a
-run is malformed; run still searches the other tasks and writes its report.
+run is malformed or repeats an earlier file's task_id; run still searches
+the other tasks and writes its report.
 """
 
 from __future__ import annotations
@@ -190,12 +191,31 @@ def _backend_set(args) -> BackendSet:
     )
 
 
-def _run_one(path, args, config, out_dir) -> dict:
-    """Search one task file and return its report row. A malformed task
-    gets a failed "task_error" row carrying the error instead."""
-    task = None
+def _load_tasks(paths) -> list:
+    """(path, task or None, TaskError or None) per file, in path order. A
+    file whose task does not load, or whose task_id an earlier file already
+    took (its outputs would overwrite that file's), gets an error."""
+    owners = {}
+    loaded = []
+    for index, path in enumerate(paths):
+        task = None
+        try:
+            task = load_task(path)
+            first, earlier = owners.setdefault(task.task_id, (index, path))
+            if first != index:
+                raise TaskError(f"task_id {task.task_id!r} is already used by {earlier}")
+            loaded.append((path, task, None))
+        except TaskError as exc:
+            loaded.append((path, task, exc))
+    return loaded
+
+
+def _run_one(path, task, error, args, config, out_dir) -> dict:
+    """Search one loaded task and return its report row. A load error, or a
+    task that turns out malformed, gives a failed "task_error" row instead."""
     try:
-        task = load_task(path)
+        if error is not None:
+            raise error
         templates = load_template_set(task.kind, args.templates)
         writer = TraceWriter(log_prompts=args.log_prompts)
         store = ReflectionStore()
@@ -236,11 +256,12 @@ def cmd_run(args) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot make output directory {out_dir}: {exc}") from exc
+    loaded = _load_tasks(paths)
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(lambda p: _run_one(p, args, config, out_dir), paths))
+            rows = list(pool.map(lambda item: _run_one(*item, args, config, out_dir), loaded))
     else:
-        rows = [_run_one(p, args, config, out_dir) for p in paths]
+        rows = [_run_one(*item, args, config, out_dir) for item in loaded]
     rows.sort(key=lambda r: r["task_id"])
     report = RunReport(rows=rows)
     if out_dir is not None:

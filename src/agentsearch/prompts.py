@@ -2,19 +2,21 @@
 
 A PromptBundle carries the static parts of a prompt (instruction, few-shot
 examples, reflection header) plus the slots that change per call (reflection
-texts, failed trajectories, the rendered state context). Assembly is a pure
-function of (bundle, context): same inputs, same string.
+texts, failed trajectories). The engine decides which bundles get failed
+trajectories; a bundle shows what it holds. Assembly is a pure function of
+(bundle, trajectory): same inputs, same string.
 
 Section order is fixed: instruction, examples, reflections under their
 header, failed trajectories, then the current question with its trajectory.
 
-Prompts are built once per node. Bundles are never mutated (injection
-copies them), so each joins its static sections once, as the cached `head`.
-A node's acting-style block is its parent's block plus its own step;
-node_block caches it on the Node when the node is expanded, reflected on or
-reported, and a child that is only value-scored gets its block on the spot.
-The reasoning style (policy prompts only) still renders from a StateContext:
-it drops observations, and its cue depends on the whole path.
+Each style has one path, and assemble_prompt picks it. Bundles are never
+mutated (injection copies them), so each joins its static sections once, as
+the cached `head`. The acting style builds prompts once per node: a node's
+block is its parent's block plus its own step, and render_acting_steps
+caches it on the Node when the node is expanded, reflected on or reported;
+a child that is only value-scored gets its block on the spot. The reasoning
+style (policy prompts only) renders from a StateContext: it drops
+observations, and its cue depends on the whole path.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .tree import SearchTree, StateContext
+from .tree import SearchTree, StateContext, reconstruct_context
 
 DEFAULT_REFLECTIONS_HEADER = (
     "You have attempted this task before and failed. The following "
@@ -39,8 +41,6 @@ class PromptBundle:
     reflections_header: str = DEFAULT_REFLECTIONS_HEADER
     reflections: list = field(default_factory=list)
     failed_trajectories: list = field(default_factory=list)
-    # Value prompts carry failed trajectories; agent prompts usually do not.
-    include_failed_trajectories: bool = False
     # None picks the per-style default cue; "" suppresses the cue entirely.
     cue: Optional[str] = None
 
@@ -62,8 +62,7 @@ class PromptBundle:
         parts = [self.intro]
         if reflections:
             parts.append(self.reflections_header.strip() + "\n\n" + "\n\n".join(reflections))
-        if self.include_failed_trajectories and self.failed_trajectories:
-            parts.extend(t.strip() for t in self.failed_trajectories)
+        parts.extend(t.strip() for t in self.failed_trajectories)
         return "\n\n".join(p for p in parts if p)
 
 
@@ -81,16 +80,10 @@ def render_step(i: int, action, observation: Optional[str]) -> str:
     return text
 
 
-def render_acting_steps(ctx: StateContext) -> str:
-    """Trajectory block in acting style: the question, then each step."""
-    lines = [f"Question: {ctx.input}"]
-    lines.extend(render_step(i, a, o) for i, (a, o) in enumerate(ctx.steps, start=1))
-    return "\n".join(lines)
-
-
-def node_block(tree: SearchTree, node_id: int) -> str:
-    """The node's acting-style block, cached on it and on every ancestor
-    below the nearest one that already has its block."""
+def render_acting_steps(tree: SearchTree, node_id: int) -> str:
+    """The node's acting-style block: the question, then each step. It is
+    cached on the node and on every ancestor below the nearest one that
+    already has its block."""
     pending = []
     node = tree.node(node_id)
     while node.block is None and node.parent is not None:
@@ -130,15 +123,10 @@ def _with_cue(bundle: PromptBundle, depth: int, block: str, default_cue: str) ->
     return block
 
 
-def acting_prompt(bundle: PromptBundle, block: str, depth: int) -> str:
+def assemble_acting_prompt(bundle: PromptBundle, block: str, depth: int) -> str:
     """Full acting-style prompt for a block of depth steps. With no steps it
     ends right after the question; otherwise with a next-step cue."""
     return join_head(bundle.head, _with_cue(bundle, depth, block, f"Thought {depth + 1}:"))
-
-
-def assemble_acting_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
-    """acting_prompt for a StateContext, rendered from the root."""
-    return acting_prompt(bundle, render_acting_steps(ctx), len(ctx.steps))
 
 
 def assemble_reasoning_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
@@ -150,9 +138,11 @@ def assemble_reasoning_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
     return join_head(bundle.head, block)
 
 
-def assemble_prompt(bundle: PromptBundle, ctx: StateContext, style: str) -> str:
+def assemble_prompt(bundle: PromptBundle, tree: SearchTree, node_id: int, style: str) -> str:
+    """The policy prompt for expanding a node, in the given style."""
     if style == "acting":
-        return assemble_acting_prompt(bundle, ctx)
+        block = render_acting_steps(tree, node_id)
+        return assemble_acting_prompt(bundle, block, tree.node(node_id).depth)
     if style == "reasoning":
-        return assemble_reasoning_prompt(bundle, ctx)
+        return assemble_reasoning_prompt(bundle, reconstruct_context(tree, node_id))
     raise ValueError(f"unknown prompt style: {style!r}")

@@ -89,14 +89,13 @@ def generate_reflection(
     return texts[0].strip() if texts else ""
 
 
-def inject(bundle: PromptBundle, records: list) -> PromptBundle:
-    """Copy the bundle with reflection texts filled in (and, for bundles that
-    carry failed trajectories, those too). Empty input returns the bundle
+def inject(bundle: PromptBundle, records: list, trajectories: bool) -> PromptBundle:
+    """Copy the bundle with the records' reflection texts filled in, and with
+    their failed trajectories too when `trajectories` is set; the engine
+    decides which bundles get them. Empty input returns the bundle
     unchanged; injecting the same records twice is a no-op."""
     if not records:
         return bundle
     reflections = [r.reflection for r in records if r.reflection]
-    updated = replace(bundle, reflections=reflections)
-    if bundle.include_failed_trajectories:
-        updated = replace(updated, failed_trajectories=[r.trajectory_text for r in records])
-    return updated
+    failed = [r.trajectory_text for r in records] if trajectories else bundle.failed_trajectories
+    return replace(bundle, reflections=reflections, failed_trajectories=failed)

@@ -49,8 +49,7 @@ from .envs import (
     task_input,
 )
 from .envs.base import INVALID, EnvObservation
-# render_acting_steps is unused here, but perfbench/spans.py wraps it by name.
-from .prompts import acting_prompt, assemble_prompt, node_block, render_acting_steps
+from .prompts import assemble_prompt, render_acting_steps
 from .reflection import ReflectionStore, generate_reflection, inject
 from .seeding import stable_seed
 from .templates import TemplateSet
@@ -62,6 +61,7 @@ from .tree import (
     backpropagate,
     mark_unexpandable,
     node_record,
+    # Unused here, but perfbench/spans.py wraps it by name (ROADMAP item 1).
     reconstruct_context,
     select_path,
 )
@@ -276,14 +276,9 @@ class _Engine:
         self.reflector = _CountingBackend(
             backends.reflection or backends.policy, self.counters, "reflection"
         )
-        self.base_act = replace(
-            templates.act,
-            include_failed_trajectories=cfg.inject_trajectories_into_agent_prompts,
-        )
-        self.base_value = templates.value
-        self.reflect_bundle = templates.reflect
-        self.act_bundle = self.base_act
-        self.value_bundle = self.base_value
+        self.templates = templates
+        self.act_bundle = templates.act
+        self.value_bundle = templates.value
         self.value_seed = stable_seed(cfg.seed, task.task_id, "value")
         obs = self.env.reset(task)
         self.tree = SearchTree.create(task_input(task), root_observation=obs.text)
@@ -296,11 +291,14 @@ class _Engine:
     # -- shared machinery -------------------------------------------------
 
     def _refresh_bundles(self) -> None:
+        """Inject the latest reflections. Value prompts also show their failed
+        trajectories; policy prompts do only when the config asks."""
         if not self.reflective:
             return
         records = self.store.select(self.task.task_id, self.cfg.reflection_limit)
-        self.act_bundle = inject(self.base_act, records)
-        self.value_bundle = inject(self.base_value, records)
+        agent_trajectories = self.cfg.inject_trajectories_into_agent_prompts
+        self.act_bundle = inject(self.templates.act, records, agent_trajectories)
+        self.value_bundle = inject(self.templates.value, records, True)
 
     def _apply_proposal(self, parent_id: int, text: str):
         """Parse one proposal and play it in the environment, from the
@@ -319,12 +317,7 @@ class _Engine:
 
     def _expand(self, parent_id: int, episode: int, width: Optional[int] = None) -> list:
         width = width if width is not None else self.cfg.n
-        if self.cfg.prompt_style == "acting":
-            depth = self.tree.node(parent_id).depth
-            prompt = acting_prompt(self.act_bundle, node_block(self.tree, parent_id), depth)
-        else:
-            ctx = reconstruct_context(self.tree, parent_id)
-            prompt = assemble_prompt(self.act_bundle, ctx, self.cfg.prompt_style)
+        prompt = assemble_prompt(self.act_bundle, self.tree, parent_id, self.cfg.prompt_style)
         seed = stable_seed(self.cfg.seed, self.task.task_id, "policy", episode, parent_id)
         texts = self.policy.propose(prompt, width, seed)
         if not texts:
@@ -374,9 +367,9 @@ class _Engine:
     def _maybe_reflect(self, node: Node, reward: float, episode: int) -> None:
         if not self.reflective or not node.is_terminal or _solved(node):
             return
-        trajectory = node_block(self.tree, node.id)
+        trajectory = render_acting_steps(self.tree, node.id)
         seed = stable_seed(self.cfg.seed, self.task.task_id, "reflection", episode)
-        text = generate_reflection(trajectory, reward, self.reflect_bundle, self.reflector, seed)
+        text = generate_reflection(trajectory, reward, self.templates.reflect, self.reflector, seed)
         if not text:
             return
         record = self.store.record(self.task.task_id, trajectory, reward, text, episode)
@@ -516,7 +509,7 @@ class _Engine:
     def _finalize(self, reason: str) -> SearchResult:
         best, best_reward = _best(self.tree.nodes)
         success = _solved(best)
-        trajectory = node_block(self.tree, best.id)
+        trajectory = render_acting_steps(self.tree, best.id)
         self.trace.emit(
             "terminate",
             reason=reason,

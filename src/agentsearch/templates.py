@@ -34,7 +34,7 @@ _SECTION_RE = re.compile(r"^\[(instruction|example|reflections_header|cue)\]\s*$
 ROLES = ("act", "value", "reflect")
 
 
-def parse_template(text: str, include_failed_trajectories: bool = False) -> PromptBundle:
+def parse_template(text: str) -> PromptBundle:
     sections = []
     current_name = None
     current_lines = []
@@ -71,7 +71,6 @@ def parse_template(text: str, include_failed_trajectories: bool = False) -> Prom
         instruction=instruction,
         few_shot=examples,
         reflections_header=header,
-        include_failed_trajectories=include_failed_trajectories,
         cue=cue,
     )
 
@@ -87,8 +86,9 @@ def load_template_set(kind: str, directory=None) -> TemplateSet:
     """Templates for one environment kind.
 
     With no directory given, the bundled defaults under data/templates/<kind>
-    are used. Value bundles always carry failed trajectories. A missing,
-    unreadable or malformed template raises TaskError.
+    are used. The bundles hold static text only; the engine decides which
+    of them show failed trajectories. A missing, unreadable or malformed
+    template raises TaskError.
     """
     if directory is not None:
         base = Path(directory)
@@ -100,7 +100,7 @@ def load_template_set(kind: str, directory=None) -> TemplateSet:
     for role in ROLES:
         try:
             text = (base / kind / f"{role}.txt").read_text()
-            bundles[role] = parse_template(text, include_failed_trajectories=role == "value")
+            bundles[role] = parse_template(text)
         except (OSError, ValueError) as exc:
             raise TaskError(f"{kind} {role} template: {exc}") from exc
     return TemplateSet(**bundles)

@@ -49,12 +49,10 @@ class TraceWriter:
     def __init__(self, log_prompts: bool = False):
         self.events: list = []
         self.log_prompts = log_prompts
-        self._seq = 0
 
     def emit(self, type_: str, **payload) -> dict:
-        event = {"seq": self._seq, "type": type_}
+        event = {"seq": len(self.events), "type": type_}
         event.update(payload)
-        self._seq += 1
         self.events.append(event)
         return event
 

@@ -12,9 +12,9 @@ Evaluation seeds each new child's V once, before its first backpropagation;
 the update above discards that seed at N=1 by construction, so the mean
 property is preserved.
 
-A Node caches its acting-style trajectory block once prompts.node_block has
-built it (engine thread only); value-scored children keep none, so a tree
-holds about one block per expanded node. The dumps leave blocks out.
+A Node caches its acting-style block once prompts.render_acting_steps built
+it (engine thread only); value-scored children keep none, so a tree holds
+about one block per expanded node. The dumps leave blocks out.
 """
 
 from __future__ import annotations

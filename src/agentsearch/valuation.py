@@ -13,10 +13,11 @@ value call failed or never parsed is flagged and scores lm = 0. The
 combined score seeds the child's selection value until the first real
 backpropagation replaces it.
 
-Each child's value prompt, its parent's cached block plus its own
-step, is built in the calling thread. Once a run's value calls prove slow
-they go out together on the run's ValuePool; the scores are still applied
-in child order, so the result does not depend on which call returns first.
+Each child's value prompt (acting style, under the engine's value bundle)
+is its parent's cached block plus its own step, built in the calling
+thread. Once a run's value calls prove slow they go out together on the
+run's ValuePool; the scores are still applied in child order, so the
+result does not depend on which call returns first.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from typing import Optional, Sequence
 
 from .actions import ActionSample, normalize_action_text
 from .backends import BackendError, PolicyBackend
-# assemble_acting_prompt and reconstruct_context are unused here, but
-# perfbench/spans.py wraps them by name.
-from .prompts import PromptBundle, acting_prompt, assemble_acting_prompt, node_block, render_step
+from .prompts import PromptBundle, assemble_acting_prompt, render_acting_steps, render_step
 from .seeding import stable_seed
+# reconstruct_context: unused, but perfbench/spans.py wraps it (ROADMAP item 1).
 from .tree import SearchTree, reconstruct_context
 
 VALUE_MODES = ("full", "sc_only", "none")
@@ -172,11 +172,11 @@ def evaluate_children(
     if mode == "full":
         if bundle is None or backend is None:
             raise ValueError("full value mode needs a value bundle and backend")
-        block = node_block(tree, parent_id)
+        block = render_acting_steps(tree, parent_id)
         queries = []
         for child in children:
-            step = render_step(child.depth, child.action, child.observation)
-            queries.append((child.id, acting_prompt(bundle, block + "\n" + step, child.depth)))
+            text = block + "\n" + render_step(child.depth, child.action, child.observation)
+            queries.append((child.id, assemble_acting_prompt(bundle, text, child.depth)))
         lm_results = _lm_scores(queries, backend, seed, pool)
     else:
         lm_results = [0.0] * len(children)

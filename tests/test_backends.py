@@ -7,7 +7,7 @@ import tempfile
 import pytest
 import requests
 
-from agentsearch import solver24
+from agentsearch import backends, solver24
 from agentsearch.backends import (
     BackendError,
     Game24PolicyOracle,
@@ -233,8 +233,12 @@ def completion_payload(texts):
     return {"choices": [{"message": {"content": t}} for t in texts]}
 
 
+@pytest.fixture(autouse=True)
+def no_retry_backoff(monkeypatch):
+    monkeypatch.setattr(backends, "BACKOFF_S", 0.0)
+
+
 def make_backend(session, **kwargs):
-    kwargs.setdefault("backoff", 0.0)
     return HttpChatBackend("http://example.invalid/v1/chat", "test-model", session=session, **kwargs)
 
 
@@ -324,7 +328,7 @@ def test_http_backend_null_content_raises_backend_error(tmp_path):
 
 def test_http_backend_client_error_raises_without_retry():
     session = StubSession([StubResponse(403, text="denied")])
-    backend = make_backend(session, retries=3)
+    backend = make_backend(session)
     with pytest.raises(BackendError, match="403"):
         backend.propose("p", 1, 0)
     assert len(session.calls) == 1
@@ -332,7 +336,7 @@ def test_http_backend_client_error_raises_without_retry():
 
 def test_http_backend_retries_server_errors_then_fails():
     session = StubSession([StubResponse(500, text="boom")] * 3)
-    backend = make_backend(session, retries=3)
+    backend = make_backend(session)
     with pytest.raises(BackendError, match="after 3 attempts"):
         backend.propose("p", 1, 0)
     assert len(session.calls) == 3
@@ -345,14 +349,14 @@ def test_http_backend_recovers_after_transport_error():
             StubResponse(200, completion_payload(["recovered"])),
         ]
     )
-    backend = make_backend(session, retries=2)
+    backend = make_backend(session)
     assert backend.propose("p", 1, 0) == ["recovered"]
     assert len(session.calls) == 2
 
 
 def test_http_backend_non_json_reply_raises_backend_error():
     session = StubSession([StubResponse(200, ValueError("Expecting value"), text="<html>")])
-    backend = make_backend(session, retries=3)
+    backend = make_backend(session)
     with pytest.raises(BackendError, match="not JSON"):
         backend.propose("p", 1, 0)
     assert len(session.calls) == 1
@@ -362,7 +366,7 @@ def test_http_backend_too_deeply_nested_reply_raises_backend_error():
     reply = requests.Response()
     reply.status_code = 200
     reply._content = b"[" * 100_000  # json.loads raises RecursionError on it
-    backend = make_backend(StubSession([reply]), retries=3)
+    backend = make_backend(StubSession([reply]))
     with pytest.raises(BackendError, match="not JSON"):
         backend.propose("p", 1, 0)
 

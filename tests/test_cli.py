@@ -375,6 +375,32 @@ def test_run_finishes_batch_past_an_unknown_kind(tmp_path, capsys):
     assert rows["a"]["terminate_reason"] == "task_error" and rows["a"]["kind"] == "unknown"
     assert rows["b"]["success"] is True
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_gives_task_error_row_to_a_repeated_task_id(tmp_path, capsys, workers):
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    for name, numbers in [("a", [1, 1, 1, 1]), ("b", [4, 9, 10, 13]), ("c", [1, 4, 6, 9])]:
+        task = {"kind": "game24", "task_id": "same" if name != "c" else "c"}
+        (task_dir / f"{name}.json").write_text(json.dumps({**task, "payload": {"numbers": numbers}}))
+    argv = ["--backend", "oracle:p=0.5,seed=1", "--reflection-backend", "static:retry", "--k", "3"]
+    argv += ["--workers", workers]
+    assert main(["run", str(task_dir / "a.json"), "--out", str(tmp_path / "alone")] + argv) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", str(task_dir), "--out", str(out_dir)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("same: ") == 3  # a alone, then a and b
+    assert f"error: same: task_id 'same' is already used by {task_dir / 'a.json'}" in captured.err
+    rows = json.loads((out_dir / "report.json").read_text())["rows"]
+    assert [(r["task_id"], r["terminate_reason"] == "task_error") for r in rows] == [
+        ("c", False),
+        ("same", False),
+        ("same", True),
+    ]
+    assert "a.json" in rows[2]["error"] and rows[2]["kind"] == "game24"
+    for name in ("same.trace.jsonl", "same.tree.jsonl", "same.reflections.jsonl"):
+        assert (out_dir / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
 @pytest.mark.parametrize("task_id", ["sub/x", "nul\0byte", "../escaped"])
 def test_run_gives_task_error_row_for_a_task_id_that_is_no_file_name(tmp_path, capsys, task_id):
     task_dir = tmp_path / "tasks"

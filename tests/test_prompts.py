@@ -9,16 +9,15 @@ from agentsearch.envs.base import INVALID, EnvObservation
 from agentsearch.prompts import (
     DEFAULT_REFLECTIONS_HEADER,
     PromptBundle,
-    acting_prompt,
     assemble_acting_prompt,
     assemble_prompt,
     assemble_reasoning_prompt,
     join_head,
-    node_block,
     render_acting_steps,
     render_reasoning_steps,
+    render_step,
 )
-from agentsearch.reflection import assemble_reflection_prompt
+from agentsearch.reflection import ReflectionStore, assemble_reflection_prompt, inject
 from agentsearch.tree import SearchTree, StateContext, add_children, reconstruct_context
 from agentsearch.valuation import evaluate_children
 
@@ -35,15 +34,43 @@ def ctx_with(input_text, raw_steps):
     return StateContext(input=input_text, steps=steps)
 
 
+def chain_with(input_text, raw_steps):
+    """A one-path tree holding the steps; returns (tree, leaf id)."""
+    tree = SearchTree.create(input_text)
+    leaf = 0
+    for raw, obs in raw_steps:
+        (leaf,) = add_children(tree, leaf, [(parse_action(raw, GRAMMAR), EnvObservation(obs))])
+    return tree, leaf
+
+
+def acting_prompt_of(bundle, input_text, raw_steps=()):
+    tree, leaf = chain_with(input_text, raw_steps)
+    return assemble_prompt(bundle, tree, leaf, "acting")
+
+
+# -- from-scratch references: the acting style rendered from a StateContext --
+
+
+def acting_steps_from_scratch(ctx):
+    """The acting-style block of a StateContext: the question, then each step."""
+    lines = [f"Question: {ctx.input}"]
+    lines.extend(render_step(i, a, o) for i, (a, o) in enumerate(ctx.steps, start=1))
+    return "\n".join(lines)
+
+
+def acting_prompt_from_scratch(bundle, ctx):
+    return assemble_acting_prompt(bundle, acting_steps_from_scratch(ctx), len(ctx.steps))
+
+
 def test_acting_steps_render_thought_action_observation():
-    ctx = ctx_with(
+    tree, leaf = chain_with(
         "who wrote it?",
         [
             ("I should search.", "OK."),
             ("Search[the book]", "It was written in 1999."),
         ],
     )
-    assert render_acting_steps(ctx) == (
+    assert render_acting_steps(tree, leaf) == (
         "Question: who wrote it?\n"
         "Thought 1: I should search.\n"
         "Action 2: Search[the book]\n"
@@ -52,16 +79,14 @@ def test_acting_steps_render_thought_action_observation():
 
 
 def test_acting_steps_hide_ok_observation_for_thoughts_only():
-    ctx = ctx_with("q", [("think about it", "OK.")])
-    assert "Observation" not in render_acting_steps(ctx)
-    ctx2 = ctx_with("q", [("think about it", "something else")])
-    assert "Observation 1: something else" in render_acting_steps(ctx2)
+    assert "Observation" not in render_acting_steps(*chain_with("q", [("think about it", "OK.")]))
+    tree, leaf = chain_with("q", [("think about it", "something else")])
+    assert "Observation 1: something else" in render_acting_steps(tree, leaf)
 
 
 def test_acting_action_without_observation_renders_no_observation_line():
-    action = parse_action("Search[x]", GRAMMAR)
-    ctx = StateContext(input="q", steps=[(action, None)])
-    assert render_acting_steps(ctx) == "Question: q\nAction 1: Search[x]"
+    tree, leaf = chain_with("q", [("Search[x]", None)])
+    assert render_acting_steps(tree, leaf) == "Question: q\nAction 1: Search[x]"
 
 
 def test_reasoning_steps_drop_observations_and_number_thoughts():
@@ -81,16 +106,15 @@ def test_reasoning_steps_drop_observations_and_number_thoughts():
 
 def test_acting_prompt_empty_trajectory_ends_with_question():
     bundle = PromptBundle(instruction="Solve the task.")
-    ctx = StateContext(input="what year?")
-    prompt = assemble_acting_prompt(bundle, ctx)
+    prompt = acting_prompt_of(bundle, "what year?")
     assert prompt.endswith("Question: what year?")
     assert prompt.startswith("Solve the task.")
 
 
 def test_acting_prompt_with_steps_ends_with_thought_cue():
     bundle = PromptBundle(instruction="Solve the task.")
-    ctx = ctx_with("q", [("Search[a]", "nothing"), ("Search[b]", "nothing")])
-    assert assemble_acting_prompt(bundle, ctx).endswith("Thought 3:")
+    steps = [("Search[a]", "nothing"), ("Search[b]", "nothing")]
+    assert acting_prompt_of(bundle, "q", steps).endswith("Thought 3:")
 
 
 def test_reasoning_prompt_ends_with_action_cue_until_answered():
@@ -103,15 +127,13 @@ def test_reasoning_prompt_ends_with_action_cue_until_answered():
 
 def test_empty_cue_suppresses_trailing_cue():
     bundle = PromptBundle(instruction="inst", cue="")
-    ctx = ctx_with("q", [("Search[a]", "nothing")])
-    prompt = assemble_acting_prompt(bundle, ctx)
+    prompt = acting_prompt_of(bundle, "q", [("Search[a]", "nothing")])
     assert prompt.endswith("Observation 1: nothing")
 
 
 def test_custom_cue_substitutes_step_index():
     bundle = PromptBundle(instruction="inst", cue="Next step {i}:")
-    ctx = ctx_with("q", [("Search[a]", "nothing")])
-    assert assemble_acting_prompt(bundle, ctx).endswith("Next step 2:")
+    assert acting_prompt_of(bundle, "q", [("Search[a]", "nothing")]).endswith("Next step 2:")
 
 
 def test_section_order_instruction_examples_reflections_query():
@@ -119,60 +141,61 @@ def test_section_order_instruction_examples_reflections_query():
         instruction="Do the task.",
         few_shot=["Question: demo\nAction 1: Finish[x]"],
         reflections=["Avoid repeating the failed search."],
+        failed_trajectories=["Question: earlier\nAction 1: Finish[wrong]"],
     )
-    ctx = StateContext(input="real question")
-    prompt = assemble_acting_prompt(bundle, ctx)
+    prompt = acting_prompt_of(bundle, "real question")
     i_inst = prompt.index("Do the task.")
     i_demo = prompt.index("Question: demo")
     i_header = prompt.index(DEFAULT_REFLECTIONS_HEADER)
     i_refl = prompt.index("Avoid repeating the failed search.")
+    i_failed = prompt.index("Finish[wrong]")
     i_query = prompt.index("Question: real question")
-    assert i_inst < i_demo < i_header < i_refl < i_query
+    assert i_inst < i_demo < i_header < i_refl < i_failed < i_query
 
 
 def test_reflections_header_absent_without_reflections():
     bundle = PromptBundle(instruction="inst")
-    prompt = assemble_acting_prompt(bundle, StateContext(input="q"))
-    assert DEFAULT_REFLECTIONS_HEADER not in prompt
+    assert DEFAULT_REFLECTIONS_HEADER not in acting_prompt_of(bundle, "q")
 
 
 def test_context_reflections_merge_and_dedupe():
     bundle = PromptBundle(instruction="inst", reflections=["r1", "", "r2", "r1"])
-    prompt = assemble_acting_prompt(bundle, StateContext(input="q"))
+    prompt = acting_prompt_of(bundle, "q")
     assert prompt.count("r1") == 1
     assert "r2" in prompt
     assert prompt.index("r1") < prompt.index("r2")
 
 
 def test_failed_trajectories_included_only_when_enabled():
-    trajectory = "Question: q\nAction 1: Finish[wrong]"
-    off = PromptBundle(instruction="inst", failed_trajectories=[trajectory])
-    on = PromptBundle(
-        instruction="inst",
-        failed_trajectories=[trajectory],
-        include_failed_trajectories=True,
-    )
-    ctx = StateContext(input="q2")
-    assert "Finish[wrong]" not in assemble_acting_prompt(off, ctx)
-    assert "Finish[wrong]" in assemble_acting_prompt(on, ctx)
+    # The bundle shows what it holds; inject's flag decides what it holds.
+    store = ReflectionStore()
+    store.record("t", "Question: q\nAction 1: Finish[wrong]", 0.0, "a reflection", 1)
+    bundle = PromptBundle(instruction="inst")
+    off = inject(bundle, store.select("t", 4), trajectories=False)
+    on = inject(bundle, store.select("t", 4), trajectories=True)
+    assert "Finish[wrong]" not in acting_prompt_of(off, "q2")
+    assert "Finish[wrong]" in acting_prompt_of(on, "q2")
 
 
 def test_assemble_prompt_dispatch_and_unknown_style():
     bundle = PromptBundle(instruction="inst")
-    ctx = StateContext(input="q")
-    assert assemble_prompt(bundle, ctx, "acting") == assemble_acting_prompt(bundle, ctx)
-    assert assemble_prompt(bundle, ctx, "reasoning") == assemble_reasoning_prompt(bundle, ctx)
+    tree, leaf = chain_with("q", [("Search[a]", "nothing")])
+    ctx = reconstruct_context(tree, leaf)
+    assert assemble_prompt(bundle, tree, leaf, "acting") == acting_prompt_from_scratch(bundle, ctx)
+    assert assemble_prompt(bundle, tree, leaf, "reasoning") == assemble_reasoning_prompt(
+        bundle, ctx
+    )
     with pytest.raises(ValueError):
-        assemble_prompt(bundle, ctx, "verse")
+        assemble_prompt(bundle, tree, leaf, "verse")
 
 
 def test_assembly_is_pure():
     bundle = PromptBundle(instruction="inst", reflections=["r"])
-    ctx = ctx_with("q", [("Search[a]", "nothing")])
-    first = assemble_acting_prompt(bundle, ctx)
-    assert assemble_acting_prompt(bundle, ctx) == first
+    tree, leaf = chain_with("q", [("Search[a]", "nothing")])
+    first = assemble_prompt(bundle, tree, leaf, "acting")
+    assert assemble_prompt(bundle, tree, leaf, "acting") == first
     assert bundle.reflections == ["r"]
-    assert len(ctx.steps) == 1
+    assert len(tree.nodes) == 2
 
 
 # -- incremental prompts -------------------------------------------------------
@@ -191,7 +214,6 @@ bundles = st.builds(
     few_shot=st.lists(st.sampled_from(TEXTS), max_size=3),
     reflections=st.lists(st.sampled_from(["", "avoid x", "try y", "avoid x"]), max_size=4),
     failed_trajectories=st.lists(st.sampled_from(TEXTS), max_size=2),
-    include_failed_trajectories=st.booleans(),
     cue=st.sampled_from([None, "", "Thought {i}:", "Next ({i}):"]),
 )
 
@@ -222,8 +244,7 @@ def sections_from_scratch(bundle, query_block):
     parts.extend(example.strip() for example in bundle.few_shot)
     if reflections:
         parts.append(bundle.reflections_header.strip() + "\n\n" + "\n\n".join(reflections))
-    if bundle.include_failed_trajectories and bundle.failed_trajectories:
-        parts.extend(t.strip() for t in bundle.failed_trajectories)
+    parts.extend(t.strip() for t in bundle.failed_trajectories)
     parts.append(query_block)
     return "\n\n".join(p for p in parts if p)
 
@@ -231,7 +252,7 @@ def sections_from_scratch(bundle, query_block):
 def reflection_from_scratch(bundle, ctx, reward):
     parts = [bundle.instruction.strip()]
     parts.extend(example.strip() for example in bundle.few_shot)
-    parts.append(render_acting_steps(ctx) + f"\nSTATUS: FAIL (reward: {reward:g})\n\nReflection:")
+    parts.append(acting_steps_from_scratch(ctx) + f"\nSTATUS: FAIL (reward: {reward:g})\n\nReflection:")
     return "\n\n".join(p for p in parts if p)
 
 
@@ -253,17 +274,18 @@ def test_incremental_prompts_equal_the_from_scratch_assembly(tree, bundle, data)
     for node_id in data.draw(st.permutations(range(len(tree.nodes)))):
         node = tree.node(node_id)
         ctx = reconstruct_context(tree, node_id)
-        expected = assemble_acting_prompt(bundle, ctx)
-        assert acting_prompt(bundle, node_block(tree, node_id), node.depth) == expected
-        assert node_block(tree, node_id) == render_acting_steps(ctx)
+        expected = acting_prompt_from_scratch(bundle, ctx)
+        assert assemble_prompt(bundle, tree, node_id, "acting") == expected
+        assert render_acting_steps(tree, node_id) == acting_steps_from_scratch(ctx)
         assert assemble_reflection_prompt(
-            bundle, node_block(tree, node_id), 0.25
+            bundle, render_acting_steps(tree, node_id), 0.25
         ) == reflection_from_scratch(bundle, ctx, 0.25)
         if node.children:
             backend = ScorePrompts()
             evaluate_children(tree, node_id, "full", 0.5, bundle=bundle, backend=backend)
             assert backend.prompts == [
-                assemble_acting_prompt(bundle, reconstruct_context(tree, c)) for c in node.children
+                acting_prompt_from_scratch(bundle, reconstruct_context(tree, c))
+                for c in node.children
             ]
 
 

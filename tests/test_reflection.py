@@ -5,6 +5,7 @@ import json
 import pytest
 
 from agentsearch.actions import ActionGrammar, parse_action
+from agentsearch.envs.base import EnvObservation
 from agentsearch.prompts import PromptBundle, render_acting_steps
 from agentsearch.reflection import (
     ReflectionStore,
@@ -12,15 +13,17 @@ from agentsearch.reflection import (
     generate_reflection,
     inject,
 )
-from agentsearch.tree import StateContext
+from agentsearch.tree import SearchTree, add_children
 
 from helpers import FailingBackend, StubBackend
 
 
 def failed_trajectory():
     grammar = ActionGrammar(verbs=("finish",), terminal_verbs=("finish",))
-    steps = [(parse_action("Finish[wrong answer]", grammar), "Episode finished, reward = 0")]
-    return render_acting_steps(StateContext(input="what is the capital?", steps=steps))
+    tree = SearchTree.create("what is the capital?")
+    finish = parse_action("Finish[wrong answer]", grammar)
+    add_children(tree, 0, [(finish, EnvObservation("Episode finished, reward = 0", True, 0.0))])
+    return render_acting_steps(tree, 1)
 
 
 def test_store_selects_m_most_recent_oldest_first():
@@ -106,17 +109,18 @@ def test_inject_fills_reflections_without_mutating_original():
     store.record("t", "traj a", 0.0, "avoid the dead end", 1)
     store.record("t", "traj b", 0.0, "", 2)  # empty reflections are skipped
     bundle = PromptBundle(instruction="inst")
-    updated = inject(bundle, store.select("t", 4))
+    updated = inject(bundle, store.select("t", 4), trajectories=False)
     assert updated.reflections == ["avoid the dead end"]
     assert updated.failed_trajectories == []
     assert bundle.reflections == []
-    assert inject(bundle, []) is bundle
+    assert inject(bundle, [], trajectories=True) is bundle
 
 
 def test_inject_carries_failed_trajectories_when_enabled():
     store = ReflectionStore()
     store.record("t", "traj a", 0.0, "r1", 1)
-    bundle = PromptBundle(instruction="inst", include_failed_trajectories=True)
-    updated = inject(bundle, store.select("t", 4))
+    bundle = PromptBundle(instruction="inst")
+    updated = inject(bundle, store.select("t", 4), trajectories=True)
     assert updated.failed_trajectories == ["traj a"]
-    assert inject(updated, store.select("t", 4)).reflections == ["r1"]
+    again = inject(updated, store.select("t", 4), trajectories=True)
+    assert (again.reflections, again.failed_trajectories) == (["r1"], ["traj a"])

@@ -510,6 +510,32 @@ def test_reflection_limit_selects_most_recent(game24_templates):
     assert "reflection number 4" not in prompt
 
 
+@pytest.mark.parametrize("agent_trajectories", [False, True])
+def test_failed_trajectories_reach_value_prompts_and_agent_prompts_on_request(
+    game24_templates, agent_trajectories
+):
+    task = game24_task([1, 1, 1, 1])
+    store = ReflectionStore()
+    store.record(task.task_id, "EARLIER FAILED TRAJECTORY", 0.0, "a reflection", episode=1)
+    policy = RecordingBackend(Game24PolicyOracle(0.0, seed=3))
+    value = RecordingBackend(Game24ValueOracle(1.0, seed=2))
+    config = SearchConfig(
+        n=2, k=1, seed=0, inject_trajectories_into_agent_prompts=agent_trajectories
+    )
+    run_search(
+        task,
+        BackendSet(policy=policy, value=value, reflection=static_backend("r")),
+        game24_templates,
+        config,
+        reflection_store=store,
+    )
+    assert value.calls and policy.calls
+    assert all("EARLIER FAILED TRAJECTORY" in c["prompt"] for c in value.calls)
+    shown = ["EARLIER FAILED TRAJECTORY" in c["prompt"] for c in policy.calls]
+    assert shown == [agent_trajectories] * len(policy.calls)
+    assert all("a reflection" in c["prompt"] for c in policy.calls + value.calls)
+
+
 # ---------------------------------------------------------------------------
 # skip-simulation mode (solution defaults)
 

@@ -32,7 +32,6 @@ def test_parse_template_sections():
     assert bundle.few_shot[0].startswith("Question: demo one")
     assert bundle.reflections_header == "Earlier attempts failed; read these notes."
     assert bundle.cue == "Step {i}:"
-    assert bundle.include_failed_trajectories is False
 
 
 def test_parse_template_defaults():
@@ -61,12 +60,10 @@ def test_text_before_first_section_rejected():
 @pytest.mark.parametrize("kind", ["game24", "docqa", "shop", "solution"])
 def test_bundled_template_sets_load(kind):
     templates = load_template_set(kind)
+    # Static text only: the engine decides which prompts show failed trajectories.
     for bundle in (templates.act, templates.value, templates.reflect):
         assert bundle.instruction
-    # value prompts carry failed trajectories; act/reflect prompts do not
-    assert templates.value.include_failed_trajectories is True
-    assert templates.act.include_failed_trajectories is False
-    assert templates.reflect.include_failed_trajectories is False
+        assert bundle.failed_trajectories == [] and bundle.reflections == []
     assert "correctness score is" in templates.value.instruction
 
 
