@@ -140,6 +140,19 @@ def static_backend(text: str) -> ScriptedBackend:
     return ScriptedBackend([], default=text)
 
 
+def http_session(connections: int):
+    """A requests session for HttpChatBackends that share it, keeping up to
+    `connections` connections per host (requests keeps 10 by default and
+    discards any beyond that once they are returned)."""
+    import requests
+
+    session = requests.Session()
+    adapter = requests.adapters.HTTPAdapter(pool_maxsize=connections)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
 # HttpChatBackend: bearer-token variable, token cap, timeout, attempts, first retry delay.
 API_KEY_ENV = "AGENTSEARCH_API_KEY"
 MAX_TOKENS = 256
@@ -160,6 +173,10 @@ class HttpChatBackend:
     skipped. Transport errors and 5xx responses are retried, RETRIES
     attempts in all, with exponential backoff; other HTTP errors, non-JSON
     replies and non-string completions raise BackendError immediately.
+
+    `session` is the requests session that requests go through. It may be
+    shared, and whoever passes it in closes it; a backend built without one
+    opens its own on its first request.
     """
 
     def __init__(
@@ -170,13 +187,12 @@ class HttpChatBackend:
         cache_dir=None,
         session=None,
     ):
-        import requests
-
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self._session = session or requests.Session()
+        self.session = session
+        self._session_lock = threading.Lock()
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
 
@@ -235,10 +251,13 @@ class HttpChatBackend:
             "temperature": self.temperature,
             "max_tokens": MAX_TOKENS,
         }
+        with self._session_lock:  # value calls may come from several threads
+            if self.session is None:
+                self.session = requests.Session()
         last_error = "no attempt made"
         for attempt in range(RETRIES):
             try:
-                resp = self._session.post(
+                resp = self.session.post(
                     self.endpoint, json=body, headers=headers, timeout=TIMEOUT_S
                 )
             except requests.RequestException as exc:

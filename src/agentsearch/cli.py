@@ -35,6 +35,7 @@ from .backends import (
     Game24ValueOracle,
     HttpChatBackend,
     ScriptedBackend,
+    http_session,
     static_backend,
 )
 from .envs import TaskError, load_task
@@ -50,7 +51,7 @@ from .search import (
 from .templates import load_template_set
 from .trace import TraceWriter, decode, read_trace, replay_trace, write_trace
 from .tree import tree_to_jsonl
-from .valuation import VALUE_MODES
+from .valuation import VALUE_MODES, ValuePool
 
 
 class CliError(ValueError):
@@ -179,16 +180,26 @@ def collect_task_paths(specs) -> list:
     return paths
 
 
-def _backend_set(args) -> BackendSet:
+def _backend_set(args, session=None, value_pool=None) -> BackendSet:
     """Backends built from the specs; fresh per task, as scripted backends
-    keep cursor state."""
-    return BackendSet(
-        policy=parse_backend_spec(args.backend),
-        value=parse_backend_spec(args.value_backend) if args.value_backend else None,
-        reflection=(
-            parse_backend_spec(args.reflection_backend) if args.reflection_backend else None
-        ),
+    keep cursor state. Every http backend sends through session, when one is
+    given, and slow value calls go to value_pool."""
+
+    def build(spec):
+        if not spec:
+            return None
+        backend = parse_backend_spec(spec)
+        if session is not None and isinstance(backend, HttpChatBackend):
+            backend.session = session
+        return backend
+
+    backends = BackendSet(
+        policy=build(args.backend),
+        value=build(args.value_backend),
+        reflection=build(args.reflection_backend),
     )
+    backends.value_pool = value_pool
+    return backends
 
 
 def _load_tasks(paths) -> list:
@@ -210,7 +221,7 @@ def _load_tasks(paths) -> list:
     return loaded
 
 
-def _run_one(path, task, error, args, config, out_dir) -> dict:
+def _run_one(path, task, error, args, config, out_dir, session, value_pool) -> dict:
     """Search one loaded task and return its report row. A load error, or a
     task that turns out malformed, gives a failed "task_error" row instead."""
     try:
@@ -219,7 +230,8 @@ def _run_one(path, task, error, args, config, out_dir) -> dict:
         templates = load_template_set(task.kind, args.templates)
         writer = TraceWriter(log_prompts=args.log_prompts)
         store = ReflectionStore()
-        result = run_search(task, _backend_set(args), templates, config, writer, store)
+        backends = _backend_set(args, session, value_pool)
+        result = run_search(task, backends, templates, config, writer, store)
     except TaskError as exc:
         row = dict.fromkeys(COLUMNS, 0)
         row.update(
@@ -257,11 +269,27 @@ def cmd_run(args) -> int:
         except OSError as exc:
             raise CliError(f"cannot make output directory {out_dir}: {exc}") from exc
     loaded = _load_tasks(paths)
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(lambda item: _run_one(*item, args, config, out_dir), loaded))
-    else:
-        rows = [_run_one(*item, args, config, out_dir) for item in loaded]
+    # The batch shares one value pool, so its threads start and its calls
+    # prove slow once, and one http session, so connections are reused.
+    value_threads = config.n * args.workers
+    value_pool = ValuePool(value_threads)
+    specs = (args.backend, args.value_backend, args.reflection_backend)
+    http = any(spec and spec.startswith("http:") for spec in specs)
+    session = http_session(value_threads + args.workers) if http else None
+
+    def run(item):
+        return _run_one(*item, args, config, out_dir, session, value_pool)
+
+    try:
+        if args.workers > 1:
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                rows = list(pool.map(run, loaded))
+        else:
+            rows = [run(item) for item in loaded]
+    finally:
+        value_pool.close()
+        if session is not None:
+            session.close()
     rows.sort(key=lambda r: r["task_id"])
     report = RunReport(rows=rows)
     if out_dir is not None:

@@ -138,11 +138,17 @@ class SearchConfig:
 
 @dataclass
 class BackendSet:
-    """Backends by role; value and reflection fall back to the policy one."""
+    """Backends by role; value and reflection fall back to the policy one.
+
+    value_pool, when set, is the ValuePool that slow value calls go to,
+    shared with the other runs that carry it; its owner closes it. Without
+    one, each run makes and closes its own. An order-dependent value
+    backend uses neither."""
 
     policy: PolicyBackend
     value: Optional[PolicyBackend] = None
     reflection: Optional[PolicyBackend] = None
+    value_pool: Optional[ValuePool] = None
 
 
 @dataclass
@@ -239,8 +245,9 @@ def run_search(
 
     trace and reflection_store may be shared across runs; fresh private ones
     are created when omitted. An explicit env overrides the registry lookup.
-    Slow value calls run on a pool of at most n threads, which is shut down
-    before this returns or raises.
+    Slow value calls run on backends.value_pool, which stays open, or else
+    on a pool of at most n threads that is shut down before this returns or
+    raises. Either way no value call of this run is still in flight then.
     """
     cfg = (config or SearchConfig()).resolved(task.kind)
     engine = _Engine(
@@ -255,8 +262,8 @@ def run_search(
     try:
         return engine.run()
     finally:
-        if engine.value_pool is not None:
-            engine.value_pool.close()
+        if engine.own_pool is not None:
+            engine.own_pool.close()
 
 
 class _Engine:
@@ -271,8 +278,13 @@ class _Engine:
         value = backends.value or backends.policy
         self.value = _CountingBackend(value, self.counters, "value")
         # A backend whose answers depend on call order must see the calls in
-        # child order, so its value calls never go to the pool.
-        self.value_pool = None if getattr(value, "order_dependent", False) else ValuePool(cfg.n)
+        # child order, so its value calls never go to a pool. A carried pool
+        # belongs to the caller; only a pool made here is closed here.
+        self.value_pool = self.own_pool = None
+        if not getattr(value, "order_dependent", False):
+            self.value_pool = backends.value_pool
+            if self.value_pool is None:
+                self.value_pool = self.own_pool = ValuePool(cfg.n)
         self.reflector = _CountingBackend(
             backends.reflection or backends.policy, self.counters, "reflection"
         )

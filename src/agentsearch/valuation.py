@@ -15,14 +15,16 @@ backpropagation replaces it.
 
 Each child's value prompt (acting style, under the engine's value bundle)
 is its parent's cached block plus its own step, built in the calling
-thread. Once a run's value calls prove slow they go out together on the
-run's ValuePool; the scores are still applied in child order, so the
-result does not depend on which call returns first.
+thread. Once value calls prove slow they go out together on a ValuePool,
+the run's own or one that a batch of runs shares; the scores are still
+applied in child order, so the result does not depend on which call
+returns first, where it ran, or which run learned that calls are slow.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 import time
 from collections import Counter
 from typing import Optional, Sequence
@@ -89,21 +91,32 @@ def combine(lm: float, sc: float, lam: float) -> float:
 
 
 class ValuePool:
-    """One run's concurrent value calls: the "calls are slow" flag and a
-    thread pool of at most `workers` threads, started on first use."""
+    """Concurrent value calls: the "calls are slow" flag and a thread pool of
+    at most `workers` threads, started on first use.
+
+    A run makes its own pool, or borrows one that BackendSet.value_pool
+    carries; several runs, on several threads, may then share it. The flag
+    only decides where a call runs, never its result. The pool's owner
+    closes it."""
 
     def __init__(self, workers: int):
         self.workers = workers
         self.slow = False
         self._executor = None
+        self._lock = threading.Lock()
 
     def submit(self, fn, *args):
         if self._executor is None:
-            # Imported here, like requests in backends: a run whose value
-            # calls are all fast pays for neither the import nor a thread.
-            from concurrent.futures import ThreadPoolExecutor
+            with self._lock:
+                if self._executor is None:
+                    # Imported here, like requests in backends: a run whose
+                    # value calls are all fast pays for neither the import
+                    # nor a thread.
+                    from concurrent.futures import ThreadPoolExecutor
 
-            self._executor = ThreadPoolExecutor(self.workers, thread_name_prefix="value")
+                    self._executor = ThreadPoolExecutor(
+                        self.workers, thread_name_prefix="value"
+                    )
         return self._executor.submit(fn, *args)
 
     def close(self) -> None:
@@ -122,19 +135,27 @@ def _timed_lm_score(child_id, prompt, backend, seed) -> tuple:
 
 def _lm_scores(queries, backend, seed, pool) -> list:
     """lm score or None per (child id, prompt), in order. Children are queried
-    one at a time until a call takes SLOW_CALL_S; the rest, and every fresh
-    child of later nodes, then go to the pool together, until a pooled
-    batch's fastest call is quick again. Without a pool, all run inline."""
+    one at a time until a call takes SLOW_CALL_S or the pool is marked slow;
+    the rest, and every fresh child of later nodes, then go to the pool
+    together, until a pooled batch's fastest call is quick again. Without a
+    pool, all run inline. Every pooled call has ended before this returns
+    or raises."""
     results = []
     futures = []
-    for child_id, prompt in queries:
-        if pool is not None and pool.slow:
-            futures.append(pool.submit(_timed_lm_score, child_id, prompt, backend, seed))
-            continue
-        elapsed, result = _timed_lm_score(child_id, prompt, backend, seed)
-        results.append(result)
-        if pool is not None and elapsed >= SLOW_CALL_S:
-            pool.slow = True
+    try:
+        for child_id, prompt in queries:
+            if futures or (pool is not None and pool.slow):
+                futures.append(pool.submit(_timed_lm_score, child_id, prompt, backend, seed))
+                continue
+            elapsed, result = _timed_lm_score(child_id, prompt, backend, seed)
+            results.append(result)
+            if pool is not None and elapsed >= SLOW_CALL_S:
+                pool.slow = True
+    finally:
+        if futures:
+            from concurrent.futures import wait  # loaded by the first submit
+
+            wait(futures)
     if futures:
         timed = [future.result() for future in futures]
         pool.slow = min(elapsed for elapsed, _ in timed) >= SLOW_CALL_S

@@ -4,9 +4,12 @@ import dataclasses
 import json
 import re
 import shlex
+import threading
 
 import pytest
+import requests
 
+from agentsearch import cli, search
 from agentsearch.backends import (
     Game24PolicyOracle,
     Game24ValueOracle,
@@ -24,7 +27,7 @@ from agentsearch.cli import (
 from agentsearch.search import SearchConfig
 from agentsearch.trace import read_trace, write_trace
 
-from helpers import DATA_DIR
+from helpers import DATA_DIR, SlowBackend, bundled_task_files
 
 
 # ---------------------------------------------------------------------------
@@ -764,3 +767,146 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+# ---------------------------------------------------------------------------
+# one value pool and one http session per batch
+
+BATCH = bundled_task_files("game24")[:5]
+BATCH_N = 3
+
+
+def batch_argv(out_dir, workers, backend_args=None):
+    backend_args = backend_args or [
+        "--backend", "oracle:p=0.3,seed=1", "--value-backend", "oracle-value:accuracy=0.85"
+    ]
+    return [
+        "run", *map(str, BATCH), *backend_args, "--n", str(BATCH_N), "--k", "3",
+        "--workers", str(workers), "--out", str(out_dir),
+    ]
+
+
+class CrashingValue(SlowBackend):
+    def propose(self, prompt: str, n: int, seed: int) -> list:
+        raise RuntimeError("value backend crashed")
+
+
+def slow_value_specs(monkeypatch, crash_index=None):
+    """Wrap every value backend the cli builds in a SlowBackend (the one at
+    crash_index, in build order, raises instead) and return them in build
+    order; the first is the up-front spec check's."""
+    built = []
+    parse = cli.parse_backend_spec
+
+    def slow_spec(spec):
+        backend = parse(spec)
+        if spec.startswith("oracle-value:"):
+            crashes = len(built) == crash_index
+            built.append((CrashingValue if crashes else SlowBackend)(backend))
+            return built[-1]
+        return backend
+
+    monkeypatch.setattr(cli, "parse_backend_spec", slow_spec)
+    return built
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_batch_shares_one_value_pool_whose_threads_end_with_it(tmp_path, monkeypatch, workers):
+    before = threading.active_count()
+    built = slow_value_specs(monkeypatch)
+    assert main(batch_argv(tmp_path / "out", workers)) == 0
+    assert threading.active_count() == before
+    assert len(built) == 1 + len(BATCH) and not built[0].trips.threads
+    names = set().union(*(backend.trips.threads for backend in built))
+    assert 1 <= len({name for name in names if name.startswith("value")}) <= BATCH_N * workers
+    if workers == 1:
+        # the first task learned that value calls are slow; later ones start pooled
+        assert any(not name.startswith("value") for name in built[1].trips.threads)
+        for backend in built[2:]:
+            assert backend.trips.threads
+            assert all(name.startswith("value") for name in backend.trips.threads)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_batch_value_pool_threads_end_when_a_task_raises(tmp_path, monkeypatch, workers):
+    before = threading.active_count()
+    slow_value_specs(monkeypatch, crash_index=2)
+    with pytest.raises(RuntimeError, match="value backend crashed"):
+        main(batch_argv(tmp_path / "out", workers))
+    assert threading.active_count() == before
+
+
+def batch_files(out_dir) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+def test_run_batch_through_the_benchmark_wrapper_shapes(tmp_path, monkeypatch, capsys):
+    """perfbench wraps parse_backend_spec with one argument, replaces
+    BackendSet with a function of the three roles, and wraps run_search
+    with seven fixed parameters; a batch through them writes the same files."""
+    assert main(batch_argv(tmp_path / "plain", 2)) == 0
+    parse, inner, pools = cli.parse_backend_spec, cli.run_search, []
+
+    def run_search(
+        task, backends, templates, config=None, trace=None, reflection_store=None, env=None
+    ):
+        pools.append(backends.value_pool)
+        return inner(task, backends, templates, config, trace, reflection_store, env)
+
+    monkeypatch.setattr(cli, "parse_backend_spec", lambda spec: parse(spec))
+    monkeypatch.setattr(
+        cli,
+        "BackendSet",
+        lambda policy, value=None, reflection=None: search.BackendSet(policy, value, reflection),
+    )
+    monkeypatch.setattr(cli, "run_search", run_search)
+    assert main(batch_argv(tmp_path / "wrapped", 2)) == 0
+    capsys.readouterr()
+    assert batch_files(tmp_path / "wrapped") == batch_files(tmp_path / "plain")
+    assert len(pools) == len(BATCH) and pools[0] is not None
+    assert all(pool is pools[0] for pool in pools)
+
+
+class _Reply:
+    status_code = 200
+    text = ""
+
+    def __init__(self, n):
+        self.n = n
+
+    def json(self):
+        return {"choices": [{"message": {"content": "The correctness score is 5"}}] * self.n}
+
+
+class CountingSession(requests.Session):
+    """A real session, but every post gets one canned reply; it lists
+    itself in `made` and counts its closes."""
+
+    def __init__(self, made):
+        super().__init__()
+        self.posts = self.closes = 0
+        made.append(self)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        return _Reply(json["n"])
+
+    def close(self):
+        self.closes += 1
+        super().close()
+
+
+def test_run_batch_opens_one_http_session_for_every_task_and_role(tmp_path, monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(requests, "Session", lambda: CountingSession(made))
+    spec = "http:http://127.0.0.1:9/v1/chat,model=stub"
+    roles = ["--backend", spec, "--value-backend", spec, "--reflection-backend", spec]
+    tasks = bundled_task_files("game24")[:6]
+    workers = 2
+    argv = ["run", *map(str, tasks), *roles, "--n", str(BATCH_N), "--k", "2"]
+    assert main(argv + ["--workers", str(workers)]) == 0
+    assert "game24/mcts:" in capsys.readouterr().out
+    (session,) = made
+    assert session.posts > 0 and session.closes == 1
+    adapter = session.get_adapter("http://127.0.0.1:9/v1/chat")
+    assert adapter.poolmanager.connection_pool_kw["maxsize"] == (BATCH_N + 1) * workers

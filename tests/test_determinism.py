@@ -92,6 +92,12 @@ class PromptSession:
         except BackendError as exc:
             return _Reply(400, text=str(exc))
 
+    def mount(self, prefix, adapter):
+        pass
+
+    def close(self):
+        pass
+
 
 class NoPosts:
     """A session for a warm cache: any request is a test failure."""
@@ -102,6 +108,12 @@ class NoPosts:
     def post(self, *args, **kwargs):
         self.posts += 1
         raise AssertionError("a warm-cache run sent a request")
+
+    def mount(self, prefix, adapter):
+        pass
+
+    def close(self):
+        pass
 
 
 def test_cached_http_batch_files_match_cold_and_warm(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import types
 
 import pytest
@@ -19,6 +20,7 @@ from agentsearch.reflection import ReflectionStore
 from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _CountingBackend, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
+from agentsearch.valuation import ValuePool
 
 from helpers import FailingBackend, SlowBackend
 
@@ -699,6 +701,90 @@ def test_value_pool_threads_end_when_the_run_raises(game24_templates):
         )
     assert len(backends.value.trips.threads) > 1
     assert threading.active_count() == before
+
+
+def test_two_runs_share_a_carried_value_pool_that_stays_open(game24_templates):
+    before = threading.active_count()
+    pool = ValuePool(3)
+    try:
+        for numbers in ([4, 9, 10, 13], [1, 4, 6, 9]):
+            backends = oracle_backends(p=0.3, accuracy=0.85)
+            backends.value = SlowBackend(backends.value)
+            backends.value_pool = pool
+            run_search(
+                game24_task(numbers), backends, game24_templates, SearchConfig(n=3, k=4, seed=12)
+            )
+            assert pool.slow
+        # the second run started pooled: its first call found the pool slow
+        assert backends.value.trips.threads
+        assert all(name.startswith("value") for name in backends.value.trips.threads)
+        assert pool.submit(sum, [1, 2]).result() == 3  # still open
+    finally:
+        pool.close()
+    assert threading.active_count() == before
+
+
+class OrderDependentSlow(SlowBackend):
+    order_dependent = True
+
+
+def test_order_dependent_value_backend_never_runs_on_a_carried_pool(game24_templates):
+    pool = ValuePool(3)
+    pool.slow = True
+    backends = oracle_backends(p=0.3, accuracy=0.85)
+    backends.value = OrderDependentSlow(backends.value)
+    backends.value_pool = pool
+    try:
+        result = run_search(
+            game24_task([4, 9, 10, 13]), backends, game24_templates, SearchConfig(n=3, k=4, seed=12)
+        )
+    finally:
+        pool.close()
+    assert result.backend_calls["value"]["calls"] >= 3
+    assert backends.value.trips.threads == {"MainThread"}
+    assert backends.value.trips.peak == 1
+
+
+class FirstChildCrashes:
+    """Raises at once for one prompt; every other call takes 30 ms. Counts
+    the calls in flight."""
+
+    def __init__(self, inner, crashing_prompt):
+        self.inner = inner
+        self.crashing_prompt = crashing_prompt
+        self.in_flight = 0
+        self._lock = threading.Lock()
+
+    def propose(self, prompt: str, n: int, seed: int) -> list:
+        if prompt == self.crashing_prompt:
+            raise RuntimeError("value backend crashed")
+        with self._lock:
+            self.in_flight += 1
+        try:
+            time.sleep(0.03)
+            return self.inner.propose(prompt, n, seed)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def test_a_run_that_raises_leaves_no_call_in_flight_in_its_carried_pool(game24_templates):
+    task, config = game24_task([4, 9, 10, 13]), SearchConfig(n=3, k=4, seed=12)
+    backends = oracle_backends(p=0.3, accuracy=0.85)
+    backends.value = RecordingBackend(backends.value)
+    run_search(task, backends, game24_templates, config)
+    first_child = backends.value.calls[0]["prompt"]  # inline calls go in child order
+    pool = ValuePool(3)
+    pool.slow = True
+    backends = oracle_backends(p=0.3, accuracy=0.85)
+    backends.value = FirstChildCrashes(backends.value, first_child)
+    backends.value_pool = pool
+    try:
+        with pytest.raises(RuntimeError, match="value backend crashed"):
+            run_search(task, backends, game24_templates, config)
+        assert backends.value.in_flight == 0
+    finally:
+        pool.close()
 
 
 def test_counting_backend_counts_exactly_across_threads():

@@ -1,5 +1,7 @@
 """LM score parsing, self-consistency, and the weighted mix."""
 
+import sys
+import threading
 import time
 from collections import Counter
 
@@ -334,3 +336,33 @@ def test_evaluate_children_raises_the_earliest_childs_error_with_fan_out():
             )
     finally:
         pool.close()
+
+
+def test_value_pool_starts_one_executor_under_concurrent_submits():
+    before = threading.active_count()
+    pool = ValuePool(2)
+    futures = []
+    start = threading.Barrier(8)
+
+    def submit_many():
+        start.wait(timeout=60)
+        for _ in range(50):
+            futures.append(pool.submit(threading.get_ident))
+
+    threads = [threading.Thread(target=submit_many) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(futures) == 400
+        assert len({future.result(timeout=60) for future in futures}) <= 2
+    finally:
+        pool.close()
+    assert threading.active_count() == before
