@@ -495,6 +495,23 @@ def assert_unreadable_json_gives_task_error_rows(tmp_path, capsys, bad_task, bad
     assert rows["b"]["success"] is True
 
 
+def test_run_gives_task_error_rows_for_a_malformed_payload_and_file_reference(tmp_path, capsys):
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    (task_dir / "a.json").write_text(json.dumps({"kind": "game24", "payload": [1, 2]}))
+    (task_dir / "c.json").write_text(json.dumps({"kind": "docqa", "payload": {"corpus_file": 3}}))
+    write_game24_task(task_dir / "b.json", [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    code = main(["run", str(task_dir), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "b: ok" in captured.out
+    assert "error: a:" in captured.err and "error: c:" in captured.err
+    rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
+    assert rows["a"]["terminate_reason"] == rows["c"]["terminate_reason"] == "task_error"
+    assert rows["b"]["success"] is True
+
+
 def test_run_gives_task_error_rows_for_over_long_integers(tmp_path, capsys):
     # json.loads refuses an integer of over 4,300 digits with a plain ValueError.
     huge = "9" * 5000

@@ -1,12 +1,16 @@
 """Environment behavior tests for the four bundled simulators."""
 
+import copy
 import dataclasses
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from agentsearch.actions import parse_action
+from agentsearch.backends import static_backend
 from agentsearch.envs import docqa
 from agentsearch.envs import (
     DEFAULT_LAMBDA,
@@ -25,6 +29,8 @@ from agentsearch.envs.base import INVALID
 from agentsearch.envs.docqa import normalize_answer
 from agentsearch.envs.game24 import parse_step_argument, question_text
 from agentsearch.envs.solution import ExprError, evaluate_expression
+from agentsearch.search import BackendSet, SearchConfig, run_search
+from agentsearch.templates import load_template_set
 from helpers import bundled_task_files
 
 
@@ -740,6 +746,117 @@ def test_load_task_requires_kind(tmp_path):
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(TaskError):
         load_task(p)
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "ab", ["ab"], 3])
+def test_load_task_rejects_a_payload_that_is_not_an_object(tmp_path, payload):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"kind": "game24", "payload": payload}))
+    with pytest.raises(TaskError, match="'payload' that is not a JSON object"):
+        load_task(p)
+
+
+@pytest.mark.parametrize("kind, ref_key", [("docqa", "corpus_file"), ("shop", "catalog_file")])
+@pytest.mark.parametrize("ref", [["x"], 3, {"x": 1}])
+def test_load_task_rejects_a_file_reference_that_is_not_a_string(tmp_path, kind, ref_key, ref):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"kind": kind, "payload": {ref_key: ref}}))
+    with pytest.raises(TaskError, match=f"'{ref_key}' that is not a string"):
+        load_task(p)
+
+
+def test_load_task_rejects_a_file_reference_holding_nul(tmp_path):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"kind": "docqa", "payload": {"corpus_file": "corpus\0.json"}}))
+    with pytest.raises(TaskError, match="cannot read corpus_file"):
+        load_task(p)
+
+
+def write_tasks_naming(tmp_path, ref_key, text, count=2):
+    """count task files in tmp_path/tasks whose ref_key names one sibling
+    file holding text; returns their paths."""
+    (tmp_path / "shared.json").write_text(text)
+    (tmp_path / "tasks").mkdir(exist_ok=True)
+    kind = {"corpus_file": "docqa", "catalog_file": "shop"}[ref_key]
+    paths = []
+    for i in range(count):
+        path = tmp_path / "tasks" / f"t{i}.json"
+        path.write_text(json.dumps({"kind": kind, "payload": {ref_key: "../shared.json"}}))
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "ref_key, inline_key, content",
+    [("corpus_file", "corpus", CORPUS), ("catalog_file", "catalog", CATALOG)],
+)
+def test_tasks_naming_one_file_share_one_parse_of_it(tmp_path, ref_key, inline_key, content):
+    text = json.dumps(content)
+    first, second = (load_task(p) for p in write_tasks_naming(tmp_path, ref_key, text))
+    assert first.payload[inline_key] is second.payload[inline_key]
+    assert first.payload[inline_key] == json.loads(text)
+
+
+def test_a_rewritten_shared_file_is_parsed_afresh(tmp_path):
+    (path,) = write_tasks_naming(tmp_path, "corpus_file", json.dumps(CORPUS), count=1)
+    before = load_task(path).payload["corpus"]
+    rewritten = {"Another Page": ["One sentence."]}
+    (tmp_path / "shared.json").write_text(json.dumps(rewritten))
+    assert load_task(path).payload["corpus"] == rewritten
+    assert before == CORPUS
+
+
+def test_each_task_naming_a_malformed_shared_file_gets_a_task_error(tmp_path):
+    for path in write_tasks_naming(tmp_path, "catalog_file", '[{"id": "P1",'):
+        with pytest.raises(TaskError, match="cannot read catalog_file"):
+            load_task(path)
+
+
+class VocabularyBackend:
+    """Answers each call with texts drawn from a fixed list by the call's seed."""
+
+    def __init__(self, texts):
+        self.texts = texts
+
+    def propose(self, prompt: str, n: int, seed: int) -> list:
+        rng = random.Random(seed)
+        return [rng.choice(self.texts) for _ in range(n)]
+
+
+def vocabulary(task):
+    payload = task.payload
+    if task.kind == "docqa":
+        words = [w for w in re.findall(r"\w+", payload["question"]) if len(w) > 3]
+        return (
+            [f"search[{t}]" for t in payload["corpus"]]
+            + [f"lookup[{w}]" for w in words]
+            + [f"finish[{payload['answer']}]", "finish[a guess]", "think[read on]"]
+        )
+    words = payload["instruction"].split()
+    values = {v for p in payload["catalog"] for vals in p.get("options", {}).values() for v in vals}
+    return (
+        [f"search[{' '.join(words[i:i + 3])}]" for i in range(0, len(words), 3)]
+        + [f"click[{p['id']}]" for p in payload["catalog"]]
+        + [f"click[{v}]" for v in sorted(values)]
+        + ["click[next page]", "click[back to search]", "click[buy now]", "think[compare]"]
+    )
+
+
+def test_searches_leave_the_shared_corpus_and_catalog_unchanged():
+    tasks = [load_task(p) for kind in ("docqa", "shop") for p in bundled_task_files(kind)[:4]]
+    shared = {id(v): v for t in tasks for k, v in t.payload.items() if k in ("corpus", "catalog")}
+    assert len(shared) == 2  # one corpus and one catalog, each shared by its four tasks
+    before = copy.deepcopy(shared)
+    scores = [f"Thus the correctness score is {i}" for i in range(1, 11)]
+    for i, task in enumerate(tasks):
+        backends = BackendSet(
+            policy=VocabularyBackend(vocabulary(task)),
+            value=VocabularyBackend(scores),
+            reflection=static_backend("Try another page."),
+        )
+        config = SearchConfig(variant="mcts", n=3, k=6, seed=i)
+        run_search(task, backends, load_template_set(task.kind), config)
+    assert shared == before
 
 
 def test_make_env_registry():
