@@ -159,6 +159,8 @@ MAX_TOKENS = 256
 TIMEOUT_S = 60.0
 RETRIES = 3
 BACKOFF_S = 0.5
+# Client errors that are transient, retried like a 5xx: request timeout, rate limit.
+RETRIED_4XX = (408, 429)
 
 
 class HttpChatBackend:
@@ -170,9 +172,10 @@ class HttpChatBackend:
     place once written, so no reader sees a partial one; one that cannot be
     read or does not hold n completion strings (say, left half-written by an
     older version) counts as a miss, and one that cannot be written is
-    skipped. Transport errors and 5xx responses are retried, RETRIES
-    attempts in all, with exponential backoff; other HTTP errors, non-JSON
-    replies and non-string completions raise BackendError immediately.
+    skipped. Transport errors and 408, 429 and 5xx responses are retried,
+    RETRIES attempts in all, with exponential backoff; other HTTP errors,
+    non-JSON replies and non-string completions raise BackendError
+    immediately.
 
     `session` is the requests session that requests go through. It may be
     shared, and whoever passes it in closes it; a backend built without one
@@ -263,8 +266,8 @@ class HttpChatBackend:
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc}"
             else:
-                if resp.status_code >= 500:
-                    last_error = f"server error {resp.status_code}: {resp.text[:200]}"
+                if resp.status_code >= 500 or resp.status_code in RETRIED_4XX:
+                    last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
                 elif resp.status_code >= 400:
                     raise BackendError(
                         f"http backend rejected request ({resp.status_code}): {resp.text[:200]}"

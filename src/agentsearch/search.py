@@ -141,9 +141,9 @@ class BackendSet:
     """Backends by role; value and reflection fall back to the policy one.
 
     value_pool, when set, is the ValuePool that slow value calls go to,
-    shared with the other runs that carry it; its owner closes it. Without
-    one, each run makes and closes its own. An order-dependent value
-    backend uses neither."""
+    shared with the other runs that carry it; its owner closes it after the
+    last run returns. It is the only way value calls reach threads: without
+    one, and always for an order-dependent value backend, they run inline."""
 
     policy: PolicyBackend
     value: Optional[PolicyBackend] = None
@@ -245,12 +245,12 @@ def run_search(
 
     trace and reflection_store may be shared across runs; fresh private ones
     are created when omitted. An explicit env overrides the registry lookup.
-    Slow value calls run on backends.value_pool, which stays open, or else
-    on a pool of at most n threads that is shut down before this returns or
-    raises. Either way no value call of this run is still in flight then.
+    Only a carried backends.value_pool runs value calls on threads, and its
+    owner closes it; this starts no thread. No value call of this run is
+    still in flight when it returns or raises.
     """
     cfg = (config or SearchConfig()).resolved(task.kind)
-    engine = _Engine(
+    return _Engine(
         task,
         backends,
         templates,
@@ -258,12 +258,7 @@ def run_search(
         trace if trace is not None else TraceWriter(),
         reflection_store if reflection_store is not None else ReflectionStore(),
         env,
-    )
-    try:
-        return engine.run()
-    finally:
-        if engine.own_pool is not None:
-            engine.own_pool.close()
+    ).run()
 
 
 class _Engine:
@@ -278,13 +273,9 @@ class _Engine:
         value = backends.value or backends.policy
         self.value = _CountingBackend(value, self.counters, "value")
         # A backend whose answers depend on call order must see the calls in
-        # child order, so its value calls never go to a pool. A carried pool
-        # belongs to the caller; only a pool made here is closed here.
-        self.value_pool = self.own_pool = None
-        if not getattr(value, "order_dependent", False):
-            self.value_pool = backends.value_pool
-            if self.value_pool is None:
-                self.value_pool = self.own_pool = ValuePool(cfg.n)
+        # child order, so its value calls never go to a pool.
+        order_dependent = getattr(value, "order_dependent", False)
+        self.value_pool = None if order_dependent else backends.value_pool
         self.reflector = _CountingBackend(
             backends.reflection or backends.policy, self.counters, "reflection"
         )

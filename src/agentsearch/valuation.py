@@ -15,16 +15,17 @@ backpropagation replaces it.
 
 Each child's value prompt (acting style, under the engine's value bundle)
 is its parent's cached block plus its own step, built in the calling
-thread. Once value calls prove slow they go out together on a ValuePool,
-the run's own or one that a batch of runs shares; the scores are still
-applied in child order, so the result does not depend on which call
-returns first, where it ran, or which run learned that calls are slow.
+thread. Without a ValuePool every value call runs inline, in child order.
+A caller that wants them overlapped opens one and carries it in
+BackendSet.value_pool; once value calls prove slow they go out together on
+it. The scores are still applied in child order, so the result does not
+depend on which call returns first, where it ran, or which run learned
+that calls are slow.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 import time
 from collections import Counter
 from typing import Optional, Sequence
@@ -92,38 +93,27 @@ def combine(lm: float, sc: float, lam: float) -> float:
 
 class ValuePool:
     """Concurrent value calls: the "calls are slow" flag and a thread pool of
-    at most `workers` threads, started on first use.
+    at most `workers` threads, each started by a submit that finds none idle.
 
-    A run makes its own pool, or borrows one that BackendSet.value_pool
-    carries; several runs, on several threads, may then share it. The flag
-    only decides where a call runs, never its result. The pool's owner
-    closes it."""
+    Runs borrow it through BackendSet.value_pool; several runs, on several
+    threads, may share it. The flag only decides where a call runs, never
+    its result. The pool's owner closes it."""
 
     def __init__(self, workers: int):
-        self.workers = workers
+        # Imported here, like requests in backends: a search that is given
+        # no pool pays for neither the import nor a thread.
+        from concurrent.futures import ThreadPoolExecutor
+
         self.slow = False
-        self._executor = None
-        self._lock = threading.Lock()
+        self._executor = ThreadPoolExecutor(workers, thread_name_prefix="value")
 
     def submit(self, fn, *args):
-        if self._executor is None:
-            with self._lock:
-                if self._executor is None:
-                    # Imported here, like requests in backends: a run whose
-                    # value calls are all fast pays for neither the import
-                    # nor a thread.
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    self._executor = ThreadPoolExecutor(
-                        self.workers, thread_name_prefix="value"
-                    )
         return self._executor.submit(fn, *args)
 
     def close(self) -> None:
-        """Stop the threads, dropping calls not yet started."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        """Stop the threads, dropping calls not yet started. A later submit
+        raises RuntimeError."""
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _timed_lm_score(child_id, prompt, backend, seed) -> tuple:
@@ -134,26 +124,30 @@ def _timed_lm_score(child_id, prompt, backend, seed) -> tuple:
 
 
 def _lm_scores(queries, backend, seed, pool) -> list:
-    """lm score or None per (child id, prompt), in order. Children are queried
-    one at a time until a call takes SLOW_CALL_S or the pool is marked slow;
-    the rest, and every fresh child of later nodes, then go to the pool
-    together, until a pooled batch's fastest call is quick again. Without a
-    pool, all run inline. Every pooled call has ended before this returns
-    or raises."""
+    """lm score or None per (child id, prompt), in order. Without a pool,
+    each is queried inline. With one, children are queried one at a time
+    until a call takes SLOW_CALL_S or the pool is marked slow; the rest,
+    and every fresh child of later nodes, then go to the pool together,
+    until a pooled batch's fastest call is quick again. Every pooled call
+    has ended before this returns or raises."""
+    if pool is None:
+        return [
+            lm_score(prompt, backend, stable_seed(seed, child_id)) for child_id, prompt in queries
+        ]
     results = []
     futures = []
     try:
         for child_id, prompt in queries:
-            if futures or (pool is not None and pool.slow):
+            if futures or pool.slow:
                 futures.append(pool.submit(_timed_lm_score, child_id, prompt, backend, seed))
                 continue
             elapsed, result = _timed_lm_score(child_id, prompt, backend, seed)
             results.append(result)
-            if pool is not None and elapsed >= SLOW_CALL_S:
+            if elapsed >= SLOW_CALL_S:
                 pool.slow = True
     finally:
         if futures:
-            from concurrent.futures import wait  # loaded by the first submit
+            from concurrent.futures import wait  # loaded with the pool
 
             wait(futures)
     if futures:
@@ -183,7 +177,7 @@ def evaluate_children(
     failure on one child flags that child and evaluation of the rest
     continues; any other exception propagates (the earliest child's, if
     several raise). With a pool, slow value calls run concurrently (see
-    _lm_scores) to the same result.
+    _lm_scores) to the same result; without one, all run inline.
     """
     if mode not in ("full", "sc_only"):
         raise ValueError(f"no child scoring in value mode {mode!r}")

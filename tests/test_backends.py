@@ -342,6 +342,21 @@ def test_http_backend_retries_server_errors_then_fails():
     assert len(session.calls) == 3
 
 
+@pytest.mark.parametrize("status", [408, 429])
+def test_http_backend_retries_timeouts_and_rate_limits(status):
+    session = StubSession(
+        [StubResponse(status, text="slow down"), StubResponse(200, completion_payload(["ok"]))]
+    )
+    backend = make_backend(session)
+    assert backend.propose("p", 1, 0) == ["ok"]
+    assert len(session.calls) == 2
+    session = StubSession([StubResponse(status, text="slow down")] * 3)
+    backend = make_backend(session)
+    with pytest.raises(BackendError, match=f"after 3 attempts; .*{status}"):
+        backend.propose("p", 1, 0)
+    assert len(session.calls) == 3
+
+
 def test_http_backend_recovers_after_transport_error():
     session = StubSession(
         [

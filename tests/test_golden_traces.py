@@ -26,7 +26,7 @@ from agentsearch.reflection import ReflectionStore
 from agentsearch.search import VARIANTS, BackendSet, SearchConfig, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
-from agentsearch.valuation import VALUE_MODES
+from agentsearch.valuation import VALUE_MODES, ValuePool
 
 from helpers import DATA_DIR, FailingBackend, RoundTrips, SlowBackend
 
@@ -253,6 +253,11 @@ class SlowScriptedBackend(ScriptedBackend):
             return super().propose(prompt, n, seed)
 
 
+def no_thread_start(thread):
+    raise AssertionError(f"thread {thread.name} started")
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "inline"])
 @pytest.mark.parametrize(
     "name",
     [
@@ -264,17 +269,34 @@ class SlowScriptedBackend(ScriptedBackend):
         "mcts-fails-in-simulation",
     ],
 )
-def test_slow_value_calls_run_concurrently_to_the_same_trace(name):
+def test_slow_value_calls_run_concurrently_to_the_same_trace(name, pooled, monkeypatch):
+    """On a carried pool slow value calls overlap; without one they all run
+    inline and no thread starts. The trace is the same either way."""
+    if not pooled:
+        monkeypatch.setattr(threading.Thread, "start", no_thread_start)
     task, backends, config = _case(name)
     backends.value = SlowBackend(backends.value)
-    assert _digest(task, backends, config) == GOLDEN[name]
-    assert backends.value.trips.peak > 1
+    pool = backends.value_pool = ValuePool(config.n) if pooled else None
+    try:
+        assert _digest(task, backends, config) == GOLDEN[name]
+    finally:
+        if pool is not None:
+            pool.close()
+    if pooled:
+        assert backends.value.trips.peak > 1
+    else:
+        assert backends.value.trips.threads == {threading.main_thread().name}
 
 
 def test_order_dependent_value_backend_is_called_one_at_a_time():
     task, backends, config = _case("docqa-mcts")
     backends.value = SlowScriptedBackend(backends.value.rules, backends.value.default)
-    assert _digest(task, backends, config) == GOLDEN["docqa-mcts"]
+    pool = backends.value_pool = ValuePool(config.n)
+    pool.slow = True
+    try:
+        assert _digest(task, backends, config) == GOLDEN["docqa-mcts"]
+    finally:
+        pool.close()
     assert backends.value.trips.peak == 1
     assert backends.value.trips.threads == {threading.main_thread().name}
 

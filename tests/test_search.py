@@ -680,9 +680,13 @@ def test_value_pool_threads_end_with_the_run(game24_templates):
     before = threading.active_count()
     backends = oracle_backends(p=0.3, accuracy=0.85)
     backends.value = SlowBackend(backends.value)
-    result = run_search(
-        game24_task([4, 9, 10, 13]), backends, game24_templates, SearchConfig(n=3, k=4, seed=12)
-    )
+    pool = backends.value_pool = ValuePool(3)
+    try:
+        result = run_search(
+            game24_task([4, 9, 10, 13]), backends, game24_templates, SearchConfig(n=3, k=4, seed=12)
+        )
+    finally:
+        pool.close()
     assert backends.value.trips.peak > 1
     assert result.backend_calls["value"]["calls"] >= 3
     assert threading.active_count() == before
@@ -692,13 +696,17 @@ def test_value_pool_threads_end_when_the_run_raises(game24_templates):
     before = threading.active_count()
     backends = oracle_backends(p=0.3, accuracy=0.85)
     backends.value = CrashingInPoolBackend(backends.value)
-    with pytest.raises(RuntimeError, match="value backend crashed"):
-        run_search(
-            game24_task([4, 9, 10, 13]),
-            backends,
-            game24_templates,
-            SearchConfig(n=3, k=4, seed=12),
-        )
+    pool = backends.value_pool = ValuePool(3)
+    try:
+        with pytest.raises(RuntimeError, match="value backend crashed"):
+            run_search(
+                game24_task([4, 9, 10, 13]),
+                backends,
+                game24_templates,
+                SearchConfig(n=3, k=4, seed=12),
+            )
+    finally:
+        pool.close()
     assert len(backends.value.trips.threads) > 1
     assert threading.active_count() == before
 

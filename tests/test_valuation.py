@@ -366,3 +366,13 @@ def test_value_pool_starts_one_executor_under_concurrent_submits():
     finally:
         pool.close()
     assert threading.active_count() == before
+
+
+def test_value_pool_submit_after_close_raises_and_starts_no_thread():
+    pool = ValuePool(2)
+    assert pool.submit(sum, [1, 2]).result() == 3
+    pool.close()
+    before = threading.active_count()
+    with pytest.raises(RuntimeError):
+        pool.submit(sum, [1, 2])
+    assert threading.active_count() == before
