@@ -161,6 +161,16 @@ RETRIES = 3
 BACKOFF_S = 0.5
 # Client errors that are transient, retried like a 5xx: request timeout, rate limit.
 RETRIED_4XX = (408, 429)
+# A Retry-After given in delay-seconds; an HTTP-date or anything else is ignored.
+_RETRY_AFTER_RE = re.compile(r"\s*(\d+)\s*", re.ASCII)
+
+
+def _retry_after(resp) -> Optional[float]:
+    """Seconds a retried reply asks to wait before the next attempt, capped
+    at TIMEOUT_S; None when its Retry-After header is absent or is not a
+    whole number of seconds, so the backoff applies."""
+    m = _RETRY_AFTER_RE.fullmatch(resp.headers.get("Retry-After") or "")
+    return min(float(m.group(1)), TIMEOUT_S) if m else None
 
 
 class HttpChatBackend:
@@ -173,8 +183,9 @@ class HttpChatBackend:
     read or does not hold n completion strings (say, left half-written by an
     older version) counts as a miss, and one that cannot be written is
     skipped. Transport errors and 408, 429 and 5xx responses are retried,
-    RETRIES attempts in all, with exponential backoff; other HTTP errors,
-    non-JSON replies and non-string completions raise BackendError
+    RETRIES attempts in all, with exponential backoff, or after the wait a
+    reply's Retry-After asks for in seconds (at most TIMEOUT_S); other HTTP
+    errors, non-JSON replies and non-string completions raise BackendError
     immediately.
 
     `session` is the requests session that requests go through. It may be
@@ -259,6 +270,7 @@ class HttpChatBackend:
                 self.session = requests.Session()
         last_error = "no attempt made"
         for attempt in range(RETRIES):
+            wait = None
             try:
                 resp = self.session.post(
                     self.endpoint, json=body, headers=headers, timeout=TIMEOUT_S
@@ -268,6 +280,7 @@ class HttpChatBackend:
             else:
                 if resp.status_code >= 500 or resp.status_code in RETRIED_4XX:
                     last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
+                    wait = _retry_after(resp)
                 elif resp.status_code >= 400:
                     raise BackendError(
                         f"http backend rejected request ({resp.status_code}): {resp.text[:200]}"
@@ -279,7 +292,7 @@ class HttpChatBackend:
                         raise BackendError(f"completion reply is not JSON: {exc}") from exc
                     return self._parse(data, n)
             if attempt + 1 < RETRIES:
-                time.sleep(BACKOFF_S * (2**attempt))
+                time.sleep(BACKOFF_S * (2**attempt) if wait is None else wait)
         raise BackendError(f"http backend failed after {RETRIES} attempts; {last_error}")
 
     @staticmethod

@@ -7,10 +7,13 @@ rest (catalog, corpus, answer, tests) is fixed per task and set at reset.
 The State is a frozen value that a step replaces, never changes, so the
 State object is the snapshot: `snapshot()` keeps it and `restore()` assigns
 it back. Every snapshot shares its nested values (shop selections), which a
-step rebuilds too. A snapshot's `token` is only a JSON view of it, for
-callers that measure or log it. Restoring a snapshot and replaying the same
-actions must reproduce the same observations byte for byte; the search
-engine leans on that to revert to arbitrary tree nodes.
+step rebuilds too. A step that changes nothing (a thought, an invalid
+action) keeps the State object and the done flag, so `snapshot()` returns
+the snapshot last made or restored instead of a new one; `reset` forgets
+it. A snapshot's `token` is only a JSON view of it, for callers that
+measure or log it. Restoring a snapshot and replaying the same actions
+must reproduce the same observations byte for byte; the search engine
+leans on that to revert to arbitrary tree nodes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ class EnvObservation:
             raise ValueError("terminal observation requires a reward")
         if not self.terminal and self.reward is not None:
             raise ValueError("non-terminal observation must not carry a reward")
+
+
+# The observations of a thought and of an invalid action; frozen, so shared.
+OK_OBSERVATION = EnvObservation("OK.")
+INVALID_OBSERVATION = EnvObservation(INVALID)
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,7 @@ class Environment:
     def __init__(self):
         self._task: Optional[TaskSpec] = None
         self._done = False
+        self._snapshot: Optional[EnvSnapshot] = None  # the last one made or restored
 
     # -- subclass hooks -------------------------------------------------
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
@@ -91,6 +100,7 @@ class Environment:
             raise TaskError(f"task kind {task.kind!r} does not fit env {self.kind!r}")
         self._task = task
         self._done = False
+        self._snapshot = None
         self.state = self.State()
         return self._do_reset(task)
 
@@ -100,9 +110,9 @@ class Environment:
         if self._done:
             raise RuntimeError("episode already ended; reset() or restore() first")
         if action.kind == "thought":
-            return EnvObservation("OK.")
+            return OK_OBSERVATION
         if action.verb not in self.grammar.verbs:
-            return EnvObservation(INVALID)
+            return INVALID_OBSERVATION
         obs = self._apply(action)
         if obs.terminal:
             self._done = True
@@ -111,7 +121,12 @@ class Environment:
     def snapshot(self) -> EnvSnapshot:
         if self._task is None:
             raise RuntimeError("snapshot() before reset()")
-        return EnvSnapshot(self.kind, self._task.task_id, self._done, self.state)
+        snap = self._snapshot
+        if snap is None or snap.state is not self.state or snap.done != self._done:
+            snap = self._snapshot = EnvSnapshot(
+                self.kind, self._task.task_id, self._done, self.state
+            )
+        return snap
 
     def restore(self, snap: EnvSnapshot) -> None:
         if self._task is None:
@@ -120,3 +135,4 @@ class Environment:
             raise ValueError("snapshot belongs to a different environment or task")
         self._done = snap.done
         self.state = snap.state
+        self._snapshot = snap

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
-from .base import INVALID, Environment, EnvObservation, TaskError, TaskSpec
+from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec
 
 GRAMMAR = ActionGrammar(
     verbs=("search", "lookup", "finish"),
@@ -102,7 +102,7 @@ class DocQAEnv(Environment):
         if action.verb == "lookup":
             state = self.state
             if state.page is None:
-                return EnvObservation(INVALID)
+                return INVALID_OBSERVATION
             keyword = argument.casefold()
             start = state.lookup_pos if keyword == state.lookup_keyword else 0
             sentences = self._corpus[state.page]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .. import solver24
 from ..actions import ActionGrammar, ActionSample
-from .base import INVALID, Environment, EnvObservation, TaskError, TaskSpec
+from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec
 
 GRAMMAR = ActionGrammar(verbs=("combine",), thought_verbs=("think",))
 
@@ -73,11 +73,11 @@ class Game24Env(Environment):
     def _apply(self, action: ActionSample) -> EnvObservation:
         step = parse_step_argument(action.argument or "")
         if step is None:
-            return EnvObservation(INVALID)
+            return INVALID_OBSERVATION
         try:
             nums = tuple(solver24.step_result(self.state.nums, step))
         except (ValueError, ZeroDivisionError):  # an operand not in the pool, or x / 0
-            return EnvObservation(INVALID)
+            return INVALID_OBSERVATION
         self.state = self.State(nums)
         text = f"Remaining numbers: {format_numbers(nums)}"
         if len(nums) == 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
-from .base import INVALID, Environment, EnvObservation, TaskError, TaskSpec
+from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec
 
 GRAMMAR = ActionGrammar(
     verbs=("search", "choose", "click"),
@@ -132,7 +132,7 @@ class ShopEnv(Environment):
         state = self.state
         if action.verb == "search":
             if state.page_kind != "search":
-                return EnvObservation(INVALID)
+                return INVALID_OBSERVATION
             query = frozenset(_terms(argument))
             if query not in self._rankings:
                 titles = self._title_terms
@@ -146,17 +146,17 @@ class ShopEnv(Environment):
         key = argument.casefold()
         if key == "buy now":
             if state.page_kind != "item":
-                return EnvObservation(INVALID)
+                return INVALID_OBSERVATION
             return self._buy()
         if key == "next page":
             end = (state.page_index + 1) * PAGE_SIZE
             if state.page_kind != "results" or end >= len(state.ranked):
-                return EnvObservation(INVALID)
+                return INVALID_OBSERVATION
             self.state = replace(state, page_index=state.page_index + 1)
             return EnvObservation(self._results_page())
         if key == "prev page":
             if state.page_kind != "results" or state.page_index == 0:
-                return EnvObservation(INVALID)
+                return INVALID_OBSERVATION
             self.state = replace(state, page_index=state.page_index - 1)
             return EnvObservation(self._results_page())
         if key == "back to search":
@@ -167,7 +167,7 @@ class ShopEnv(Environment):
                 if pid.casefold() == key:
                     self.state = replace(state, page_kind="item", current=pid)
                     return EnvObservation(self._item_page())
-            return EnvObservation(INVALID)
+            return INVALID_OBSERVATION
         if state.page_kind == "item":
             product = self._catalog[state.current]
             for opt_type in sorted(product["options"]):
@@ -177,7 +177,7 @@ class ShopEnv(Environment):
                         selections = {**state.selections, state.current: chosen}
                         self.state = replace(state, selections=selections)
                         return EnvObservation(f"You have clicked {value}.")
-        return EnvObservation(INVALID)
+        return INVALID_OBSERVATION
 
     def _buy(self) -> EnvObservation:
         product = self._catalog[self.state.current]

@@ -13,7 +13,11 @@ Four variants share one expansion/valuation substrate:
 mcts (in selection and simulation alike) and dfs_prune advance by steps: a
 node is expanded into n children, the first solved child in child order ends
 the search before anything is scored, and otherwise each child is scored
-once. The rollouts never score.
+once. The rollouts never score. An expansion costs one unit of work per
+distinct proposal: a run parses each proposal text once, and a child whose
+text repeats an earlier sibling's shares that sibling's action, observation
+and snapshot instead of being played again. Duplicate siblings still become
+nodes of their own, as sibling agreement is part of the value.
 
 mcts, best_of_k and greedy_retry share one episode loop: each of up to k
 episodes refreshes the reflection-injected prompts, plays the variant's body
@@ -48,7 +52,7 @@ from .envs import (
     make_env,
     task_input,
 )
-from .envs.base import INVALID, EnvObservation
+from .envs.base import INVALID_OBSERVATION
 from .prompts import assemble_prompt, render_acting_steps
 from .reflection import ReflectionStore, generate_reflection, inject
 from .seeding import stable_seed
@@ -286,6 +290,8 @@ class _Engine:
         obs = self.env.reset(task)
         self.tree = SearchTree.create(task_input(task), root_observation=obs.text)
         self.snapshots = {0: self.env.snapshot()}
+        # proposal text -> (action, observation or None); one grammar per run
+        self.parsed = {}
         self.new_reflections = []
         self.reflective = cfg.reflection_enabled and cfg.variant in _REFLECTIVE_VARIANTS
         self.expansions = 0
@@ -303,20 +309,38 @@ class _Engine:
         self.act_bundle = inject(self.templates.act, records, agent_trajectories)
         self.value_bundle = inject(self.templates.value, records, True)
 
-    def _apply_proposal(self, parent_id: int, text: str):
-        """Parse one proposal and play it in the environment, from the
-        parent's saved state; returns (action, observation, snapshot).
-        Unparseable texts become thoughts with an invalid-action observation
-        that share the parent's snapshot."""
-        try:
-            action = parse_action(text, self.env.grammar)
-        except ValueError:
-            raw = text if text and text.strip() else "(empty proposal)"
-            thought = ActionSample(kind="thought", raw=raw)
-            return thought, EnvObservation(INVALID), self.snapshots[parent_id]
-        self.env.restore(self.snapshots[parent_id])
-        obs = self.env.step(action)
-        return action, obs, self.env.snapshot()
+    def _parse(self, text: str) -> tuple:
+        """(action, observation) for a proposal text, parsed once per run.
+        A text that does not parse becomes a thought with an invalid-action
+        observation; a parsed one has no observation until it is played."""
+        outcome = self.parsed.get(text)
+        if outcome is None:
+            try:
+                outcome = parse_action(text, self.env.grammar), None
+            except ValueError:
+                raw = text if text and text.strip() else "(empty proposal)"
+                outcome = ActionSample(kind="thought", raw=raw), INVALID_OBSERVATION
+            self.parsed[text] = outcome
+        return outcome
+
+    def _play(self, parent_id: int, texts: list) -> list:
+        """(action, observation, snapshot) per proposal text, each played in
+        the environment from the parent's saved state. A text that repeats
+        an earlier sibling's shares its result; one that does not parse
+        shares the parent's snapshot."""
+        parent = self.snapshots[parent_id]
+        played = {}
+        for text in texts:
+            if text in played:
+                continue
+            action, obs = self._parse(text)
+            if obs is None:
+                self.env.restore(parent)
+                obs = self.env.step(action)
+                played[text] = action, obs, self.env.snapshot()
+            else:
+                played[text] = action, obs, parent
+        return [played[text] for text in texts]
 
     def _expand(self, parent_id: int, episode: int, width: Optional[int] = None) -> list:
         width = width if width is not None else self.cfg.n
@@ -325,7 +349,7 @@ class _Engine:
         texts = self.policy.propose(prompt, width, seed)
         if not texts:
             raise BackendError("policy backend returned no proposals")
-        played = [self._apply_proposal(parent_id, text) for text in texts]
+        played = self._play(parent_id, texts)
         ids = add_children(self.tree, parent_id, [(action, obs) for action, obs, _ in played])
         children = [self.tree.node(node_id) for node_id in ids]
         for node, (_, _, snap) in zip(children, played):

@@ -14,7 +14,9 @@ property is preserved.
 
 A Node caches its acting-style block once prompts.render_acting_steps built
 it (engine thread only); value-scored children keep none, so a tree holds
-about one block per expanded node. The dumps leave blocks out.
+about one block per expanded node. The dumps leave blocks out. Nodes use
+slots, and siblings that repeat a proposal share one ActionSample, so a
+node holds little beyond its statistics.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .trace import jsonl
 NodeId = int
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: NodeId
     parent: Optional[NodeId]

@@ -15,10 +15,11 @@ backpropagation replaces it.
 
 Each child's value prompt (acting style, under the engine's value bundle)
 is its parent's cached block plus its own step, built in the calling
-thread. Without a ValuePool every value call runs inline, in child order.
-A caller that wants them overlapped opens one and carries it in
-BackendSet.value_pool; once value calls prove slow they go out together on
-it. The scores are still applied in child order, so the result does not
+thread once per distinct (action, observation) among the siblings; each
+child still makes its own value call, with its own seed. Without a
+ValuePool every value call runs inline, in child order. A caller that
+wants them overlapped opens one and carries it in BackendSet.value_pool;
+once value calls prove slow they go out together on it. The scores are still applied in child order, so the result does not
 depend on which call returns first, where it ran, or which run learned
 that calls are slow.
 """
@@ -82,7 +83,8 @@ def lm_score(prompt: str, backend: PolicyBackend, seed: int = 0) -> Optional[flo
 def sc_scores(siblings: Sequence[ActionSample]) -> list:
     """Each sibling's frequency of its normalized action text in the sibling
     set (the node itself included, so a singleton scores 1.0), in order."""
-    normalized = [normalize_action_text(s) for s in siblings]
+    distinct = {s: normalize_action_text(s) for s in set(siblings)}
+    normalized = [distinct[s] for s in siblings]
     counts = Counter(normalized)
     return [counts[text] / len(normalized) for text in normalized]
 
@@ -188,10 +190,14 @@ def evaluate_children(
         if bundle is None or backend is None:
             raise ValueError("full value mode needs a value bundle and backend")
         block = render_acting_steps(tree, parent_id)
+        prompts = {}
         queries = []
         for child in children:
-            text = block + "\n" + render_step(child.depth, child.action, child.observation)
-            queries.append((child.id, assemble_acting_prompt(bundle, text, child.depth)))
+            step = child.action, child.observation
+            if step not in prompts:
+                text = block + "\n" + render_step(child.depth, *step)
+                prompts[step] = assemble_acting_prompt(bundle, text, child.depth)
+            queries.append((child.id, prompts[step]))
         lm_results = _lm_scores(queries, backend, seed, pool)
     else:
         lm_results = [0.0] * len(children)

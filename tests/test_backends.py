@@ -18,7 +18,14 @@ from agentsearch.backends import (
     parse_remaining_numbers,
     static_backend,
 )
+from agentsearch.envs import load_task
+from agentsearch.search import BackendSet, SearchConfig, run_search
+from agentsearch.seeding import stable_seed
+from agentsearch.templates import load_template_set
+from agentsearch.trace import TraceWriter
 from agentsearch.valuation import parse_score
+
+from helpers import bundled_task_files
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +210,11 @@ def test_value_oracle_inaccurate_scores_stay_in_range():
 
 
 class StubResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if isinstance(self._payload, Exception):
@@ -355,6 +363,91 @@ def test_http_backend_retries_timeouts_and_rate_limits(status):
     with pytest.raises(BackendError, match=f"after 3 attempts; .*{status}"):
         backend.propose("p", 1, 0)
     assert len(session.calls) == 3
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The delays the backend asked for, in order; nothing really sleeps."""
+    slept = []
+    monkeypatch.setattr(backends.time, "sleep", slept.append)
+    return slept
+
+
+@pytest.mark.parametrize(
+    "headers, waited",
+    [
+        ({"Retry-After": "2"}, 2.0),
+        ({}, 0.0),  # the backoff, patched to 0
+        ({"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, 0.0),
+        ({"Retry-After": "-1"}, 0.0),
+        ({"Retry-After": "1.5"}, 0.0),
+        ({"Retry-After": "soon"}, 0.0),
+        ({"Retry-After": "3600"}, backends.TIMEOUT_S),
+    ],
+    ids=["seconds", "absent", "http-date", "negative", "fraction", "text", "above-cap"],
+)
+def test_http_backend_waits_as_a_rate_limit_reply_asks(sleeps, headers, waited):
+    session = StubSession(
+        [
+            StubResponse(429, text="slow down", headers=headers),
+            StubResponse(200, completion_payload(["ok"])),
+        ]
+    )
+    assert make_backend(session).propose("p", 1, 0) == ["ok"]
+    assert len(session.calls) == 2
+    assert sleeps == [waited]
+
+
+@pytest.mark.parametrize("status", [408, 503])
+def test_http_backend_honours_retry_after_on_every_retried_status(sleeps, status):
+    session = StubSession(
+        [
+            StubResponse(status, text="busy", headers={"Retry-After": "1"}),
+            StubResponse(status, text="busy"),
+            StubResponse(200, completion_payload(["ok"])),
+        ]
+    )
+    assert make_backend(session).propose("p", 1, 0) == ["ok"]
+    assert sleeps == [1.0, 0.0]  # the second reply gives none: back to the backoff
+
+
+def test_rate_limited_value_calls_leave_the_trace_unchanged(sleeps):
+    """A value server that answers a run's first request with a 429 and
+    Retry-After gives the same trace bytes as one that answers at once."""
+    task = load_task(bundled_task_files("game24")[0])
+    oracle = Game24ValueOracle(0.8, seed=5)
+
+    class ValueSession:
+        def __init__(self, limited):
+            self.limited = limited
+            self.posts = 0
+
+        def post(self, endpoint, json=None, headers=None, timeout=None):
+            self.posts += 1
+            if self.limited:
+                self.limited = False
+                return StubResponse(429, text="slow down", headers={"Retry-After": "1"})
+            prompt, n = json["messages"][0]["content"], json["n"]
+            texts = oracle.propose(prompt, n, stable_seed(prompt))  # a function of the request
+            return StubResponse(200, completion_payload(texts))
+
+    def trace_bytes(limited):
+        session = ValueSession(limited)
+        trace = TraceWriter()
+        run_search(
+            task,
+            BackendSet(policy=Game24PolicyOracle(0.4, seed=3), value=make_backend(session)),
+            load_template_set("game24"),
+            SearchConfig(n=3, k=3, seed=7),
+            trace=trace,
+        )
+        return trace.to_jsonl(), session.posts
+
+    plain, posts = trace_bytes(False)
+    limited, limited_posts = trace_bytes(True)
+    assert posts > 1 and limited_posts == posts + 1
+    assert limited == plain
+    assert sleeps == [1.0]
 
 
 def test_http_backend_recovers_after_transport_error():

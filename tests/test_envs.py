@@ -959,6 +959,54 @@ def test_reset_after_an_episode_starts_from_the_declared_state(env_cls, task, mo
     assert env.snapshot() == moved
 
 
+@pytest.mark.parametrize(
+    "env_cls, task, moves, unchanged, changing",
+    [
+        (Game24Env, game24_task, [], ["combine[2 + 2]", "think[try 9]", "combine[1 +]"],
+         "combine[4 / 6]"),
+        (DocQAEnv, docqa_task, ["Search[Ada Lanford]"], ["think[read on]"], "Lookup[Harrowgate]"),
+        (ShopEnv, shop_task, [], ["click[next page]", "click[Buy Now]", "think[compare]"],
+         "search[hiking jacket]"),
+        (SolutionEnv, solution_task, [], ["think[a line]"], "submit[x + 1]"),
+    ],
+    ids=["game24", "docqa", "shop", "solution"],
+)
+def test_a_step_that_changes_nothing_keeps_its_snapshot(env_cls, task, moves, unchanged, changing):
+    env = env_cls()
+    env.reset(task())
+    for move in moves:
+        act(env, move)
+    parent = env.snapshot()
+    assert env.snapshot() is parent
+    for move in unchanged:
+        env.restore(parent)
+        act(env, move)
+        assert env.snapshot() is parent, move
+    env.restore(parent)
+    act(env, changing)
+    child = env.snapshot()
+    assert child is not parent and child != parent  # a new state, or done (solution)
+    assert env.snapshot() is child
+    env.restore(parent)
+    assert env.snapshot() is parent
+
+
+@pytest.mark.parametrize(
+    "env_cls, task",
+    [(Game24Env, game24_task), (DocQAEnv, docqa_task), (ShopEnv, shop_task),
+     (SolutionEnv, solution_task)],
+    ids=["game24", "docqa", "shop", "solution"],
+)
+def test_reset_forgets_the_previous_tasks_snapshot(env_cls, task):
+    env = env_cls()
+    env.reset(task())
+    before = env.snapshot()
+    env.reset(task())
+    fresh = env.snapshot()
+    assert fresh is not before and fresh.state is not before.state
+    assert fresh == before  # the same task, so an equal snapshot all the same
+
+
 def test_snapshot_token_bytes_are_pinned():
     env = Game24Env()
     env.reset(game24_task())

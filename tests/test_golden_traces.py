@@ -21,9 +21,9 @@ from agentsearch.backends import (
     ScriptRule,
     static_backend,
 )
-from agentsearch.envs import load_task
+from agentsearch.envs import load_task, make_env
 from agentsearch.reflection import ReflectionStore
-from agentsearch.search import VARIANTS, BackendSet, SearchConfig, run_search
+from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _Engine, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
 from agentsearch.valuation import VALUE_MODES, ValuePool
@@ -374,3 +374,46 @@ def test_random_runs_score_each_expansion_once(kind, variant, data):
     trace = TraceWriter()
     run_search(task, backends, load_template_set(kind), config, trace=trace)
     assert_children_scored_once(trace.events, variant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SCRIPTED_CASES)), variant=st.sampled_from(VARIANTS), data=st.data()
+)
+def test_every_node_keeps_the_snapshot_of_its_replayed_path(kind, variant, data):
+    """Siblings that repeat a text, and steps that change nothing, share
+    snapshots; each node's must still be what replaying its path gives."""
+    name, pool = SCRIPTED_CASES[kind]
+    if pool is None:
+        policy = Game24PolicyOracle(data.draw(st.sampled_from([0.0, 0.3, 1.0])), seed=1)
+    else:
+        texts = st.sampled_from(pool + ["not an action", ""])
+        policy = ScriptedBackend(
+            [ScriptRule(pattern=".", responses=data.draw(st.lists(texts, min_size=1, max_size=8)))]
+        )
+    scores = data.draw(st.lists(st.sampled_from(SCORE_TEXTS), min_size=1, max_size=5))
+    backends = BackendSet(
+        policy=policy,
+        value=ScriptedBackend([ScriptRule(pattern=".", responses=scores)]),
+        reflection=static_backend("Try another way."),
+    )
+    config = SearchConfig(
+        n=data.draw(st.integers(1, 4)),
+        k=data.draw(st.integers(1, 6)),
+        depth_limit=data.draw(st.integers(1, 6)),
+        variant=variant,
+        seed=data.draw(st.integers(0, 99)),
+    ).resolved(kind)
+    task = _task(kind, name)
+    engine = _Engine(
+        task, backends, load_template_set(kind), config, TraceWriter(), ReflectionStore()
+    )
+    engine.run()
+    tree = engine.tree
+    assert sorted(engine.snapshots) == [node.id for node in tree.nodes]
+    fresh = make_env(kind)
+    for node in tree.nodes:
+        fresh.reset(task)
+        for step in reversed(tree.path_to_root(node.id)[:-1]):
+            fresh.step(tree.node(step).action)
+        assert fresh.snapshot().token == engine.snapshots[node.id].token

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import types
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,8 @@ from agentsearch.backends import (
     ScriptRule,
     static_backend,
 )
-from agentsearch.envs import TaskSpec
+from agentsearch import search
+from agentsearch.envs import TaskSpec, make_env
 from agentsearch.prompts import DEFAULT_REFLECTIONS_HEADER
 from agentsearch.reflection import ReflectionStore
 from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _CountingBackend, run_search
@@ -610,6 +612,103 @@ def test_skip_simulation_backprops_best_partial_reward(solution_templates):
     assert backprops[0]["reward"] == pytest.approx(1 / 3)
     best = result.tree.node(result.best_node)
     assert best.visits == 1
+
+
+# ---------------------------------------------------------------------------
+# one unit of work per distinct proposal
+
+
+class CountingEnv:
+    """An environment, passed as env=, that records what the engine asks of it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.kind = inner.kind
+        self.grammar = inner.grammar
+        self.stepped = []
+        self.restores = 0
+        self.snapshots = 0
+
+    def reset(self, task):
+        return self.inner.reset(task)
+
+    def step(self, action):
+        self.stepped.append(action.raw)
+        return self.inner.step(action)
+
+    def restore(self, snap):
+        self.restores += 1
+        self.inner.restore(snap)
+
+    def snapshot(self):
+        self.snapshots += 1
+        return self.inner.snapshot()
+
+
+def scripted_policy(texts):
+    return BackendSet(policy=ScriptedBackend([ScriptRule(pattern=".", responses=texts)]))
+
+
+def test_an_expansion_steps_each_distinct_proposal_once(game24_templates):
+    texts = [
+        "combine[4 + 9]",
+        "combine[4 + 9]",
+        "think[halve it]",
+        "combine[4 + 9]",
+        "",
+        "combine[13 - 10]",
+        "  ",
+        "think[halve it]",
+    ]
+    env = CountingEnv(make_env("game24"))
+    result = run_search(
+        game24_task([4, 9, 10, 13]),
+        scripted_policy(texts),
+        game24_templates,
+        SearchConfig(n=len(texts), k=1, value_mode="sc_only", skip_simulation=True),
+        env=env,
+    )
+    assert result.nodes_expanded == 1
+    assert env.stepped == ["combine[4 + 9]", "think[halve it]", "combine[13 - 10]"]
+    assert env.restores == 3
+    assert env.snapshots == 1 + 3  # the root's, then one per step
+    children = [result.tree.node(i) for i in result.tree.root.children]
+    assert [c.action.raw for c in children] == [
+        *texts[:4], "(empty proposal)", texts[5], "(empty proposal)", texts[7]
+    ]
+    assert [c.observation for c in children] == [
+        "Remaining numbers: 10 13 13",
+        "Remaining numbers: 10 13 13",
+        "OK.",
+        "Remaining numbers: 10 13 13",
+        "Invalid action!",
+        "Remaining numbers: 4 9 3",
+        "Invalid action!",
+        "OK.",
+    ]
+    # a repeated text is the same action, not a copy of it
+    assert children[1].action is children[0].action is children[3].action
+    assert children[7].action is children[2].action
+
+
+def test_a_run_parses_each_distinct_proposal_text_once(monkeypatch, game24_templates):
+    texts = ["combine[4 + 9]", "think[hmm]", "", "combine[4 +", "combine[13 - 10]"]
+    parsed = Counter()
+    parse = search.parse_action
+
+    def counting_parse(text, grammar):
+        parsed[text] += 1
+        return parse(text, grammar)
+
+    monkeypatch.setattr(search, "parse_action", counting_parse)
+    result = run_search(
+        game24_task([4, 9, 10, 13]),
+        scripted_policy(texts),
+        game24_templates,
+        SearchConfig(n=3, k=4, value_mode="sc_only"),
+    )
+    assert result.proposals > 2 * len(texts)
+    assert parsed == Counter(texts)
 
 
 # ---------------------------------------------------------------------------
