@@ -7,13 +7,15 @@ Every backend implements one method:
 returning exactly n completion texts. Deterministic backends return the same
 list for the same (prompt, n, seed).
 
-A search may call its value backend from several threads at once: the
-value calls of one node's fresh children go out together once they prove
-slow. So a backend must be safe to call concurrently, and must answer as a
-function of (prompt, n, seed) alone, or else set the class attribute
-`order_dependent = True`; a search then makes its value calls one at a
-time, in child order. The scripted backend is order-dependent: it hands out
-responses by call order.
+A search may call its value backend from several threads at once: when
+the caller carries a ValuePool in BackendSet.value_pool, the value calls of
+one node's fresh children go out together on it once they prove slow;
+without one, every value call runs inline. So a backend must be safe to
+call concurrently, and must answer as a function of (prompt, n, seed)
+alone, or else set the class attribute `order_dependent = True`; a search
+then makes its value calls one at a time, in child order, and uses no
+pool. The scripted backend is order-dependent: it hands out responses by
+call order.
 """
 
 from __future__ import annotations

@@ -246,9 +246,13 @@ def _run_one(path, task, error, args, config, out_dir, session, value_pool) -> d
     if out_dir is not None:
         write_trace(writer.events, out_dir / f"{task.task_id}.trace.jsonl")
         (out_dir / f"{task.task_id}.tree.jsonl").write_text(tree_to_jsonl(result.tree))
+        # An empty store writes no file and removes an earlier run's.
+        reflections_path = out_dir / f"{task.task_id}.reflections.jsonl"
         reflections = store.to_jsonl()
         if reflections:
-            (out_dir / f"{task.task_id}.reflections.jsonl").write_text(reflections)
+            reflections_path.write_text(reflections)
+        else:
+            reflections_path.unlink(missing_ok=True)
     return result.summary()
 
 

@@ -15,7 +15,7 @@ the cached `head`. The acting style builds prompts once per node: a node's
 block is its parent's block plus its own step, and render_acting_steps
 caches it on the Node when the node is expanded, reflected on or reported;
 a child that is only value-scored gets its block on the spot. The reasoning
-style (policy prompts only) renders from a StateContext: it drops
+style (policy prompts only) walks the node's path on every call: it drops
 observations, and its cue depends on the whole path.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .tree import SearchTree, StateContext, reconstruct_context
+from .tree import SearchTree, reconstruct_context
 
 DEFAULT_REFLECTIONS_HEADER = (
     "You have attempted this task before and failed. The following "
@@ -97,18 +97,6 @@ def render_acting_steps(tree: SearchTree, node_id: int) -> str:
     return node.block
 
 
-def render_reasoning_steps(ctx: StateContext) -> str:
-    """Trajectory block in reasoning style: thoughts only, observations
-    omitted, any action rendered as a bare "Action:" line."""
-    lines = [f"Question: {ctx.input}"]
-    for i, (action, _observation) in enumerate(ctx.steps, start=1):
-        if action.kind == "thought":
-            lines.append(f"Thought {i}: {action.raw}")
-        else:
-            lines.append(f"Action: {action.raw}")
-    return "\n".join(lines)
-
-
 def join_head(head: str, block: str) -> str:
     return head + "\n\n" + block if head else block
 
@@ -129,20 +117,21 @@ def assemble_acting_prompt(bundle: PromptBundle, block: str, depth: int) -> str:
     return join_head(bundle.head, _with_cue(bundle, depth, block, f"Thought {depth + 1}:"))
 
 
-def assemble_reasoning_prompt(bundle: PromptBundle, ctx: StateContext) -> str:
-    """Full reasoning-style prompt; ends with an "Action:" cue once any
-    thought steps exist and the trajectory has not already answered."""
-    block = render_reasoning_steps(ctx)
-    if not any(a.kind == "final_answer" for a, _ in ctx.steps):
-        block = _with_cue(bundle, len(ctx.steps), block, "Action:")
-    return join_head(bundle.head, block)
-
-
 def assemble_prompt(bundle: PromptBundle, tree: SearchTree, node_id: int, style: str) -> str:
-    """The policy prompt for expanding a node, in the given style."""
+    """The policy prompt for expanding a node, in the given style. The
+    reasoning style shows thoughts as "Thought i: ..." and any other step as
+    a bare "Action: ..." line, drops observations, and ends with an
+    "Action:" cue once any step exists, unless the path already answered."""
     if style == "acting":
         block = render_acting_steps(tree, node_id)
         return assemble_acting_prompt(bundle, block, tree.node(node_id).depth)
     if style == "reasoning":
-        return assemble_reasoning_prompt(bundle, reconstruct_context(tree, node_id))
+        actions = [action for action, _observation in reconstruct_context(tree, node_id)]
+        lines = [f"Question: {tree.input}"]
+        for i, a in enumerate(actions, start=1):
+            lines.append(f"Thought {i}: {a.raw}" if a.kind == "thought" else f"Action: {a.raw}")
+        block = "\n".join(lines)
+        if not any(a.kind == "final_answer" for a in actions):
+            block = _with_cue(bundle, len(actions), block, "Action:")
+        return join_head(bundle.head, block)
     raise ValueError(f"unknown prompt style: {style!r}")

@@ -52,15 +52,6 @@ class Node:
 
 
 @dataclass
-class StateContext:
-    """Replayable state of one node: the task input plus every (action,
-    observation) pair along the path from the root. len(steps) == depth."""
-
-    input: str
-    steps: list = field(default_factory=list)
-
-
-@dataclass
 class SearchTree:
     input: str
     nodes: list = field(default_factory=list)
@@ -198,15 +189,13 @@ def backpropagate(tree: SearchTree, leaf_id: NodeId, reward: float) -> None:
         node.value = (node.value * (node.visits - 1) + reward) / node.visits
 
 
-def reconstruct_context(tree: SearchTree, node_id: NodeId) -> StateContext:
-    """Build the textual state of a node: every (action, observation) pair
-    from the root down."""
-    steps = []
-    for nid in reversed(tree.path_to_root(node_id)):
-        node = tree.node(nid)
-        if node.action is not None:
-            steps.append((node.action, node.observation))
-    return StateContext(input=tree.input, steps=steps)
+def reconstruct_context(tree: SearchTree, node_id: NodeId) -> list:
+    """The node's steps: every (action, observation) pair from the root's
+    child down to the node, so len(steps) == depth."""
+    return [
+        (tree.node(nid).action, tree.node(nid).observation)
+        for nid in reversed(tree.path_to_root(node_id)[:-1])
+    ]
 
 
 def node_record(node: Node) -> dict:

@@ -19,9 +19,9 @@ thread once per distinct (action, observation) among the siblings; each
 child still makes its own value call, with its own seed. Without a
 ValuePool every value call runs inline, in child order. A caller that
 wants them overlapped opens one and carries it in BackendSet.value_pool;
-once value calls prove slow they go out together on it. The scores are still applied in child order, so the result does not
-depend on which call returns first, where it ran, or which run learned
-that calls are slow.
+once value calls prove slow they go out together on it. The scores are
+still applied in child order, so the result does not depend on which call
+returns first, where it ran, or which run learned that calls are slow.
 """
 
 from __future__ import annotations

@@ -437,20 +437,40 @@ def test_run_rejects_an_out_path_naming_a_file_before_any_search(tmp_path, capsy
     assert out.read_text() == "not a directory"
 
 
-def test_readme_run_example_prints_its_lines_and_stores_reflections(tmp_path, capsys, monkeypatch):
+def readme_run_example(out_dir, monkeypatch):
+    """The README's `agentsearch run` argv, writing to out_dir, and the
+    lines it says the run prints; the working directory is the repo root."""
     root = DATA_DIR.parents[2]
     readme = (root / "README.md").read_text()
     command, printed = re.search(
         r"```bash\n(agentsearch run .*?)```\n\n```\n(.*?)```", readme, re.DOTALL
     ).groups()
     argv = shlex.split(command.replace("\\\n", " "))[1:]
-    argv[argv.index("--out") + 1] = str(tmp_path / "demo")
+    argv[argv.index("--out") + 1] = str(out_dir)
     monkeypatch.chdir(root)
+    return argv, printed
+
+
+def test_readme_run_example_prints_its_lines_and_stores_reflections(tmp_path, capsys, monkeypatch):
+    argv, printed = readme_run_example(tmp_path / "demo", monkeypatch)
     assert main(argv) == 0
     assert capsys.readouterr().out == printed
     rows = json.loads((tmp_path / "demo" / "report.json").read_text())["rows"]
     assert all(row["reflections"] == row["reflection_calls"] for row in rows)
     assert [row["reflections"] for row in rows] == [4, 0, 4]
+
+
+def test_rerun_without_reflections_removes_the_earlier_reflection_files(tmp_path, monkeypatch):
+    out_dir = tmp_path / "demo"
+    argv, _ = readme_run_example(out_dir, monkeypatch)
+    assert main(argv) == 0
+    stored = sorted(path.name for path in out_dir.glob("*.reflections.jsonl"))
+    assert stored == ["24-1-1-3-13.reflections.jsonl", "24-1-10-11-12.reflections.jsonl"]
+    assert main(argv + ["--no-reflection"]) == 0
+    rows = json.loads((out_dir / "report.json").read_text())["rows"]
+    assert [row["reflections"] for row in rows] == [0, 0, 0]
+    assert list(out_dir.glob("*.reflections.jsonl")) == []
+    assert len(list(out_dir.glob("*.trace.jsonl"))) == 3
 
 
 def test_run_gives_task_error_row_for_an_infinite_game24_number(tmp_path, capsys):

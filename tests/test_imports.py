@@ -1,14 +1,18 @@
-"""Every import in the package is read by its module, or listed in __all__.
+"""Every import in the package is read by its module, or listed in __all__,
+and every definition in the package is read by code that is not a test.
 
-The only allowances are the imports that perfbench/spans.py patches by
-name though the module never calls them (ROADMAP item 1); each carries a
+The only import allowances are the imports that perfbench/spans.py patches
+by name though the module never calls them (ROADMAP item 1); each carries a
 comment that points there.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agentsearch"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "agentsearch"
+# Where the program's own code lives, test modules aside.
+NON_TEST_DIRS = ("src", "scripts", "perfbench")
 
 # (module path under the package, imported name) kept only for the spans.
 KEPT_FOR_SPANS = {
@@ -67,3 +71,70 @@ def test_the_scan_sees_reads_and_dunder_all():
         "x: b = os.sep\n"
     )
     assert unused_imports(source) == {"d": 3}
+
+
+# -- definitions only tests use ----------------------------------------------
+
+
+def definitions(source: str) -> dict:
+    """{name: line} for each function, class and method the source defines,
+    dunder methods aside: Python calls those itself."""
+    return {
+        node.name: node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def reads(source: str) -> set:
+    """The names the source reads, bare or as an attribute. An import binds
+    a name without reading it, and an assignment is no read either."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return found
+
+
+def non_test_sources() -> list:
+    return [
+        path
+        for folder in NON_TEST_DIRS
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if not path.name.startswith("test_") and path.name != "conftest.py"
+    ]
+
+
+def test_every_definition_is_read_outside_the_tests():
+    read = set()
+    for path in non_test_sources():
+        read |= reads(path.read_text())
+    dead = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name, line in definitions(path.read_text()).items():
+            if name not in read:
+                dead.add((path.relative_to(PACKAGE).as_posix(), name, line))
+    assert dead == set()
+
+
+def test_the_definition_scan_sees_names_attributes_and_no_imports():
+    source = (
+        "from elsewhere import dead\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.m = 1\n"
+        "    def m(self):\n"
+        "        return helper()\n"
+        "def helper():\n"
+        "    pass\n"
+        "def dead():\n"
+        "    pass\n"
+        "print(a.used)\n"
+    )
+    defined = definitions(source)
+    assert defined == {"A": 2, "m": 5, "helper": 7, "dead": 9}
+    assert {name for name in defined if name not in reads(source)} == {"A", "m", "dead"}
+    assert {"helper", "used", "print", "a", "self"} <= reads(source)

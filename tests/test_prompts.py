@@ -5,21 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentsearch.actions import ActionGrammar, ActionSample, parse_action
+from agentsearch.envs import load_task, make_env, task_input
 from agentsearch.envs.base import INVALID, EnvObservation
 from agentsearch.prompts import (
     DEFAULT_REFLECTIONS_HEADER,
     PromptBundle,
     assemble_acting_prompt,
     assemble_prompt,
-    assemble_reasoning_prompt,
     join_head,
     render_acting_steps,
-    render_reasoning_steps,
     render_step,
 )
 from agentsearch.reflection import ReflectionStore, assemble_reflection_prompt, inject
-from agentsearch.tree import SearchTree, StateContext, add_children, reconstruct_context
+from agentsearch.tree import SearchTree, add_children, reconstruct_context
 from agentsearch.valuation import evaluate_children
+
+from helpers import bundled_task_files
 
 
 GRAMMAR = ActionGrammar(
@@ -27,11 +28,6 @@ GRAMMAR = ActionGrammar(
     thought_verbs=("think",),
     terminal_verbs=("finish",),
 )
-
-
-def ctx_with(input_text, raw_steps):
-    steps = [(parse_action(raw, GRAMMAR), obs) for raw, obs in raw_steps]
-    return StateContext(input=input_text, steps=steps)
 
 
 def chain_with(input_text, raw_steps):
@@ -48,18 +44,44 @@ def acting_prompt_of(bundle, input_text, raw_steps=()):
     return assemble_prompt(bundle, tree, leaf, "acting")
 
 
-# -- from-scratch references: the acting style rendered from a StateContext --
+def reasoning_prompt_of(bundle, input_text, raw_steps=()):
+    tree, leaf = chain_with(input_text, raw_steps)
+    return assemble_prompt(bundle, tree, leaf, "reasoning")
 
 
-def acting_steps_from_scratch(ctx):
-    """The acting-style block of a StateContext: the question, then each step."""
-    lines = [f"Question: {ctx.input}"]
-    lines.extend(render_step(i, a, o) for i, (a, o) in enumerate(ctx.steps, start=1))
+# -- from-scratch references: each prompt rendered afresh from the path ------
+
+
+def acting_steps_from_scratch(tree, node_id):
+    """The node's acting-style block: the question, then each step."""
+    lines = [f"Question: {tree.input}"]
+    steps = reconstruct_context(tree, node_id)
+    lines.extend(render_step(i, a, o) for i, (a, o) in enumerate(steps, start=1))
     return "\n".join(lines)
 
 
-def acting_prompt_from_scratch(bundle, ctx):
-    return assemble_acting_prompt(bundle, acting_steps_from_scratch(ctx), len(ctx.steps))
+def acting_prompt_from_scratch(bundle, tree, node_id):
+    block = acting_steps_from_scratch(tree, node_id)
+    return assemble_acting_prompt(bundle, block, tree.node(node_id).depth)
+
+
+def reasoning_prompt_from_scratch(bundle, tree, node_id):
+    """The node's reasoning-style policy prompt, read off the nodes on its
+    path: thoughts numbered by depth, any other step a bare "Action:" line,
+    no observations, and a cue unless some step on the path answered."""
+    path = [tree.node(i) for i in reversed(tree.path_to_root(node_id)) if i != 0]
+    lines = [f"Question: {tree.input}"]
+    for node in path:
+        if node.action.kind == "thought":
+            lines.append(f"Thought {node.depth}: {node.action.raw}")
+        else:
+            lines.append(f"Action: {node.action.raw}")
+    if not any(node.action.kind == "final_answer" for node in path):
+        if bundle.cue is None and path:
+            lines.append("Action:")
+        elif bundle.cue:
+            lines.append(bundle.cue.replace("{i}", str(len(path) + 1)))
+    return sections_from_scratch(bundle, "\n".join(lines))
 
 
 def test_acting_steps_render_thought_action_observation():
@@ -90,14 +112,16 @@ def test_acting_action_without_observation_renders_no_observation_line():
 
 
 def test_reasoning_steps_drop_observations_and_number_thoughts():
-    ctx = ctx_with(
+    prompt = reasoning_prompt_of(
+        PromptBundle(instruction="inst", cue=""),
         "make 24",
         [
             ("I will combine the fours.", "OK."),
             ("combine[4 * 6]", "Remaining numbers: 1 24"),
         ],
     )
-    assert render_reasoning_steps(ctx) == (
+    assert prompt == (
+        "inst\n\n"
         "Question: make 24\n"
         "Thought 1: I will combine the fours.\n"
         "Action: combine[4 * 6]"
@@ -119,10 +143,35 @@ def test_acting_prompt_with_steps_ends_with_thought_cue():
 
 def test_reasoning_prompt_ends_with_action_cue_until_answered():
     bundle = PromptBundle(instruction="inst")
-    pending = ctx_with("q", [("I think x = 2.", "OK.")])
-    assert assemble_reasoning_prompt(bundle, pending).endswith("Action:")
-    done = ctx_with("q", [("Finish[2]", "Episode finished, reward = 1")])
-    assert not assemble_reasoning_prompt(bundle, done).endswith("Action:")
+    assert reasoning_prompt_of(bundle, "q") == "inst\n\nQuestion: q"
+    pending = reasoning_prompt_of(bundle, "q", [("I think x = 2.", "OK.")])
+    assert pending == "inst\n\nQuestion: q\nThought 1: I think x = 2.\nAction:"
+    done = [("Finish[2]", "Episode finished, reward = 1"), ("I think x = 2.", "OK.")]
+    assert not reasoning_prompt_of(bundle, "q", done[:1]).endswith("Action:")
+    assert not reasoning_prompt_of(bundle, "q", done).endswith("Action:")
+
+
+def test_reasoning_prompt_below_a_rejected_shop_purchase_has_no_action_cue():
+    # choose[Buy Now] off a results page is a final answer that the shop
+    # rejects: the node is not terminal, so the search may expand below it.
+    task = load_task(bundled_task_files("shop")[0])
+    env = make_env("shop")
+    tree = SearchTree.create(task_input(task), root_observation=env.reset(task).text)
+    leaf = 0
+    for raw in ("search[jacket]", "choose[Buy Now]", "think[try the first result]"):
+        action = parse_action(raw, env.grammar)
+        (leaf,) = add_children(tree, leaf, [(action, env.step(action))])
+    buy = tree.node(tree.node(leaf).parent)
+    assert buy.action.kind == "final_answer"
+    assert buy.observation == INVALID and not buy.is_terminal
+    bundle = PromptBundle(instruction="inst")
+    for node_id, last_line in [
+        (buy.id, "Action: choose[Buy Now]"),
+        (leaf, "Thought 3: think[try the first result]"),
+    ]:
+        prompt = assemble_prompt(bundle, tree, node_id, "reasoning")
+        assert prompt == reasoning_prompt_from_scratch(bundle, tree, node_id)
+        assert prompt.endswith("\n" + last_line)
 
 
 def test_empty_cue_suppresses_trailing_cue():
@@ -180,11 +229,12 @@ def test_failed_trajectories_included_only_when_enabled():
 def test_assemble_prompt_dispatch_and_unknown_style():
     bundle = PromptBundle(instruction="inst")
     tree, leaf = chain_with("q", [("Search[a]", "nothing")])
-    ctx = reconstruct_context(tree, leaf)
-    assert assemble_prompt(bundle, tree, leaf, "acting") == acting_prompt_from_scratch(bundle, ctx)
-    assert assemble_prompt(bundle, tree, leaf, "reasoning") == assemble_reasoning_prompt(
-        bundle, ctx
-    )
+    acting = assemble_prompt(bundle, tree, leaf, "acting")
+    assert acting == acting_prompt_from_scratch(bundle, tree, leaf)
+    assert acting.endswith("Observation 1: nothing\nThought 2:")
+    reasoning = assemble_prompt(bundle, tree, leaf, "reasoning")
+    assert reasoning == reasoning_prompt_from_scratch(bundle, tree, leaf)
+    assert reasoning == "inst\n\nQuestion: q\nAction: Search[a]\nAction:"
     with pytest.raises(ValueError):
         assemble_prompt(bundle, tree, leaf, "verse")
 
@@ -249,10 +299,11 @@ def sections_from_scratch(bundle, query_block):
     return "\n\n".join(p for p in parts if p)
 
 
-def reflection_from_scratch(bundle, ctx, reward):
+def reflection_from_scratch(bundle, tree, node_id, reward):
     parts = [bundle.instruction.strip()]
     parts.extend(example.strip() for example in bundle.few_shot)
-    parts.append(acting_steps_from_scratch(ctx) + f"\nSTATUS: FAIL (reward: {reward:g})\n\nReflection:")
+    status = f"\nSTATUS: FAIL (reward: {reward:g})\n\nReflection:"
+    parts.append(acting_steps_from_scratch(tree, node_id) + status)
     return "\n\n".join(p for p in parts if p)
 
 
@@ -273,19 +324,19 @@ def test_incremental_prompts_equal_the_from_scratch_assembly(tree, bundle, data)
     # in the tree, below ancestors that have none yet.
     for node_id in data.draw(st.permutations(range(len(tree.nodes)))):
         node = tree.node(node_id)
-        ctx = reconstruct_context(tree, node_id)
-        expected = acting_prompt_from_scratch(bundle, ctx)
+        expected = acting_prompt_from_scratch(bundle, tree, node_id)
         assert assemble_prompt(bundle, tree, node_id, "acting") == expected
-        assert render_acting_steps(tree, node_id) == acting_steps_from_scratch(ctx)
+        assert render_acting_steps(tree, node_id) == acting_steps_from_scratch(tree, node_id)
         assert assemble_reflection_prompt(
             bundle, render_acting_steps(tree, node_id), 0.25
-        ) == reflection_from_scratch(bundle, ctx, 0.25)
+        ) == reflection_from_scratch(bundle, tree, node_id, 0.25)
+        expected = reasoning_prompt_from_scratch(bundle, tree, node_id)
+        assert assemble_prompt(bundle, tree, node_id, "reasoning") == expected
         if node.children:
             backend = ScorePrompts()
             evaluate_children(tree, node_id, "full", 0.5, bundle=bundle, backend=backend)
             assert backend.prompts == [
-                acting_prompt_from_scratch(bundle, reconstruct_context(tree, c))
-                for c in node.children
+                acting_prompt_from_scratch(bundle, tree, c) for c in node.children
             ]
 
 

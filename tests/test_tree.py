@@ -98,10 +98,11 @@ def test_path_to_root_and_context():
     a, = make_children(tree, 0, 1)
     b, = make_children(tree, a, 1)
     assert tree.path_to_root(b) == [b, a, 0]
-    ctx = reconstruct_context(tree, b)
-    assert ctx.input == "the question"
-    assert [s[0].raw for s in ctx.steps] == ["a0", "a0"]
-    assert len(ctx.steps) == tree.node(b).depth
+    steps = reconstruct_context(tree, b)
+    assert steps == [(tree.node(i).action, tree.node(i).observation) for i in (a, b)]
+    assert [action.raw for action, _ in steps] == ["a0", "a0"]
+    assert len(steps) == tree.node(b).depth
+    assert reconstruct_context(tree, 0) == []
 
 
 # -- uct ---------------------------------------------------------------------
