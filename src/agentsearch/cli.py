@@ -16,9 +16,10 @@ Backend specs (for --backend / --value-backend / --reflection-backend):
     http:URL,model=NAME[,temperature=F,cache=DIR]   chat-completions server
 
 Exit codes: 0 on success, 1 when replay finds a mismatch, 2 for bad
-configuration (unknown spec, missing arguments) and when any task file of a
-run is malformed or repeats an earlier file's task_id; run still searches
-the other tasks and writes its report.
+configuration (unknown spec, missing arguments, a report file that cannot
+be written) and when any task file of a run is malformed, repeats an
+earlier file's task_id, or has an output file that cannot be written; run
+still searches the other tasks and writes its report.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def _load_tasks(paths) -> list:
 
 def _run_one(path, task, error, args, config, out_dir, session, value_pool) -> dict:
     """Search one loaded task and return its report row. A load error, or a
-    task that turns out malformed, gives a failed "task_error" row instead."""
+    task that turns out malformed, gives a failed "task_error" row instead.
+    An output file that cannot be written adds an error to the row."""
     try:
         if error is not None:
             raise error
@@ -243,7 +245,10 @@ def _run_one(path, task, error, args, config, out_dir, session, value_pool) -> d
             error=str(exc),
         )
         return row
-    if out_dir is not None:
+    row = result.summary()
+    if out_dir is None:
+        return row
+    try:
         write_trace(writer.events, out_dir / f"{task.task_id}.trace.jsonl")
         (out_dir / f"{task.task_id}.tree.jsonl").write_text(tree_to_jsonl(result.tree))
         # An empty store writes no file and removes an earlier run's.
@@ -253,7 +258,21 @@ def _run_one(path, task, error, args, config, out_dir, session, value_pool) -> d
             reflections_path.write_text(reflections)
         else:
             reflections_path.unlink(missing_ok=True)
-    return result.summary()
+    except OSError as exc:
+        row["error"] = f"cannot write its output: {exc}"
+    return row
+
+
+def _write_report(report, json_path, csv_path) -> None:
+    """Write the report files that have a path; one that cannot be written
+    is a CliError."""
+    try:
+        if json_path:
+            report.write_json(json_path)
+        if csv_path:
+            report.write_csv(csv_path)
+    except OSError as exc:
+        raise CliError(f"cannot write report: {exc}") from exc
 
 
 def cmd_run(args) -> int:
@@ -296,9 +315,6 @@ def cmd_run(args) -> int:
             session.close()
     rows.sort(key=lambda r: r["task_id"])
     report = RunReport(rows=rows)
-    if out_dir is not None:
-        report.write_json(out_dir / "report.json")
-        report.write_csv(out_dir / "report.csv")
     for row in rows:
         if "error" in row:
             print(f"error: {row['task_id']}: {row['error']}", file=sys.stderr)
@@ -313,6 +329,8 @@ def cmd_run(args) -> int:
             f"{key}: {agg['successes']}/{agg['tasks']} solved "
             f"({agg['success_rate']:.1%}), mean reward {agg['mean_best_reward']:.3f}"
         )
+    if out_dir is not None:
+        _write_report(report, out_dir / "report.json", out_dir / "report.csv")
     return 2 if any("error" in row for row in rows) else 0
 
 
@@ -350,10 +368,7 @@ def cmd_report(args) -> int:
     if not rows:
         raise CliError("reports contain no rows")
     merged = RunReport(rows=rows)
-    if args.csv:
-        merged.write_csv(args.csv)
-    if args.json:
-        merged.write_json(args.json)
+    _write_report(merged, args.json, args.csv)
     for key, agg in merged.aggregate().items():
         print(
             f"{key}: {agg['successes']}/{agg['tasks']} solved "

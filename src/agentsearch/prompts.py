@@ -14,9 +14,11 @@ mutated (injection copies them), so each joins its static sections once, as
 the cached `head`. The acting style builds prompts once per node: a node's
 block is its parent's block plus its own step, and render_acting_steps
 caches it on the Node when the node is expanded, reflected on or reported;
-a child that is only value-scored gets its block on the spot. The reasoning
-style (policy prompts only) walks the node's path on every call: it drops
-observations, and its cue depends on the whole path.
+a child that is only value-scored gets its block on the spot. run_search
+drops the cache before it returns; a later call on the finished tree builds
+the same text again. The reasoning style (policy prompts only) walks the
+node's path on every call: it drops observations, and its cue depends on
+the whole path.
 """
 
 from __future__ import annotations

@@ -537,6 +537,9 @@ class _Engine:
         best, best_reward = _best(self.tree.nodes)
         success = _solved(best)
         trajectory = render_acting_steps(self.tree, best.id)
+        # Blocks are a search-time cache; the finished tree keeps none.
+        for node in self.tree.nodes:
+            node.block = None
         self.trace.emit(
             "terminate",
             reason=reason,

@@ -13,9 +13,11 @@ the update above discards that seed at N=1 by construction, so the mean
 property is preserved.
 
 A Node caches its acting-style block once prompts.render_acting_steps built
-it (engine thread only); value-scored children keep none, so a tree holds
-about one block per expanded node. The dumps leave blocks out. Nodes use
-slots, and siblings that repeat a proposal share one ActionSample, so a
+it (engine thread only); value-scored children keep none. Blocks live only
+while the search runs: run_search drops them before it returns, so a
+finished tree holds no prompt text, and the dumps never held any. Nodes use
+slots, children are a tuple of ids that every leaf shares as the one empty
+tuple, and siblings that repeat a proposal share one ActionSample, so a
 node holds little beyond its statistics.
 """
 
@@ -43,7 +45,7 @@ class Node:
     visits: int = 0
     is_terminal: bool = False
     reward: Optional[float] = None
-    children: list = field(default_factory=list)
+    children: tuple = ()
     # True when selection can never return this node or anything below it:
     # a terminal, a leaf pinned at the depth limit, or an inner node whose
     # children are all exhausted.
@@ -154,8 +156,8 @@ def add_children(
             exhausted=obs.terminal,
         )
         tree.nodes.append(node)
-        parent.children.append(node.id)
         created.append(node.id)
+    parent.children += tuple(created)
     _propagate_exhaustion(tree, parent_id)
     return created
 

@@ -49,6 +49,9 @@ SCORE_RE = re.compile(r"correctness score is\s*(-?)0*(\d+)", re.IGNORECASE)
 # CPU-bound oracle call, mostly well under it, is not.
 SLOW_CALL_S = 0.001
 
+# The ten lm scores, made once: every record holding a score shares its float.
+LM_SCORES = tuple(i / 10.0 for i in range(1, 11))
+
 
 def parse_score(text: str) -> Optional[int]:
     """Last "correctness score is <int>" occurrence in a completion, or None."""
@@ -76,7 +79,7 @@ def lm_score(prompt: str, backend: PolicyBackend, seed: int = 0) -> Optional[flo
             return None
         raw = parse_score(texts[0]) if texts else None
         if raw is not None:
-            return min(10, max(1, raw)) / 10.0
+            return LM_SCORES[min(10, max(1, raw)) - 1]
     return None
 
 
@@ -86,7 +89,8 @@ def sc_scores(siblings: Sequence[ActionSample]) -> list:
     distinct = {s: normalize_action_text(s) for s in set(siblings)}
     normalized = [distinct[s] for s in siblings]
     counts = Counter(normalized)
-    return [counts[text] / len(normalized) for text in normalized]
+    shares = {count: count / len(normalized) for count in set(counts.values())}
+    return [shares[counts[text]] for text in normalized]
 
 
 def combine(lm: float, sc: float, lam: float) -> float:

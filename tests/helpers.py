@@ -14,7 +14,8 @@ from pathlib import Path
 from agentsearch.actions import ActionSample
 from agentsearch.backends import BackendError
 from agentsearch.envs.base import EnvObservation
-from agentsearch.tree import SearchTree, add_children
+from agentsearch.prompts import render_step
+from agentsearch.tree import SearchTree, add_children, reconstruct_context
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "agentsearch" / "data"
 
@@ -26,6 +27,15 @@ def bundled_task_files(kind: str) -> list:
 
 def task_metadata(path: Path) -> dict:
     return json.loads(path.read_text()).get("metadata", {})
+
+
+def acting_steps_from_scratch(tree, node_id):
+    """The node's acting-style block, rendered afresh from its path: the
+    question, then each step."""
+    lines = [f"Question: {tree.input}"]
+    steps = reconstruct_context(tree, node_id)
+    lines.extend(render_step(i, a, o) for i, (a, o) in enumerate(steps, start=1))
+    return "\n".join(lines)
 
 
 class StubBackend:

@@ -473,6 +473,53 @@ def test_rerun_without_reflections_removes_the_earlier_reflection_files(tmp_path
     assert len(list(out_dir.glob("*.trace.jsonl"))) == 3
 
 
+def puzzle_batch_argv(out_dir) -> list:
+    """`run` over the first three bundled puzzles into out_dir."""
+    return [
+        "run",
+        str(DATA_DIR / "game24" / "puzzles"),
+        "--limit",
+        "3",
+        "--backend",
+        "oracle:p=0.9,seed=1",
+        "--value-backend",
+        "oracle-value:accuracy=0.9",
+        "--out",
+        str(out_dir),
+    ]
+
+
+@pytest.mark.parametrize("output", ["trace", "tree", "reflections"])
+def test_run_finishes_batch_past_an_output_file_it_cannot_write(tmp_path, capsys, output):
+    out_dir = tmp_path / "out"
+    (out_dir / f"24-1-1-3-13.{output}.jsonl").mkdir(parents=True)
+    assert main(puzzle_batch_argv(out_dir)) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "error: 24-1-1-3-13: cannot write its output:" in captured.err
+    rows = json.loads((out_dir / "report.json").read_text())["rows"]
+    assert [row["task_id"] for row in rows] == ["24-1-1-3-13", "24-1-1-4-9", "24-1-10-11-12"]
+    bad, *good = rows
+    assert "Is a directory" in bad["error"]
+    # The search ran, and its row says what it found.
+    assert bad["terminate_reason"] != "task_error" and bad["nodes"] > 1
+    assert all("error" not in row for row in good)
+    for row in good:
+        assert (out_dir / f"{row['task_id']}.trace.jsonl").is_file()
+
+
+@pytest.mark.parametrize("name", ["report.json", "report.csv"])
+def test_run_reports_a_report_file_it_cannot_write(tmp_path, capsys, name):
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    assert main(puzzle_batch_argv(out_dir)) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "error: cannot write report:" in captured.err
+    assert captured.out.count(": ok reward=") + captured.out.count(": fail reward=") == 3
+    assert len(list(out_dir.glob("*.trace.jsonl"))) == 3
+
+
 def test_run_gives_task_error_row_for_an_infinite_game24_number(tmp_path, capsys):
     task_dir = tmp_path / "tasks"
     task_dir.mkdir()
@@ -728,6 +775,19 @@ def test_report_merges_files(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "game24/mcts: 1/2 solved (50.0%)" in out
     assert merged_csv.read_text().count("\n") == 3  # header + 2 rows
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_report_to_a_file_it_cannot_write_exits_2(tmp_path, capsys, flag):
+    out_dir = tmp_path / "out"
+    assert main(puzzle_batch_argv(out_dir)) == 0
+    capsys.readouterr()
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["report", str(out_dir / "report.json"), flag, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write report:" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_oracle24_subcommand(capsys):

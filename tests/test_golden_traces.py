@@ -22,13 +22,14 @@ from agentsearch.backends import (
     static_backend,
 )
 from agentsearch.envs import load_task, make_env
+from agentsearch.prompts import render_acting_steps
 from agentsearch.reflection import ReflectionStore
 from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _Engine, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
 from agentsearch.valuation import VALUE_MODES, ValuePool
 
-from helpers import DATA_DIR, FailingBackend, RoundTrips, SlowBackend
+from helpers import DATA_DIR, FailingBackend, RoundTrips, SlowBackend, acting_steps_from_scratch
 
 
 class FailOnCalls:
@@ -376,13 +377,9 @@ def test_random_runs_score_each_expansion_once(kind, variant, data):
     assert_children_scored_once(trace.events, variant)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    kind=st.sampled_from(sorted(SCRIPTED_CASES)), variant=st.sampled_from(VARIANTS), data=st.data()
-)
-def test_every_node_keeps_the_snapshot_of_its_replayed_path(kind, variant, data):
-    """Siblings that repeat a text, and steps that change nothing, share
-    snapshots; each node's must still be what replaying its path gives."""
+def _random_engine(kind, variant, data):
+    """An engine over a bundled task with a drawn policy (random script or
+    make-24 oracle), value script and config."""
     name, pool = SCRIPTED_CASES[kind]
     if pool is None:
         policy = Game24PolicyOracle(data.draw(st.sampled_from([0.0, 0.3, 1.0])), seed=1)
@@ -405,15 +402,39 @@ def test_every_node_keeps_the_snapshot_of_its_replayed_path(kind, variant, data)
         seed=data.draw(st.integers(0, 99)),
     ).resolved(kind)
     task = _task(kind, name)
-    engine = _Engine(
-        task, backends, load_template_set(kind), config, TraceWriter(), ReflectionStore()
-    )
+    return _Engine(task, backends, load_template_set(kind), config, TraceWriter(), ReflectionStore())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SCRIPTED_CASES)), variant=st.sampled_from(VARIANTS), data=st.data()
+)
+def test_every_node_keeps_the_snapshot_of_its_replayed_path(kind, variant, data):
+    """Siblings that repeat a text, and steps that change nothing, share
+    snapshots; each node's must still be what replaying its path gives."""
+    engine = _random_engine(kind, variant, data)
     engine.run()
     tree = engine.tree
     assert sorted(engine.snapshots) == [node.id for node in tree.nodes]
     fresh = make_env(kind)
     for node in tree.nodes:
-        fresh.reset(task)
+        fresh.reset(engine.task)
         for step in reversed(tree.path_to_root(node.id)[:-1]):
             fresh.step(tree.node(step).action)
         assert fresh.snapshot().token == engine.snapshots[node.id].token
+
+
+@pytest.mark.parametrize("kind", sorted(SCRIPTED_CASES))
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_a_finished_tree_holds_no_block_and_renders_each_path_afresh(kind, variant, data):
+    """The block cache goes with the search: the returned tree holds none,
+    and the acting text of any node, rebuilt on demand, is the from-scratch
+    rendering of its path, as the best trajectory is at the best node."""
+    result = _random_engine(kind, variant, data).run()
+    tree = result.tree
+    assert all(node.block is None for node in tree.nodes)
+    assert result.best_trajectory == acting_steps_from_scratch(tree, result.best_node)
+    for node in tree.nodes:
+        assert render_acting_steps(tree, node.id) == acting_steps_from_scratch(tree, node.id)

@@ -14,13 +14,12 @@ from agentsearch.prompts import (
     assemble_prompt,
     join_head,
     render_acting_steps,
-    render_step,
 )
 from agentsearch.reflection import ReflectionStore, assemble_reflection_prompt, inject
-from agentsearch.tree import SearchTree, add_children, reconstruct_context
+from agentsearch.tree import SearchTree, add_children
 from agentsearch.valuation import evaluate_children
 
-from helpers import bundled_task_files
+from helpers import acting_steps_from_scratch, bundled_task_files
 
 
 GRAMMAR = ActionGrammar(
@@ -50,14 +49,6 @@ def reasoning_prompt_of(bundle, input_text, raw_steps=()):
 
 
 # -- from-scratch references: each prompt rendered afresh from the path ------
-
-
-def acting_steps_from_scratch(tree, node_id):
-    """The node's acting-style block: the question, then each step."""
-    lines = [f"Question: {tree.input}"]
-    steps = reconstruct_context(tree, node_id)
-    lines.extend(render_step(i, a, o) for i, (a, o) in enumerate(steps, start=1))
-    return "\n".join(lines)
 
 
 def acting_prompt_from_scratch(bundle, tree, node_id):

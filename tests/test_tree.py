@@ -56,7 +56,27 @@ def test_add_children_assigns_sequential_ids_and_depth():
     grand = make_children(tree, 2, 2)
     assert grand == [4, 5]
     assert all(tree.node(i).depth == 2 for i in grand)
-    assert tree.node(2).children == [4, 5]
+    assert tree.node(2).children == (4, 5)
+
+
+def test_leaves_share_the_empty_child_tuple():
+    tree = SearchTree.create("q")
+    ids = make_children(tree, 0, 3)
+    assert tree.root.children == (1, 2, 3)
+    leaves = [tree.node(i).children for i in ids]
+    assert leaves == [(), (), ()]
+    assert len({id(children) for children in leaves}) == 1
+
+
+def test_repeated_add_children_extends_the_parent_tuple_in_order():
+    # As a rollout does: the root grows by one child per re-expansion.
+    tree = SearchTree.create("q")
+    for expected in ((1,), (1, 2), (1, 2, 3)):
+        make_children(tree, 0, 1)
+        assert tree.root.children == expected
+    make_children(tree, 0, 2)
+    assert tree.root.children == (1, 2, 3, 4, 5)
+    assert [tree.node(i).parent for i in tree.root.children] == [0] * 5
 
 
 def test_reward_requires_terminal():

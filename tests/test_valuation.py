@@ -82,6 +82,16 @@ def test_lm_score_clamps_raw_scores():
         assert lm_score(prompt, OneShotBackend([text]), seed=1) == clamped / 10
 
 
+def test_lm_score_gives_the_clamped_tenth_as_one_shared_float():
+    prompt = "rate it\n\nQuestion: q"
+    for raw in (-3, *range(1, 11), 12):
+        text = f"Thus the correctness score is {raw}"
+        first = lm_score(prompt, OneShotBackend([text]), seed=1)
+        again = lm_score(prompt, OneShotBackend([text]), seed=2)
+        assert first == min(10, max(1, raw)) / 10.0
+        assert first is again
+
+
 def test_lm_score_retries_once_then_flags():
     backend = OneShotBackend(["nothing", "still nothing"])
     assert lm_score("rate it\n\nQuestion: q", backend, seed=11) is None
@@ -114,7 +124,10 @@ def test_sc_score_matches_brute_force_frequency(tags):
     counts = Counter(normalize_action_text(s) for s in sibs)
     # the same division as counting each sibling on its own, so equal floats
     expected = [counts[normalize_action_text(s)] / len(sibs) for s in sibs]
-    assert sc_scores(sibs) == expected
+    scores = sc_scores(sibs)
+    assert scores == expected
+    # one float per distinct count, shared by every sibling with that count
+    assert len({id(score) for score in scores}) == len(set(counts.values()))
 
 
 # -- combine ------------------------------------------------------------------------
