@@ -8,14 +8,15 @@ returning exactly n completion texts. Deterministic backends return the same
 list for the same (prompt, n, seed).
 
 A search may call its value backend from several threads at once: when
-the caller carries a ValuePool in BackendSet.value_pool, the value calls of
-one node's fresh children go out together on it once they prove slow;
-without one, every value call runs inline. So a backend must be safe to
-call concurrently, and must answer as a function of (prompt, n, seed)
-alone, or else set the class attribute `order_dependent = True`; a search
-then makes its value calls one at a time, in child order, and uses no
-pool. The scripted backend is order-dependent: it hands out responses by
-call order.
+the caller carries an executor in BackendSet.value_pool, the value calls
+of one node's fresh children all go out together on it; without one,
+every value call runs inline. So a backend must be safe to call
+concurrently, and must answer as a function of (prompt, n, seed) alone,
+or else set the class attribute `inline = True`; a search then makes its
+value calls one at a time, in child order, and uses no pool. The scripted
+backend is inline because it hands out responses by call order, and the
+make-24 oracles because they compute in-process, where threads would only
+add handoff cost.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import os
 import random
 import re
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -35,7 +35,7 @@ from typing import Optional, Protocol
 
 from . import solver24
 from .seeding import stable_seed
-from .trace import decode
+from .trace import decode, write_whole
 
 
 class BackendError(RuntimeError):
@@ -73,7 +73,7 @@ class ScriptedBackend:
     As answers depend on call order, a search never calls it concurrently.
     """
 
-    order_dependent = True
+    inline = True
 
     def __init__(self, rules: Optional[list] = None, default: str = "think[no scripted response]"):
         self.rules = list(rules or [])
@@ -242,16 +242,8 @@ class HttpChatBackend:
         """Write a cache file. A write that fails (a full disk, a directory
         at the path) leaves no temp file behind; the caller still gets the
         texts, and the next call for the key asks the server again."""
-        tmp = None
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps({"texts": texts}, sort_keys=True))
-            os.replace(tmp, path)
-        except OSError:
-            if tmp is not None:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
+        with contextlib.suppress(OSError):
+            write_whole(path, json.dumps({"texts": texts}, sort_keys=True))
 
     def _request(self, prompt: str, n: int) -> list:
         import requests
@@ -340,6 +332,8 @@ class Game24PolicyOracle:
     (backend seed, call seed), so identical calls return identical lists.
     """
 
+    inline = True
+
     def __init__(self, p_correct: float, seed: int = 0):
         if not 0.0 <= p_correct <= 1.0:
             raise ValueError("p_correct must be in [0, 1]")
@@ -369,6 +363,8 @@ class Game24ValueOracle:
     score 10 only on exactly 24); with the remaining probability it reports
     a uniform random score. Output ends with the standard score sentence.
     """
+
+    inline = True
 
     def __init__(self, accuracy: float, seed: int = 0):
         if not 0.0 <= accuracy <= 1.0:

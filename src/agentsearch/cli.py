@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -50,9 +51,9 @@ from .search import (
     run_search,
 )
 from .templates import load_template_set
-from .trace import TraceWriter, decode, read_trace, replay_trace, write_trace
+from .trace import TraceWriter, decode, read_trace, replay_trace, write_trace, write_whole
 from .tree import tree_to_jsonl
-from .valuation import VALUE_MODES, ValuePool
+from .valuation import VALUE_MODES
 
 
 class CliError(ValueError):
@@ -184,7 +185,7 @@ def collect_task_paths(specs) -> list:
 def _backend_set(args, session=None, value_pool=None) -> BackendSet:
     """Backends built from the specs; fresh per task, as scripted backends
     keep cursor state. Every http backend sends through session, when one is
-    given, and slow value calls go to value_pool."""
+    given, and the run carries value_pool."""
 
     def build(spec):
         if not spec:
@@ -250,12 +251,12 @@ def _run_one(path, task, error, args, config, out_dir, session, value_pool) -> d
         return row
     try:
         write_trace(writer.events, out_dir / f"{task.task_id}.trace.jsonl")
-        (out_dir / f"{task.task_id}.tree.jsonl").write_text(tree_to_jsonl(result.tree))
+        write_whole(out_dir / f"{task.task_id}.tree.jsonl", tree_to_jsonl(result.tree))
         # An empty store writes no file and removes an earlier run's.
         reflections_path = out_dir / f"{task.task_id}.reflections.jsonl"
         reflections = store.to_jsonl()
         if reflections:
-            reflections_path.write_text(reflections)
+            write_whole(reflections_path, reflections)
         else:
             reflections_path.unlink(missing_ok=True)
     except OSError as exc:
@@ -291,11 +292,21 @@ def cmd_run(args) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot make output directory {out_dir}: {exc}") from exc
+        reports = out_dir / "report.json", out_dir / "report.csv"
+        # The reports are written last; a path they cannot take stops the run first.
+        for path in reports:
+            if path.is_dir():
+                raise CliError(f"cannot write report: {path} is a directory")
+        try:
+            tempfile.TemporaryFile(dir=out_dir).close()
+        except OSError as exc:
+            raise CliError(f"cannot write report: {exc}") from exc
     loaded = _load_tasks(paths)
-    # The batch shares one value pool, so its threads start and its calls
-    # prove slow once, and one http session, so connections are reused.
+    # The batch shares one value pool, so its threads start once; a value
+    # backend that is not inline sends every value call to it. It also
+    # shares one http session, so connections are reused.
     value_threads = config.n * args.workers
-    value_pool = ValuePool(value_threads)
+    value_pool = ThreadPoolExecutor(value_threads, thread_name_prefix="value")
     specs = (args.backend, args.value_backend, args.reflection_backend)
     http = any(spec and spec.startswith("http:") for spec in specs)
     session = http_session(value_threads + args.workers) if http else None
@@ -310,7 +321,7 @@ def cmd_run(args) -> int:
         else:
             rows = [run(item) for item in loaded]
     finally:
-        value_pool.close()
+        value_pool.shutdown(cancel_futures=True)
         if session is not None:
             session.close()
     rows.sort(key=lambda r: r["task_id"])
@@ -330,7 +341,7 @@ def cmd_run(args) -> int:
             f"({agg['success_rate']:.1%}), mean reward {agg['mean_best_reward']:.3f}"
         )
     if out_dir is not None:
-        _write_report(report, out_dir / "report.json", out_dir / "report.csv")
+        _write_report(report, *reports)
     return 2 if any("error" in row for row in rows) else 0
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
+
+from .trace import write_whole
 
 COLUMNS = (
     "task_id",
@@ -71,12 +74,11 @@ class RunReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
+        write_whole(path, self.to_json())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=COLUMNS, extrasaction="ignore")
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row)
+        text = io.StringIO(newline="")
+        writer = csv.DictWriter(text, fieldnames=COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(self.rows)
+        write_whole(path, text.getvalue())

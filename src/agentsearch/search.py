@@ -39,7 +39,7 @@ import dataclasses
 import math
 import threading
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .actions import ActionSample, parse_action
 from .backends import BackendError, PolicyBackend
@@ -69,7 +69,10 @@ from .tree import (
     reconstruct_context,
     select_path,
 )
-from .valuation import VALUE_MODES, ValuePool, evaluate_children
+from .valuation import VALUE_MODES, evaluate_children
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 ENGINE_VERSION = "0.1.0"
 
@@ -144,15 +147,16 @@ class SearchConfig:
 class BackendSet:
     """Backends by role; value and reflection fall back to the policy one.
 
-    value_pool, when set, is the ValuePool that slow value calls go to,
-    shared with the other runs that carry it; its owner closes it after the
-    last run returns. It is the only way value calls reach threads: without
-    one, and always for an order-dependent value backend, they run inline."""
+    value_pool, when set, is an executor that the value calls go to,
+    shared with the other runs that carry it; its owner shuts it down after
+    the last run returns. It is the only way value calls reach threads:
+    without one, and always for a value backend that declares `inline`,
+    they run inline, in child order."""
 
     policy: PolicyBackend
     value: Optional[PolicyBackend] = None
     reflection: Optional[PolicyBackend] = None
-    value_pool: Optional[ValuePool] = None
+    value_pool: Optional[Executor] = None
 
 
 @dataclass
@@ -250,7 +254,7 @@ def run_search(
     trace and reflection_store may be shared across runs; fresh private ones
     are created when omitted. An explicit env overrides the registry lookup.
     Only a carried backends.value_pool runs value calls on threads, and its
-    owner closes it; this starts no thread. No value call of this run is
+    owner shuts it down; this starts no thread. No value call of this run is
     still in flight when it returns or raises.
     """
     cfg = (config or SearchConfig()).resolved(task.kind)
@@ -276,10 +280,7 @@ class _Engine:
         self.policy = _CountingBackend(backends.policy, self.counters, "policy")
         value = backends.value or backends.policy
         self.value = _CountingBackend(value, self.counters, "value")
-        # A backend whose answers depend on call order must see the calls in
-        # child order, so its value calls never go to a pool.
-        order_dependent = getattr(value, "order_dependent", False)
-        self.value_pool = None if order_dependent else backends.value_pool
+        self.value_pool = None if getattr(value, "inline", False) else backends.value_pool
         self.reflector = _CountingBackend(
             backends.reflection or backends.policy, self.counters, "reflection"
         )

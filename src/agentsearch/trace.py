@@ -14,9 +14,13 @@ writer is told to keep full text.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
 from typing import Iterable
 
 
@@ -65,9 +69,24 @@ class TraceWriter:
         return jsonl(self.events)
 
 
+def write_whole(path, text: str) -> None:
+    """Write text to path whole or not at all: into a temp file beside it
+    (owner-only, as tempfile.mkstemp makes it), renamed over path once
+    written. A step that fails raises OSError, removes the temp file and
+    leaves whatever path held before."""
+    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_trace(events: Iterable[dict], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(jsonl(events))
+    write_whole(path, jsonl(events))
 
 
 def read_trace(path) -> list:

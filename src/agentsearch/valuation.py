@@ -16,20 +16,19 @@ backpropagation replaces it.
 Each child's value prompt (acting style, under the engine's value bundle)
 is its parent's cached block plus its own step, built in the calling
 thread once per distinct (action, observation) among the siblings; each
-child still makes its own value call, with its own seed. Without a
-ValuePool every value call runs inline, in child order. A caller that
-wants them overlapped opens one and carries it in BackendSet.value_pool;
-once value calls prove slow they go out together on it. The scores are
-still applied in child order, so the result does not depend on which call
-returns first, where it ran, or which run learned that calls are slow.
+child still makes its own value call, with its own seed. A caller that
+wants the calls overlapped carries an executor in BackendSet.value_pool,
+and every value call of a backend that does not declare `inline` goes to
+it; all other value calls run inline, in child order. The scores are
+applied in child order either way, so the result does not depend on which
+call returns first or where it ran.
 """
 
 from __future__ import annotations
 
 import re
-import time
 from collections import Counter
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .actions import ActionSample, normalize_action_text
 from .backends import BackendError, PolicyBackend
@@ -38,16 +37,12 @@ from .seeding import stable_seed
 # reconstruct_context: unused, but perfbench/spans.py wraps it (ROADMAP item 1).
 from .tree import SearchTree, reconstruct_context
 
+if TYPE_CHECKING:  # loaded at run time only by a caller that opens a pool
+    from concurrent.futures import Executor
+
 VALUE_MODES = ("full", "sc_only", "none")
 
 SCORE_RE = re.compile(r"correctness score is\s*(-?)0*(\d+)", re.IGNORECASE)
-
-# A value call taking at least this many seconds marks the run's value calls
-# as slow. Handing a call to a pool thread costs about 110 us on a 2-vCPU
-# host: an always-on pool added 5.8-6.3 s over the 54,565 value calls of one
-# perfbench cpu-mix pass. A call ten times that long is worth overlapping; a
-# CPU-bound oracle call, mostly well under it, is not.
-SLOW_CALL_S = 0.001
 
 # The ten lm scores, made once: every record holding a score shares its float.
 LM_SCORES = tuple(i / 10.0 for i in range(1, 11))
@@ -97,70 +92,23 @@ def combine(lm: float, sc: float, lam: float) -> float:
     return lam * lm + (1.0 - lam) * sc
 
 
-class ValuePool:
-    """Concurrent value calls: the "calls are slow" flag and a thread pool of
-    at most `workers` threads, each started by a submit that finds none idle.
-
-    Runs borrow it through BackendSet.value_pool; several runs, on several
-    threads, may share it. The flag only decides where a call runs, never
-    its result. The pool's owner closes it."""
-
-    def __init__(self, workers: int):
-        # Imported here, like requests in backends: a search that is given
-        # no pool pays for neither the import nor a thread.
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.slow = False
-        self._executor = ThreadPoolExecutor(workers, thread_name_prefix="value")
-
-    def submit(self, fn, *args):
-        return self._executor.submit(fn, *args)
-
-    def close(self) -> None:
-        """Stop the threads, dropping calls not yet started. A later submit
-        raises RuntimeError."""
-        self._executor.shutdown(wait=True, cancel_futures=True)
-
-
-def _timed_lm_score(child_id, prompt, backend, seed) -> tuple:
-    """(seconds taken, lm score or None) for one child's value query."""
-    start = time.perf_counter()
-    score = lm_score(prompt, backend, stable_seed(seed, child_id))
-    return time.perf_counter() - start, score
-
-
 def _lm_scores(queries, backend, seed, pool) -> list:
     """lm score or None per (child id, prompt), in order. Without a pool,
-    each is queried inline. With one, children are queried one at a time
-    until a call takes SLOW_CALL_S or the pool is marked slow; the rest,
-    and every fresh child of later nodes, then go to the pool together,
-    until a pooled batch's fastest call is quick again. Every pooled call
-    has ended before this returns or raises."""
+    each is queried inline; with one, all are submitted to it at once.
+    Every pooled call has ended before this returns or raises."""
     if pool is None:
         return [
             lm_score(prompt, backend, stable_seed(seed, child_id)) for child_id, prompt in queries
         ]
-    results = []
     futures = []
     try:
         for child_id, prompt in queries:
-            if futures or pool.slow:
-                futures.append(pool.submit(_timed_lm_score, child_id, prompt, backend, seed))
-                continue
-            elapsed, result = _timed_lm_score(child_id, prompt, backend, seed)
-            results.append(result)
-            if elapsed >= SLOW_CALL_S:
-                pool.slow = True
+            futures.append(pool.submit(lm_score, prompt, backend, stable_seed(seed, child_id)))
     finally:
-        if futures:
-            from concurrent.futures import wait  # loaded with the pool
+        from concurrent.futures import wait
 
-            wait(futures)
-    if futures:
-        timed = [future.result() for future in futures]
-        pool.slow = min(elapsed for elapsed, _ in timed) >= SLOW_CALL_S
-        results.extend(result for _, result in timed)
-    return results
+        wait(futures)
+    return [future.result() for future in futures]
 
 
 def evaluate_children(
@@ -171,7 +119,7 @@ def evaluate_children(
     bundle: Optional[PromptBundle] = None,
     backend: Optional[PolicyBackend] = None,
     seed: int = 0,
-    pool: Optional[ValuePool] = None,
+    pool: Optional[Executor] = None,
 ) -> list:
     """Score every child of a just-expanded node, once: set each child's
     value to its combined score and return the children's value records,
@@ -182,8 +130,8 @@ def evaluate_children(
     mode "none" the engine scores nothing and never calls this. A backend
     failure on one child flags that child and evaluation of the rest
     continues; any other exception propagates (the earliest child's, if
-    several raise). With a pool, slow value calls run concurrently (see
-    _lm_scores) to the same result; without one, all run inline.
+    several raise). With a pool (an executor), the value calls run
+    concurrently on it to the same result; without one, all run inline.
     """
     if mode not in ("full", "sc_only"):
         raise ValueError(f"no child scoring in value mode {mode!r}")

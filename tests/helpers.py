@@ -9,6 +9,7 @@ import json
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from agentsearch.actions import ActionSample
@@ -91,6 +92,12 @@ class RoundTrips:
         finally:
             with self._lock:
                 self._in_flight -= 1
+
+
+def value_pool(workers: int) -> ThreadPoolExecutor:
+    """An executor for BackendSet.value_pool, its threads named as the cli
+    names them."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="value")
 
 
 class SlowBackend:

@@ -2,14 +2,16 @@
 
 import dataclasses
 import json
+import os
 import re
 import shlex
+import tempfile
 import threading
 
 import pytest
 import requests
 
-from agentsearch import cli, search
+from agentsearch import cli, search, valuation
 from agentsearch.backends import (
     Game24PolicyOracle,
     Game24ValueOracle,
@@ -508,16 +510,45 @@ def test_run_finishes_batch_past_an_output_file_it_cannot_write(tmp_path, capsys
         assert (out_dir / f"{row['task_id']}.trace.jsonl").is_file()
 
 
-@pytest.mark.parametrize("name", ["report.json", "report.csv"])
-def test_run_reports_a_report_file_it_cannot_write(tmp_path, capsys, name):
+def no_search(*args):
+    raise AssertionError("a search ran")
+
+
+@pytest.mark.parametrize("name", ["report.json", "report.csv", "read-only"])
+def test_run_reports_a_report_file_it_cannot_write(tmp_path, capsys, monkeypatch, name):
     out_dir = tmp_path / "out"
-    (out_dir / name).mkdir(parents=True)
+    if name == "read-only":
+        out_dir.mkdir()
+
+        def read_only(*args, **kwargs):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", read_only)
+    else:
+        (out_dir / name).mkdir(parents=True)
+    monkeypatch.setattr(cli, "run_search", no_search)
     assert main(puzzle_batch_argv(out_dir)) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    assert "error: cannot write report:" in captured.err
-    assert captured.out.count(": ok reward=") + captured.out.count(": fail reward=") == 3
-    assert len(list(out_dir.glob("*.trace.jsonl"))) == 3
+    assert captured.err.startswith("error: cannot write report:")
+    assert captured.out == ""
+    assert list(out_dir.glob("*.jsonl")) == []
+
+
+def test_a_rerun_whose_writes_fail_leaves_the_earlier_files_whole(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "demo"
+    argv, _ = readme_run_example(out_dir, monkeypatch)
+    assert main(argv) == 0
+    earlier = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert any(name.endswith(".reflections.jsonl") for name in earlier)
+
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    assert main(argv + ["--log-prompts"]) == 2  # traces that would differ
+    assert "error: cannot write report:" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == earlier
 
 
 def test_run_gives_task_error_row_for_an_infinite_game24_number(tmp_path, capsys):
@@ -916,12 +947,9 @@ def test_run_batch_shares_one_value_pool_whose_threads_end_with_it(tmp_path, mon
     assert len(built) == 1 + len(BATCH) and not built[0].trips.threads
     names = set().union(*(backend.trips.threads for backend in built))
     assert 1 <= len({name for name in names if name.startswith("value")}) <= BATCH_N * workers
-    if workers == 1:
-        # the first task learned that value calls are slow; later ones start pooled
-        assert any(not name.startswith("value") for name in built[1].trips.threads)
-        for backend in built[2:]:
-            assert backend.trips.threads
-            assert all(name.startswith("value") for name in backend.trips.threads)
+    for backend in built[1:]:
+        assert backend.trips.threads
+        assert all(name.startswith("value") for name in backend.trips.threads)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -1007,3 +1035,40 @@ def test_run_batch_opens_one_http_session_for_every_task_and_role(tmp_path, monk
     assert session.posts > 0 and session.closes == 1
     adapter = session.get_adapter("http://127.0.0.1:9/v1/chat")
     assert adapter.poolmanager.connection_pool_kw["maxsize"] == (BATCH_N + 1) * workers
+
+
+def value_call_threads(monkeypatch) -> list:
+    """Make valuation.lm_score list the name of the thread each value call
+    runs on, and return the list."""
+    names = []
+    score = valuation.lm_score
+
+    def recording(prompt, backend, seed=0):
+        names.append(threading.current_thread().name)
+        return score(prompt, backend, seed)
+
+    monkeypatch.setattr(valuation, "lm_score", recording)
+    return names
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_backends_fix_where_value_calls_run(tmp_path, monkeypatch, capsys, workers):
+    threads = value_call_threads(monkeypatch)
+    argv, _ = readme_run_example(tmp_path / "oracle", monkeypatch)
+    assert main(argv + ["--workers", str(workers)]) == 0
+    assert threads and not any(name.startswith("value") for name in threads)
+
+    threads.clear()
+    monkeypatch.setattr(requests, "Session", lambda: CountingSession([]))
+    http = ["--backend", "http:http://127.0.0.1:9/v1/chat,model=stub"]
+    assert main(batch_argv(tmp_path / "http", workers, http)) == 0
+    assert threads and all(name.startswith("value") for name in threads)
+
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [], "default": "The correctness score is 5"}))
+    for kind, spec in [("script", f"script:{rules}"), ("static", "static:score is 5")]:
+        threads.clear()
+        backends = ["--backend", "oracle:p=0.3,seed=1", "--value-backend", spec]
+        assert main(batch_argv(tmp_path / kind, workers, backends)) == 0
+        assert threads and not any(name.startswith("value") for name in threads)
+    capsys.readouterr()

@@ -6,15 +6,15 @@ calls go to the pool, and for the cached HTTP backend whether its cache
 starts cold or warm.
 """
 
-import math
 import threading
 
 import pytest
 import requests
 
-from agentsearch import valuation
+from agentsearch import cli
 from agentsearch.backends import BackendError, Game24PolicyOracle, Game24ValueOracle
 from agentsearch.cli import main
+from agentsearch.search import run_search
 from agentsearch.seeding import stable_seed
 
 from helpers import bundled_task_files
@@ -32,10 +32,32 @@ ORACLES = [
 HTTP = "http:http://127.0.0.1:9/v1/chat,model=stub,cache={}"
 
 
+class Delegate:
+    """Passes every call to the backend it wraps, declaring nothing, so a
+    search sends its value calls to the batch's pool."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def propose(self, prompt: str, n: int, seed: int) -> list:
+        return self.inner.propose(prompt, n, seed)
+
+
+class InlineDelegate(Delegate):
+    inline = True
+
+
 def run_batch(out_dir, backend_args, workers, pool_on, monkeypatch):
     """Run the batch into out_dir and return {file name: bytes}. pool_on
-    forces every value call onto the pool (or keeps all of them inline)."""
-    monkeypatch.setattr(valuation, "SLOW_CALL_S", 0.0 if pool_on else math.inf)
+    sends every value call to the pool (or else keeps all of them inline),
+    whatever the value backend declares."""
+    wrapper = Delegate if pool_on else InlineDelegate
+
+    def wrapped_run_search(task, backends, *args):
+        backends.value = wrapper(backends.value or backends.policy)
+        return run_search(task, backends, *args)
+
+    monkeypatch.setattr(cli, "run_search", wrapped_run_search)
     argv = ["run", *map(str, TASKS), *backend_args, *SEARCH, "--workers", str(workers)]
     assert main(argv + ["--out", str(out_dir)]) == 0
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}

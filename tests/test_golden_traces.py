@@ -27,9 +27,16 @@ from agentsearch.reflection import ReflectionStore
 from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _Engine, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
-from agentsearch.valuation import VALUE_MODES, ValuePool
+from agentsearch.valuation import VALUE_MODES
 
-from helpers import DATA_DIR, FailingBackend, RoundTrips, SlowBackend, acting_steps_from_scratch
+from helpers import (
+    DATA_DIR,
+    FailingBackend,
+    RoundTrips,
+    SlowBackend,
+    acting_steps_from_scratch,
+    value_pool,
+)
 
 
 class FailOnCalls:
@@ -206,7 +213,7 @@ class PromptLog:
 
     def __init__(self, inner):
         self.inner = inner
-        self.order_dependent = getattr(inner, "order_dependent", False)
+        self.inline = getattr(inner, "inline", False)
         self.pairs = []
         self._lock = threading.Lock()
 
@@ -277,27 +284,20 @@ def test_slow_value_calls_run_concurrently_to_the_same_trace(name, pooled, monke
         monkeypatch.setattr(threading.Thread, "start", no_thread_start)
     task, backends, config = _case(name)
     backends.value = SlowBackend(backends.value)
-    pool = backends.value_pool = ValuePool(config.n) if pooled else None
-    try:
-        assert _digest(task, backends, config) == GOLDEN[name]
-    finally:
-        if pool is not None:
-            pool.close()
     if pooled:
+        with value_pool(config.n) as backends.value_pool:
+            assert _digest(task, backends, config) == GOLDEN[name]
         assert backends.value.trips.peak > 1
     else:
+        assert _digest(task, backends, config) == GOLDEN[name]
         assert backends.value.trips.threads == {threading.main_thread().name}
 
 
-def test_order_dependent_value_backend_is_called_one_at_a_time():
+def test_inline_value_backend_is_called_one_at_a_time():
     task, backends, config = _case("docqa-mcts")
     backends.value = SlowScriptedBackend(backends.value.rules, backends.value.default)
-    pool = backends.value_pool = ValuePool(config.n)
-    pool.slow = True
-    try:
+    with value_pool(config.n) as backends.value_pool:
         assert _digest(task, backends, config) == GOLDEN["docqa-mcts"]
-    finally:
-        pool.close()
     assert backends.value.trips.peak == 1
     assert backends.value.trips.threads == {threading.main_thread().name}
 

@@ -1,5 +1,6 @@
 """Every import in the package is read by its module, or listed in __all__,
-and every definition in the package is read by code that is not a test.
+every definition in the package is read by code that is not a test, and
+no search decision can read a clock.
 
 The only import allowances are the imports that perfbench/spans.py patches
 by name though the module never calls them (ROADMAP item 1); each carries a
@@ -138,3 +139,49 @@ def test_the_definition_scan_sees_names_attributes_and_no_imports():
     assert defined == {"A": 2, "m": 5, "helper": 7, "dead": 9}
     assert {name for name in defined if name not in reads(source)} == {"A", "m", "dead"}
     assert {"helper", "used", "print", "a", "self"} <= reads(source)
+
+
+# -- clocks ---------------------------------------------------------------------
+
+# The one module that may read a clock: HTTP retries sleep between attempts.
+CLOCK_ALLOWED = {"backends.py"}
+CLOCKS = ("perf_counter", "monotonic")
+
+
+def clock_reads(source: str) -> set:
+    """The lines that import time or name one of its clocks."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name == "time" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "time"
+        elif isinstance(node, ast.alias):
+            hit = node.name.startswith(CLOCKS)
+        elif isinstance(node, ast.Name):
+            hit = node.id.startswith(CLOCKS)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr.startswith(CLOCKS)
+        else:
+            hit = False
+        if hit:
+            found.add(node.lineno)
+    return found
+
+
+def test_no_module_but_the_backends_reads_a_clock():
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        if module not in CLOCK_ALLOWED and clock_reads(path.read_text()):
+            found.add(module)
+    assert found == set()
+
+
+def test_the_clock_scan_sees_imports_and_names():
+    assert clock_reads("import os, time\n") == {1}
+    assert clock_reads("from time import sleep\n") == {1}
+    assert clock_reads("import os\nx = os.times()\n") == set()
+    assert clock_reads("import os\nt = clock.perf_counter_ns()\n") == {2}
+    assert clock_reads("from x import monotonic as m\n") == {1}
+    assert clock_reads("start = monotonic()\n") == {1}

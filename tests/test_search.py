@@ -22,9 +22,8 @@ from agentsearch.reflection import ReflectionStore
 from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _CountingBackend, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
-from agentsearch.valuation import ValuePool
 
-from helpers import FailingBackend, SlowBackend
+from helpers import FailingBackend, SlowBackend, value_pool
 
 
 class RecordingBackend:
@@ -779,13 +778,10 @@ def test_value_pool_threads_end_with_the_run(game24_templates):
     before = threading.active_count()
     backends = oracle_backends(p=0.3, accuracy=0.85)
     backends.value = SlowBackend(backends.value)
-    pool = backends.value_pool = ValuePool(3)
-    try:
+    with value_pool(3) as backends.value_pool:
         result = run_search(
             game24_task([4, 9, 10, 13]), backends, game24_templates, SearchConfig(n=3, k=4, seed=12)
         )
-    finally:
-        pool.close()
     assert backends.value.trips.peak > 1
     assert result.backend_calls["value"]["calls"] >= 3
     assert threading.active_count() == before
@@ -795,8 +791,7 @@ def test_value_pool_threads_end_when_the_run_raises(game24_templates):
     before = threading.active_count()
     backends = oracle_backends(p=0.3, accuracy=0.85)
     backends.value = CrashingInPoolBackend(backends.value)
-    pool = backends.value_pool = ValuePool(3)
-    try:
+    with value_pool(3) as backends.value_pool:
         with pytest.raises(RuntimeError, match="value backend crashed"):
             run_search(
                 game24_task([4, 9, 10, 13]),
@@ -804,16 +799,13 @@ def test_value_pool_threads_end_when_the_run_raises(game24_templates):
                 game24_templates,
                 SearchConfig(n=3, k=4, seed=12),
             )
-    finally:
-        pool.close()
     assert len(backends.value.trips.threads) > 1
     assert threading.active_count() == before
 
 
 def test_two_runs_share_a_carried_value_pool_that_stays_open(game24_templates):
     before = threading.active_count()
-    pool = ValuePool(3)
-    try:
+    with value_pool(3) as pool:
         for numbers in ([4, 9, 10, 13], [1, 4, 6, 9]):
             backends = oracle_backends(p=0.3, accuracy=0.85)
             backends.value = SlowBackend(backends.value)
@@ -821,32 +813,23 @@ def test_two_runs_share_a_carried_value_pool_that_stays_open(game24_templates):
             run_search(
                 game24_task(numbers), backends, game24_templates, SearchConfig(n=3, k=4, seed=12)
             )
-            assert pool.slow
-        # the second run started pooled: its first call found the pool slow
-        assert backends.value.trips.threads
-        assert all(name.startswith("value") for name in backends.value.trips.threads)
+            assert backends.value.trips.threads
+            assert all(name.startswith("value") for name in backends.value.trips.threads)
         assert pool.submit(sum, [1, 2]).result() == 3  # still open
-    finally:
-        pool.close()
     assert threading.active_count() == before
 
 
-class OrderDependentSlow(SlowBackend):
-    order_dependent = True
+class InlineSlow(SlowBackend):
+    inline = True
 
 
-def test_order_dependent_value_backend_never_runs_on_a_carried_pool(game24_templates):
-    pool = ValuePool(3)
-    pool.slow = True
+def test_inline_value_backend_never_runs_on_a_carried_pool(game24_templates):
     backends = oracle_backends(p=0.3, accuracy=0.85)
-    backends.value = OrderDependentSlow(backends.value)
-    backends.value_pool = pool
-    try:
+    backends.value = InlineSlow(backends.value)
+    with value_pool(3) as backends.value_pool:
         result = run_search(
             game24_task([4, 9, 10, 13]), backends, game24_templates, SearchConfig(n=3, k=4, seed=12)
         )
-    finally:
-        pool.close()
     assert result.backend_calls["value"]["calls"] >= 3
     assert backends.value.trips.threads == {"MainThread"}
     assert backends.value.trips.peak == 1
@@ -881,17 +864,12 @@ def test_a_run_that_raises_leaves_no_call_in_flight_in_its_carried_pool(game24_t
     backends.value = RecordingBackend(backends.value)
     run_search(task, backends, game24_templates, config)
     first_child = backends.value.calls[0]["prompt"]  # inline calls go in child order
-    pool = ValuePool(3)
-    pool.slow = True
     backends = oracle_backends(p=0.3, accuracy=0.85)
     backends.value = FirstChildCrashes(backends.value, first_child)
-    backends.value_pool = pool
-    try:
+    with value_pool(3) as backends.value_pool:
         with pytest.raises(RuntimeError, match="value backend crashed"):
             run_search(task, backends, game24_templates, config)
         assert backends.value.in_flight == 0
-    finally:
-        pool.close()
 
 
 def test_counting_backend_counts_exactly_across_threads():

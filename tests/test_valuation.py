@@ -1,7 +1,5 @@
 """LM score parsing, self-consistency, and the weighted mix."""
 
-import sys
-import threading
 import time
 from collections import Counter
 
@@ -16,7 +14,6 @@ from agentsearch.envs.game24 import GRAMMAR
 from agentsearch.prompts import PromptBundle
 from agentsearch.tree import SearchTree, add_children
 from agentsearch.valuation import (
-    ValuePool,
     combine,
     evaluate_children,
     lm_score,
@@ -24,7 +21,7 @@ from agentsearch.valuation import (
     sc_scores,
 )
 
-from helpers import SlowBackend
+from helpers import SlowBackend, value_pool
 
 
 def combo_actions(raws):
@@ -310,19 +307,13 @@ def test_evaluate_children_gives_the_same_records_with_fan_out():
     inline = evaluate_children(fanned_tree(), 0, "full", 0.5, bundle, PerChildBackend(), seed=3)
     assert [record["id"] for record in inline] == [1, 2, 3, 4, 5, 6, 7]
     assert [record["flagged"] for record in inline] == [False, False, True] + [False] * 4
-    pool = ValuePool(3)
-    try:
-        for slow_from_the_start in (False, True):
-            pool.slow = slow_from_the_start
-            backend = SlowBackend(PerChildBackend())
-            tree = fanned_tree()
-            records = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3, pool=pool)
-            assert records == inline
-            assert [tree.node(r["id"]).value for r in records] == [r["combined"] for r in inline]
-            assert backend.trips.peak > 1
-            assert pool.slow
-    finally:
-        pool.close()
+    backend = SlowBackend(PerChildBackend())
+    tree = fanned_tree()
+    with value_pool(3) as pool:
+        records = evaluate_children(tree, 0, "full", 0.5, bundle, backend, seed=3, pool=pool)
+    assert records == inline
+    assert [tree.node(r["id"]).value for r in records] == [r["combined"] for r in inline]
+    assert backend.trips.peak > 1
 
 
 class CrashingBackend:
@@ -339,53 +330,8 @@ class CrashingBackend:
 
 
 def test_evaluate_children_raises_the_earliest_childs_error_with_fan_out():
-    pool = ValuePool(7)
-    pool.slow = True
-    try:
-        with pytest.raises(RuntimeError, match="2 6"):
-            evaluate_children(
-                fanned_tree(), 0, "full", 0.5, PromptBundle(instruction="rate"),
-                CrashingBackend(), seed=3, pool=pool,
-            )
-    finally:
-        pool.close()
-
-
-def test_value_pool_starts_one_executor_under_concurrent_submits():
-    before = threading.active_count()
-    pool = ValuePool(2)
-    futures = []
-    start = threading.Barrier(8)
-
-    def submit_many():
-        start.wait(timeout=60)
-        for _ in range(50):
-            futures.append(pool.submit(threading.get_ident))
-
-    threads = [threading.Thread(target=submit_many) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    try:
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(futures) == 400
-        assert len({future.result(timeout=60) for future in futures}) <= 2
-    finally:
-        pool.close()
-    assert threading.active_count() == before
-
-
-def test_value_pool_submit_after_close_raises_and_starts_no_thread():
-    pool = ValuePool(2)
-    assert pool.submit(sum, [1, 2]).result() == 3
-    pool.close()
-    before = threading.active_count()
-    with pytest.raises(RuntimeError):
-        pool.submit(sum, [1, 2])
-    assert threading.active_count() == before
+    with value_pool(7) as pool, pytest.raises(RuntimeError, match="2 6"):
+        evaluate_children(
+            fanned_tree(), 0, "full", 0.5, PromptBundle(instruction="rate"),
+            CrashingBackend(), seed=3, pool=pool,
+        )
