@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -22,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from agentsearch.envs.solution import evaluate_expression
 from agentsearch.seeding import stable_seed
 from agentsearch.solver24 import (
-    TARGET, canon, legal_steps, number, solve, solvable, step_result,
+    TARGET, canon, format_number, legal_steps, number, solve, solvable, step_result,
 )
 
 import random
@@ -35,7 +34,7 @@ MAX_EMBEDDED_SOLUTIONS = 10
 
 def write_json(path: Path, data) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -380,8 +379,8 @@ def make_solution(root: Path) -> int:
         inputs = rng.sample(range(-6, 10), rng.randint(5, 7))
         tests = []
         for x in inputs:
-            expected = evaluate_expression(ref, Fraction(x))
-            tests.append({"input": x, "expected": str(expected)})
+            expected = evaluate_expression(ref, number(x))
+            tests.append({"input": x, "expected": format_number(expected)})
         task_id = f"expr-{i:02d}"
         statement = (f"Write an arithmetic expression in x that computes "
                      f"f(x) = {ref} for every test input.")

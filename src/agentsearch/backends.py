@@ -87,7 +87,7 @@ class ScriptedBackend:
         """Read {"rules": [{"contains" or "pattern": ..., "responses": [...]}],
         "default": TEXT}. A malformed file is a ValueError here, before any
         prompt reaches it."""
-        data = decode(Path(path).read_text())
+        data = decode(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict) or not isinstance(data.get("rules", []), list):
             raise ValueError(f"{path} must hold an object with a 'rules' list")
         rules = []
@@ -226,7 +226,7 @@ class HttpChatBackend:
         path = self._cache_path(self._cache_key(prompt, n, seed))
         if path is not None:
             try:
-                texts = decode(path.read_text())["texts"]
+                texts = decode(path.read_text(encoding="utf-8"))["texts"]
             # absent or unreadable, not UTF-8, not JSON, no texts
             except (OSError, ValueError, KeyError, TypeError):
                 texts = None
@@ -243,7 +243,7 @@ class HttpChatBackend:
         at the path) leaves no temp file behind; the caller still gets the
         texts, and the next call for the key asks the server again."""
         with contextlib.suppress(OSError):
-            write_whole(path, json.dumps({"texts": texts}, sort_keys=True))
+            write_whole({path: json.dumps({"texts": texts}, sort_keys=True)})
 
     def _request(self, prompt: str, n: int) -> list:
         import requests

@@ -51,7 +51,7 @@ from .search import (
     run_search,
 )
 from .templates import load_template_set
-from .trace import TraceWriter, decode, read_trace, replay_trace, write_trace, write_whole
+from .trace import TraceWriter, decode, read_trace, replay_trace, write_trace
 from .tree import tree_to_jsonl
 from .valuation import VALUE_MODES
 
@@ -136,7 +136,7 @@ def read_config_file(path) -> dict:
     """key=value lines; blank lines and '#' comments are skipped."""
     values = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -249,16 +249,13 @@ def _run_one(path, task, error, args, config, out_dir, session, value_pool) -> d
     row = result.summary()
     if out_dir is None:
         return row
+    # The task's files are one set; an empty store removes an earlier run's reflections.
+    others = {
+        out_dir / f"{task.task_id}.tree.jsonl": tree_to_jsonl(result.tree),
+        out_dir / f"{task.task_id}.reflections.jsonl": store.to_jsonl() or None,
+    }
     try:
-        write_trace(writer.events, out_dir / f"{task.task_id}.trace.jsonl")
-        write_whole(out_dir / f"{task.task_id}.tree.jsonl", tree_to_jsonl(result.tree))
-        # An empty store writes no file and removes an earlier run's.
-        reflections_path = out_dir / f"{task.task_id}.reflections.jsonl"
-        reflections = store.to_jsonl()
-        if reflections:
-            write_whole(reflections_path, reflections)
-        else:
-            reflections_path.unlink(missing_ok=True)
+        write_trace(writer.events, out_dir / f"{task.task_id}.trace.jsonl", others)
     except OSError as exc:
         row["error"] = f"cannot write its output: {exc}"
     return row
@@ -365,7 +362,7 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.reports:
         try:
-            payload = decode(Path(path).read_text())
+            payload = decode(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read report {path}: {exc}") from exc
         file_rows = payload.get("rows", []) if isinstance(payload, dict) else None

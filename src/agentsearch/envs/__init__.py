@@ -53,7 +53,7 @@ def load_task(path) -> TaskSpec:
     keep at reset, and no caller may change it."""
     path = Path(path)
     try:
-        data = decode(path.read_text())
+        data = decode(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise TaskError(f"cannot read task file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -81,7 +81,7 @@ def load_task(path) -> TaskSpec:
             ref_path = path.parent / ref
             try:
                 ref_path = ref_path.resolve()  # a NUL in the name is a ValueError here
-                payload[inline_key] = _decode_shared(ref_path.read_text())
+                payload[inline_key] = _decode_shared(ref_path.read_text(encoding="utf-8"))
             except (OSError, ValueError) as exc:
                 raise TaskError(f"cannot read {ref_key} {ref_path}: {exc}") from exc
     return TaskSpec(task_id=task_id, kind=kind, payload=payload)

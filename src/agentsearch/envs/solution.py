@@ -2,17 +2,19 @@
 
 A task states a target function of x and carries hidden input/expected test
 pairs. submit[<expression>] ends the episode immediately; the reward is the
-fraction of tests the candidate passes under exact rational evaluation.
+fraction of tests the candidate passes under exact rational evaluation, on
+solver24's normalised (numerator, denominator) pairs, as game24 computes.
 Candidates use a tiny arithmetic language: integers, x, + - * /, unary
 minus, and parentheses.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
+from ..solver24 import apply_op, number
 from .base import Environment, EnvObservation, TaskError, TaskSpec
 
 GRAMMAR = ActionGrammar(
@@ -20,6 +22,8 @@ GRAMMAR = ActionGrammar(
     thought_verbs=("think",),
     terminal_verbs=("submit",),
 )
+# An integer in any decimal digits, an operator, x, or a character to refuse.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/()xX])|(\S))")
 
 
 class ExprError(ValueError):
@@ -35,7 +39,7 @@ class _Parser:
               atom   := INT | 'x' | '(' expr ')'
     """
 
-    def __init__(self, text: str, x: Fraction):
+    def __init__(self, text: str, x: tuple):
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.x = x
@@ -43,22 +47,10 @@ class _Parser:
     @staticmethod
     def _tokenize(text: str) -> list:
         tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdecimal():
-                j = i
-                while j < len(text) and text[j].isdecimal():
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            elif ch in "+-*/()xX":
-                tokens.append(ch.lower())
-                i += 1
-            else:
-                raise ExprError(f"unexpected character {ch!r}")
+        for digits, symbol, other in _TOKEN.findall(text):
+            if other:
+                raise ExprError(f"unexpected character {other!r}")
+            tokens.append(digits or symbol.lower())
         if not tokens:
             raise ExprError("empty expression")
         return tokens
@@ -73,40 +65,37 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Fraction:
+    def parse(self) -> tuple:
         value = self._expr()
         if self._peek() is not None:
             raise ExprError(f"trailing tokens near {self._peek()!r}")
         return value
 
-    def _expr(self) -> Fraction:
+    def _expr(self) -> tuple:
         value = self._term()
         while self._peek() in ("+", "-"):
             op = self._take()
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
+            value = apply_op(value, op, self._term())
         return value
 
-    def _term(self) -> Fraction:
+    def _term(self) -> tuple:
         value = self._unary()
         while self._peek() in ("*", "/"):
             op = self._take()
             rhs = self._unary()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs == 0:
-                    raise ExprError("division by zero")
-                value = value / rhs
+            if op == "/" and not rhs[0]:
+                raise ExprError("division by zero")
+            value = apply_op(value, op, rhs)
         return value
 
-    def _unary(self) -> Fraction:
+    def _unary(self) -> tuple:
         if self._peek() == "-":
             self._take()
-            return -self._unary()
+            n, d = self._unary()
+            return (-n, d)
         return self._atom()
 
-    def _atom(self) -> Fraction:
+    def _atom(self) -> tuple:
         tok = self._take()
         if tok == "(":
             value = self._expr()
@@ -117,25 +106,24 @@ class _Parser:
             return self.x
         if tok.isdecimal():
             try:
-                return Fraction(int(tok))
+                return (int(tok), 1)
             except ValueError as exc:  # over int()'s 4,300-digit limit
                 raise ExprError(str(exc)) from exc
         raise ExprError(f"unexpected token {tok!r}")
 
 
-def evaluate_expression(text: str, x) -> Fraction:
-    """Evaluate a candidate expression at x; raises ExprError on bad input,
-    nesting too deep to parse included."""
+def evaluate_expression(text: str, x: tuple) -> tuple:
+    """Evaluate a candidate expression at the pair x, to a pair; raises
+    ExprError on bad input, nesting too deep to parse included."""
     try:
-        return _Parser(text, Fraction(x)).parse()
+        return _Parser(text, x).parse()
     except RecursionError as exc:
         raise ExprError("expression nested too deeply") from exc
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+def _as_number(value) -> tuple:
+    """A test row's value as a pair; a float reads as it prints, so 0.1 is 1/10."""
+    return number(str(value) if isinstance(value, float) else value)
 
 
 class SolutionEnv(Environment):
@@ -155,7 +143,7 @@ class SolutionEnv(Environment):
         parsed = []
         for row in tests:
             try:
-                parsed.append((_as_fraction(row["input"]), _as_fraction(row["expected"])))
+                parsed.append((_as_number(row["input"]), _as_number(row["expected"])))
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise TaskError(f"malformed test row {row!r}: {exc}") from exc
         self._tests = parsed

@@ -74,11 +74,11 @@ class RunReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def write_json(self, path) -> None:
-        write_whole(path, self.to_json())
+        write_whole({path: self.to_json()})
 
     def write_csv(self, path) -> None:
         text = io.StringIO(newline="")
         writer = csv.DictWriter(text, fieldnames=COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(self.rows)
-        write_whole(path, text.getvalue())
+        write_whole({path: text.getvalue()})

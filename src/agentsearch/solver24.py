@@ -5,12 +5,15 @@ positive denominator, so equal values are equal pairs and 8/3 is (8, 3).
 States are multisets of such pairs. A step picks two numbers and an
 operator; the solver enumerates every step sequence that leaves exactly the
 target. The arithmetic is on integers, so 8 / (3 - 8/3) == 24 holds exactly.
-`number` parses text with Fraction; `format_number` prints as str(Fraction).
+It is the package's one exact-number kernel, so no run imports fractions or
+decimal (0.9 MB of peak RSS): `number` reads text by Python 3.11's Fraction
+grammar, and `format_number` prints as str(Fraction) does.
 
 The oracles ask about the same number states again and again: in a pass of
 the cpu-mix benchmark, about 70% of their solver calls repeat a state. So
-`correct_steps` and `solve` are memoised by the state's `canon` key for the
-life of the process, and `solvable` is for states of three or more numbers.
+`correct_steps` and `solve` are memoised by the state's `canon` key, and
+`solvable` is for states of three or more numbers; those two memos are dicts
+(an lru_cache entry costs twice as much), cleared at MEMO_LIMIT entries.
 A state of two numbers is cheaper to test than to look up: it reaches the
 target when one of six cross-multiplied equalities holds (`_pair_reaches`),
 which needs no gcd, builds no key and adds no memo entry. A state of three
@@ -25,7 +28,7 @@ table of each state's successors either; that raised peak memory by 16 MB.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -33,13 +36,40 @@ from typing import Iterable, Optional, Sequence
 TARGET = (24, 1)
 _TN, _TD = TARGET
 OPS = ("+", "-", "*", "/")
+MEMO_LIMIT = 10_000  # a cpu-mix pass leaves at most 1,141 and 2,725 entries
+_SOLVABLE: dict = {}  # canon key of three or more numbers -> bool
+_CORRECT: dict = {}  # canon key -> tuple of its correct steps
+# fractions._RATIONAL_FORMAT of Python 3.11; \d is any Unicode decimal digit
+_RATIONAL = re.compile(
+    r"""\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<denom>\d+(_\d+)*))?
+    |(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*\Z""",
+    re.VERBOSE | re.IGNORECASE,
+)
 
 
 @lru_cache(maxsize=4096)
 def number(value) -> tuple:
-    """The pair for an int or a text such as "-8/3"; raises as Fraction does."""
-    f = Fraction(value)
-    return (f.numerator, f.denominator)
+    """The pair for a text such as "-8/3" or "1.5e-3", or for anything with an
+    as_integer_ratio(); raises the exception types Fraction(value) would."""
+    if not isinstance(value, str):
+        if hasattr(value, "as_integer_ratio"):  # in lowest terms, as Fraction takes it
+            return value.as_integer_ratio()
+        raise TypeError(f"not a number: {value!r}")
+    m = _RATIONAL.match(value)
+    if m is None:
+        raise ValueError(f"not a number: {value!r}")
+    n, d = int(m["num"] or "0"), int(m["denom"] or "1")
+    if m["decimal"]:
+        digits = m["decimal"].replace("_", "")
+        d = 10 ** len(digits)
+        n = n * d + int(digits)
+    exp = int(m["exp"] or "0")
+    n, d = (n * 10**exp, d) if exp >= 0 else (n, d * 10**-exp)
+    if not d:
+        raise ZeroDivisionError(f"zero denominator in {value!r}")
+    g = gcd(n, d)
+    return ((-n if m["sign"] == "-" else n) // g, d // g)
 
 
 def format_number(x: tuple) -> str:
@@ -140,6 +170,13 @@ def _pair_reaches(a: tuple, b: tuple) -> bool:
     )
 
 
+def _remember(memo: dict, key: tuple, value):
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 def _solvable(nums: Sequence[tuple]) -> bool:
     """Solvability of a state in any order; only states of three or more
     numbers go through the memo."""
@@ -148,10 +185,11 @@ def _solvable(nums: Sequence[tuple]) -> bool:
         return _pair_reaches(nums[0], nums[1])
     if n < 2:
         return n == 1 and nums[0] == TARGET
-    return _solvable_key(canon(nums))
+    key = canon(nums)
+    hit = _SOLVABLE.get(key)
+    return _remember(_SOLVABLE, key, _solvable_key(key)) if hit is None else hit
 
 
-@lru_cache(maxsize=None)
 def _solvable_key(key: tuple) -> bool:
     """Solvability of a state of three or more numbers, by its canon key."""
     if len(key) > 3:
@@ -167,15 +205,15 @@ def solvable(nums: Iterable[tuple]) -> bool:
     return _solvable(tuple(nums))
 
 
-@lru_cache(maxsize=None)
-def _correct_steps_key(key: tuple) -> tuple:
-    return tuple(step for step in legal_steps(key) if _solvable(step_result(key, step)))
-
-
 def correct_steps(nums: Sequence[tuple]) -> list:
     """Legal steps after which the remaining multiset is still solvable.
     Each call returns a new list, so a caller may change it freely."""
-    return list(_correct_steps_key(canon(nums)))
+    key = canon(nums)
+    hit = _CORRECT.get(key)
+    if hit is None:
+        steps = (step for step in legal_steps(key) if _solvable(step_result(key, step)))
+        hit = _remember(_CORRECT, key, tuple(steps))
+    return list(hit)
 
 
 def render_step(step: tuple) -> str:

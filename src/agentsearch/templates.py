@@ -99,7 +99,7 @@ def load_template_set(kind: str, directory=None) -> TemplateSet:
     bundles = {}
     for role in ROLES:
         try:
-            text = (base / kind / f"{role}.txt").read_text()
+            text = (base / kind / f"{role}.txt").read_text(encoding="utf-8")
             bundles[role] = parse_template(text)
         except (OSError, ValueError) as exc:
             raise TaskError(f"{kind} {role} template: {exc}") from exc

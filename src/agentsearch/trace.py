@@ -21,7 +21,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 def encode(record: dict) -> str:
@@ -69,29 +69,41 @@ class TraceWriter:
         return jsonl(self.events)
 
 
-def write_whole(path, text: str) -> None:
-    """Write text to path whole or not at all: into a temp file beside it
-    (owner-only, as tempfile.mkstemp makes it), renamed over path once
-    written. A step that fails raises OSError, removes the temp file and
-    leaves whatever path held before."""
-    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+def write_whole(files: dict) -> None:
+    """Write each path's text in UTF-8 (None removes the path) as one set:
+    all into owner-only temp files beside their paths, then each renamed
+    over its path. A failure raises OSError and removes the temp files; once
+    a rename has happened it removes every path too, so no set mixes two."""
+    staged = {}
+    renamed = False
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            if text is not None:
+                fd, staged[path] = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+                with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+        for path, text in files.items():
+            if text is None:
+                Path(path).unlink(missing_ok=True)
+            else:
+                os.replace(staged[path], path)
+                del staged[path]
+            renamed = True
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for path in [*staged.values(), *(files if renamed else ())]:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
         raise
 
 
-def write_trace(events: Iterable[dict], path) -> None:
-    write_whole(path, jsonl(events))
+def write_trace(events: Iterable[dict], path, others: Optional[dict] = None) -> None:
+    """Write a trace, and with it the others' texts, as one set (write_whole)."""
+    write_whole({path: jsonl(events), **(others or {})})
 
 
 def read_trace(path) -> list:
     events = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -549,6 +551,72 @@ def test_a_rerun_whose_writes_fail_leaves_the_earlier_files_whole(tmp_path, caps
     assert main(argv + ["--log-prompts"]) == 2  # traces that would differ
     assert "error: cannot write report:" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == earlier
+
+
+def task_files(out_dir) -> dict:
+    """{task_id: {file name: bytes}} for the task files in out_dir."""
+    found = {}
+    for path in out_dir.glob("*.jsonl"):
+        found.setdefault(path.name.split(".")[0], {})[path.name] = path.read_bytes()
+    return found
+
+
+@pytest.mark.parametrize("failing", ["trace", "tree", "reflections"])
+def test_a_rerun_whose_rename_fails_leaves_no_task_mixing_two_runs(
+    tmp_path, capsys, monkeypatch, failing
+):
+    argv, _ = readme_run_example(tmp_path / "clean", monkeypatch)
+    assert main(argv + ["--seed", "5"]) == 0
+    second = task_files(tmp_path / "clean")
+    # the seed-5 run stores reflections for one task and none for another
+    assert "24-1-10-11-12.reflections.jsonl" in second["24-1-10-11-12"]
+    assert "24-1-1-3-13.reflections.jsonl" not in second["24-1-1-3-13"]
+    out_dir = tmp_path / "demo"
+    argv, _ = readme_run_example(out_dir, monkeypatch)
+    assert main(argv) == 0
+    first = task_files(out_dir)
+    replace = os.replace
+
+    def full_disk_for_one_kind(src, dst):
+        if str(dst).endswith(f".{failing}.jsonl"):
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", full_disk_for_one_kind)
+    assert main(argv + ["--seed", "5"]) == 2
+    assert "cannot write its output" in capsys.readouterr().err
+    left = task_files(out_dir)
+    for task_id in first:
+        if failing == "trace":  # the first rename failed: the earlier set stands
+            expected = first[task_id]
+        elif f"{task_id}.{failing}.jsonl" in second[task_id]:  # failed part-way
+            expected = None
+        else:  # the set needed no rename of that kind
+            expected = second[task_id]
+        assert left.get(task_id) == expected, task_id
+    assert not list(out_dir.glob("*.tmp"))
+
+
+def test_a_run_reads_and_writes_utf8_whatever_the_locale(tmp_path):
+    ascii_env = dict(os.environ, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C")
+    probe = [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"]
+    encoding = subprocess.run(probe, env=ascii_env, capture_output=True, text=True).stdout
+    if "utf" in encoding.lower():
+        pytest.skip(f"the C locale here still prefers {encoding.strip()}")
+    task = json.loads((DATA_DIR / "game24" / "puzzles" / "24-1-1-3-13.json").read_text())
+    task.update(task_id="cafe", metadata={"note": "caf\u00e9"})
+    (tmp_path / "tasks").mkdir()
+    (tmp_path / "tasks" / "cafe.json").write_text(json.dumps(task, ensure_ascii=False), "utf-8")
+    traces = []
+    for name, env in (("utf8", dict(ascii_env, PYTHONUTF8="1")), ("ascii", ascii_env)):
+        out_dir = tmp_path / name
+        command = [sys.executable, "-m", "agentsearch.cli", "run", str(tmp_path / "tasks")]
+        command += ["--backend", "oracle:p=0.5,seed=1", "--out", str(out_dir)]
+        env["PYTHONPATH"] = str(DATA_DIR.parents[1])  # the package's src directory
+        done = subprocess.run(command, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        traces.append((out_dir / "cafe.trace.jsonl").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_run_gives_task_error_row_for_an_infinite_game24_number(tmp_path, capsys):

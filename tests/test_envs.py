@@ -3,11 +3,14 @@
 import copy
 import dataclasses
 import json
+import operator
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentsearch.actions import parse_action
 from agentsearch.backends import static_backend
@@ -174,7 +177,7 @@ def test_game24_payload_validation():
         Game24Env().reset(TaskSpec(task_id="t", kind="game24", payload={"numbers": [4]}))
     with pytest.raises(TaskError):
         Game24Env().reset(TaskSpec(task_id="t", kind="game24", payload={"numbers": [4, "x"]}))
-    # json.loads reads Infinity, for which Fraction raises OverflowError
+    # json.loads reads Infinity, for which number raises OverflowError
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(TaskError):
             Game24Env().reset(TaskSpec(task_id="t", kind="game24", payload={"numbers": [bad, 1]}))
@@ -665,17 +668,91 @@ def test_solution_division_by_zero_fails_only_that_test():
     assert obs.reward == 1.0
 
 
+def test_a_float_test_row_reads_as_printed_but_a_game24_float_exactly():
+    env = SolutionEnv()
+    tests = [{"input": 0.1, "expected": "3/10"}, {"input": "1/2", "expected": 1.5}]
+    env.reset(TaskSpec(task_id="x", kind="solution", payload={"statement": "s", "tests": tests}))
+    assert act(env, "submit[3 * x]").reward == 1.0
+    game = Game24Env()
+    game.reset(TaskSpec(task_id="t", kind="game24", payload={"numbers": [0.1, 1]}))
+    assert game.state.nums[0] == (3602879701896397, 36028797018963968)
+
+
 def test_evaluate_expression_language():
-    assert evaluate_expression("3*x + 2", Fraction(4)) == 14
-    assert evaluate_expression("-x * -x", 3) == 9
-    assert evaluate_expression("(x + 1) * (x - 1)", 5) == 24
-    assert evaluate_expression("x / 4", Fraction(1, 2)) == Fraction(1, 8)
-    assert evaluate_expression("2 + 3 * 4", 0) == 14  # precedence
-    assert evaluate_expression("X + x", 2) == 4
-    assert evaluate_expression("\u0663 * x", 2) == 6  # any decimal digit reads
+    assert evaluate_expression("3*x + 2", (4, 1)) == (14, 1)
+    assert evaluate_expression("-x * -x", (3, 1)) == (9, 1)
+    assert evaluate_expression("(x + 1) * (x - 1)", (5, 1)) == (24, 1)
+    assert evaluate_expression("x / 4", (1, 2)) == (1, 8)
+    assert evaluate_expression("2 + 3 * 4", (0, 1)) == (14, 1)  # precedence
+    assert evaluate_expression("X + x", (2, 1)) == (4, 1)
+    assert evaluate_expression("\u0663 * x", (2, 1)) == (6, 1)  # any decimal digit reads
     for bad in ("", "x +", "2 ** 3", "(x", "3.5", "y + 1", "1 / 0"):
         with pytest.raises(ExprError):
-            evaluate_expression(bad, 1)
+            evaluate_expression(bad, (1, 1))
+
+
+# An expression tree: ("int", n), ("x", spelling), ("neg", e) or ("bin", op, a, b).
+_TREES = st.recursive(
+    st.one_of(
+        st.integers(min_value=0, max_value=10**30).map(lambda n: ("int", n)),
+        st.sampled_from(["x", "X"]).map(lambda name: ("x", name)),
+    ),
+    lambda inner: st.one_of(
+        inner.map(lambda e: ("neg", e)),
+        st.tuples(st.just("bin"), st.sampled_from("+-*/"), inner, inner),
+    ),
+    max_leaves=12,
+)
+_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def render_tree(tree, gap: str) -> tuple:
+    """(text, precedence), with parentheses only where the grammar needs them."""
+    if tree[0] == "int":
+        return str(tree[1]), 2
+    if tree[0] == "x":
+        return tree[1], 2
+    if tree[0] == "neg":
+        text, prec = render_tree(tree[1], gap)
+        return "-" + (text if prec == 2 else f"({text})"), 2
+    _, op, a, b = tree
+    (left, lp), (right, rp) = render_tree(a, gap), render_tree(b, gap)
+    left = left if lp >= _PRECEDENCE[op] else f"({left})"
+    right = right if rp > _PRECEDENCE[op] else f"({right})"
+    return f"{left}{gap}{op}{gap}{right}", _PRECEDENCE[op]
+
+
+def fraction_value(tree, x: Fraction) -> Fraction:
+    """The tree's value on Fraction; ZeroDivisionError for a division by zero."""
+    if tree[0] == "int":
+        return Fraction(tree[1])
+    if tree[0] == "x":
+        return x
+    if tree[0] == "neg":
+        return -fraction_value(tree[1], x)
+    _, op, a, b = tree
+    return _OPERATORS[op](fraction_value(a, x), fraction_value(b, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _TREES,
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.sampled_from(["", " "]),
+)
+def test_evaluate_expression_agrees_with_fraction_arithmetic(tree, x, gap):
+    text, _ = render_tree(tree, gap)
+    try:
+        expected = fraction_value(tree, x)
+    except ZeroDivisionError:
+        with pytest.raises(ExprError):
+            evaluate_expression(text, (x.numerator, x.denominator))
+        return
+    assert evaluate_expression(text, (x.numerator, x.denominator)) == (
+        expected.numerator,
+        expected.denominator,
+    )
 
 
 @pytest.mark.parametrize(

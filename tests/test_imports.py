@@ -8,6 +8,8 @@ comment that points there.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +74,60 @@ def test_the_scan_sees_reads_and_dunder_all():
         "x: b = os.sep\n"
     )
     assert unused_imports(source) == {"d": 3}
+
+
+# -- exact numbers ----------------------------------------------------------------
+
+# solver24's pairs are the package's exact numbers; these add 0.9 MB to a run's peak RSS.
+HEAVY_NUMERIC = {"fractions", "decimal"}
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules the source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_fractions_or_decimal():
+    found = {
+        (path.relative_to(PACKAGE).as_posix(), name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in imported_modules(path.read_text()) & HEAVY_NUMERIC
+    }
+    assert found == set()
+
+
+def test_the_module_scan_sees_both_import_forms():
+    source = "import os.path, decimal as d\nfrom fractions import Fraction\nfrom . import x\n"
+    assert imported_modules(source) == {"os", "decimal", "fractions"}
+
+
+RUN_BOTH_KINDS = """
+import sys
+from agentsearch import cli
+data = sys.argv[1]
+assert cli.main(["run", data + "/game24/puzzles/24-1-1-3-13.json", "--backend",
+                 "oracle:p=1.0,seed=1", "--value-backend", "oracle-value:accuracy=1.0"]) == 0
+assert cli.main(["run", data + "/solution/tasks/expr-01.json", "--backend",
+                 "static:submit[3*x + 2]", "--value-backend", "static:7"]) == 0
+print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
+"""
+
+
+def test_a_game24_and_a_solution_run_load_no_fractions_decimal_or_numbers():
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_BOTH_KINDS, str(PACKAGE / "data")],
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # -- definitions only tests use ----------------------------------------------

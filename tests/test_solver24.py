@@ -1,6 +1,8 @@
 """Exhaustive Game-of-24 solver used as the oracle ground truth."""
 
+import itertools
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentsearch import solver24
 from agentsearch.envs import load_task
 from agentsearch.solver24 import (
     OPS,
@@ -58,6 +61,26 @@ def test_number_normalises_text_and_ints():
     assert number("-8/6") == (-4, 3)
     assert number("0/5") == (0, 1)
     assert number("1.5") == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, 7, -7, True, False, 10**40, -(10**40), 0.1, 1.5, -0.0, float("inf"), float("-inf"),
+     float("nan"), Decimal("1.5"), Decimal("-0.25"), Decimal("NaN"), Fraction(-6, 4),
+     " 3/4 ", "3 / 4", "1_000", "1__000", "_1", ".5", "5.", ".", "+2", "-47e-2", "1.5E+3",
+     "\n-6/8\t", "1_0.2_5e1_0", "00012/0006", "\u0663/\u0664", "\u0663.\u0665", "3/0",
+     "0/0", "1/0_0", "", "  ", "-", "1 2", "+-1", "1/2/3", "1e", "1.d", "0x10", "3/-4",
+     None, [1], b"1"],
+    ids=repr,
+)
+def test_number_gives_the_pair_or_the_exception_type_of_fraction(value):
+    try:
+        f = Fraction(value)
+    except Exception as exc:  # its type is the reference
+        with pytest.raises(type(exc)):
+            number(value)
+    else:
+        assert number(value) == (f.numerator, f.denominator)
 
 
 def test_format_number_prints_as_fraction_does():
@@ -326,3 +349,19 @@ def test_three_number_states_reach_24_through_negative_denominators(values, step
     a, op, b = step
     assert solvable(nums)
     assert correct_steps(nums) == [(number(a), op, number(b))]
+
+
+def test_the_memos_stay_within_their_limit_and_answer_as_unmemoised(monkeypatch):
+    monkeypatch.setattr(solver24, "MEMO_LIMIT", 40)
+    monkeypatch.setattr(solver24, "_SOLVABLE", {})
+    monkeypatch.setattr(solver24, "_CORRECT", {})
+    states = [P(combo) for combo in itertools.combinations_with_replacement(range(1, 10), 4)]
+    assert len(states) == 495  # each distinct, and each reaches more three-number states
+    for nums in states:
+        steps = _reference_legal_steps(nums)
+        assert correct_steps(nums) == [
+            s for s in steps if _reference_solvable(canon(step_result(nums, s)))
+        ]
+        assert solvable(nums) == _reference_solvable(canon(nums))
+        assert len(solver24._SOLVABLE) <= 40 and len(solver24._CORRECT) <= 40
+    assert len(solver24._SOLVABLE) > 0 and len(solver24._CORRECT) > 0
