@@ -8,12 +8,12 @@ returning exactly n completion texts. Deterministic backends return the same
 list for the same (prompt, n, seed).
 
 A search may call its value backend from several threads at once: when
-the caller carries an executor in BackendSet.value_pool, the value calls
-of one node's fresh children all go out together on it; without one,
-every value call runs inline. So a backend must be safe to call
-concurrently, and must answer as a function of (prompt, n, seed) alone,
-or else set the class attribute `inline = True`; a search then makes its
-value calls one at a time, in child order, and uses no pool. The scripted
+the caller carries a pool.ThreadPool in BackendSet.value_pool, the
+value calls of one node's fresh children all go out together on it;
+without one, every value call runs inline. So a backend must be safe to
+call concurrently, and must answer as a function of (prompt, n, seed)
+alone, or else set the class attribute `inline = True`; a search then
+makes its value calls one at a time, in child order, and uses no pool. The scripted
 backend is inline because it hands out responses by call order, and the
 make-24 oracles because they compute in-process, where threads would only
 add handoff cost.

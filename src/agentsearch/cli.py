@@ -28,7 +28,6 @@ import argparse
 import sys
 import tempfile
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import solver24
@@ -41,6 +40,7 @@ from .backends import (
     static_backend,
 )
 from .envs import TaskError, load_task
+from .pool import ThreadPool
 from .report import COLUMNS, RunReport
 from .reflection import ReflectionStore
 from .search import (
@@ -299,11 +299,10 @@ def cmd_run(args) -> int:
         except OSError as exc:
             raise CliError(f"cannot write report: {exc}") from exc
     loaded = _load_tasks(paths)
-    # The batch shares one value pool, so its threads start once; a value
-    # backend that is not inline sends every value call to it. It also
-    # shares one http session, so connections are reused.
+    # The batch shares one http session, so connections are reused, and one
+    # value pool, whose threads only a value backend that is not inline starts.
     value_threads = config.n * args.workers
-    value_pool = ThreadPoolExecutor(value_threads, thread_name_prefix="value")
+    value_pool = ThreadPool(value_threads, "value")
     specs = (args.backend, args.value_backend, args.reflection_backend)
     http = any(spec and spec.startswith("http:") for spec in specs)
     session = http_session(value_threads + args.workers) if http else None
@@ -312,13 +311,10 @@ def cmd_run(args) -> int:
         return _run_one(*item, args, config, out_dir, session, value_pool)
 
     try:
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(run, loaded))
-        else:
-            rows = [run(item) for item in loaded]
+        with ThreadPool(args.workers, "task") as tasks:  # a lone worker runs inline
+            rows = tasks.map(run, loaded) if args.workers > 1 else list(map(run, loaded))
     finally:
-        value_pool.shutdown(cancel_futures=True)
+        value_pool.close()
         if session is not None:
             session.close()
     rows.sort(key=lambda r: r["task_id"])

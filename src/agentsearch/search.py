@@ -72,7 +72,7 @@ from .tree import (
 from .valuation import VALUE_MODES, evaluate_children
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor
+    from .pool import ThreadPool
 
 ENGINE_VERSION = "0.1.0"
 
@@ -147,16 +147,16 @@ class SearchConfig:
 class BackendSet:
     """Backends by role; value and reflection fall back to the policy one.
 
-    value_pool, when set, is an executor that the value calls go to,
-    shared with the other runs that carry it; its owner shuts it down after
-    the last run returns. It is the only way value calls reach threads:
+    value_pool, when set, is a ThreadPool that the value calls go to,
+    shared with the other runs that carry it; its owner closes it after the
+    last run returns. It is the only way value calls reach threads:
     without one, and always for a value backend that declares `inline`,
     they run inline, in child order."""
 
     policy: PolicyBackend
     value: Optional[PolicyBackend] = None
     reflection: Optional[PolicyBackend] = None
-    value_pool: Optional[Executor] = None
+    value_pool: Optional[ThreadPool] = None
 
 
 @dataclass
@@ -254,7 +254,7 @@ def run_search(
     trace and reflection_store may be shared across runs; fresh private ones
     are created when omitted. An explicit env overrides the registry lookup.
     Only a carried backends.value_pool runs value calls on threads, and its
-    owner shuts it down; this starts no thread. No value call of this run is
+    owner closes it; this starts no thread. No value call of this run is
     still in flight when it returns or raises.
     """
     cfg = (config or SearchConfig()).resolved(task.kind)

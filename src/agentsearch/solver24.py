@@ -48,14 +48,18 @@ _RATIONAL = re.compile(
 )
 
 
-@lru_cache(maxsize=4096)
 def number(value) -> tuple:
     """The pair for a text such as "-8/3" or "1.5e-3", or for anything with an
     as_integer_ratio(); raises the exception types Fraction(value) would."""
-    if not isinstance(value, str):
-        if hasattr(value, "as_integer_ratio"):  # in lowest terms, as Fraction takes it
-            return value.as_integer_ratio()
-        raise TypeError(f"not a number: {value!r}")
+    if isinstance(value, str):  # memoised, so the solver's keys share one pair per token
+        return _parse(value)
+    if hasattr(value, "as_integer_ratio"):  # in lowest terms, as Fraction takes it
+        return value.as_integer_ratio()
+    raise TypeError(f"not a number: {value!r}")
+
+
+@lru_cache(maxsize=4096)  # texts only: 1+0j would hit an equal 1.0's entry
+def _parse(value: str) -> tuple:
     m = _RATIONAL.match(value)
     if m is None:
         raise ValueError(f"not a number: {value!r}")

@@ -23,11 +23,9 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Optional
 
-
-def encode(record: dict) -> str:
-    """The canonical one-line JSON form of a record: sorted keys, no spaces.
-    Traces, tree dumps, reflection logs and snapshot tokens all use it."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# The canonical one-line JSON form of a record (sorted keys, no spaces) for traces,
+# tree dumps, reflection logs and snapshot tokens: one encoder, not one per record.
+encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def decode(text: str):

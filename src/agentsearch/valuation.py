@@ -17,7 +17,7 @@ Each child's value prompt (acting style, under the engine's value bundle)
 is its parent's cached block plus its own step, built in the calling
 thread once per distinct (action, observation) among the siblings; each
 child still makes its own value call, with its own seed. A caller that
-wants the calls overlapped carries an executor in BackendSet.value_pool,
+wants the calls overlapped carries a pool.ThreadPool in BackendSet.value_pool,
 and every value call of a backend that does not declare `inline` goes to
 it; all other value calls run inline, in child order. The scores are
 applied in child order either way, so the result does not depend on which
@@ -38,7 +38,7 @@ from .seeding import stable_seed
 from .tree import SearchTree, reconstruct_context
 
 if TYPE_CHECKING:  # loaded at run time only by a caller that opens a pool
-    from concurrent.futures import Executor
+    from .pool import ThreadPool
 
 VALUE_MODES = ("full", "sc_only", "none")
 
@@ -92,25 +92,6 @@ def combine(lm: float, sc: float, lam: float) -> float:
     return lam * lm + (1.0 - lam) * sc
 
 
-def _lm_scores(queries, backend, seed, pool) -> list:
-    """lm score or None per (child id, prompt), in order. Without a pool,
-    each is queried inline; with one, all are submitted to it at once.
-    Every pooled call has ended before this returns or raises."""
-    if pool is None:
-        return [
-            lm_score(prompt, backend, stable_seed(seed, child_id)) for child_id, prompt in queries
-        ]
-    futures = []
-    try:
-        for child_id, prompt in queries:
-            futures.append(pool.submit(lm_score, prompt, backend, stable_seed(seed, child_id)))
-    finally:
-        from concurrent.futures import wait
-
-        wait(futures)
-    return [future.result() for future in futures]
-
-
 def evaluate_children(
     tree: SearchTree,
     parent_id: int,
@@ -119,7 +100,7 @@ def evaluate_children(
     bundle: Optional[PromptBundle] = None,
     backend: Optional[PolicyBackend] = None,
     seed: int = 0,
-    pool: Optional[Executor] = None,
+    pool: Optional[ThreadPool] = None,
 ) -> list:
     """Score every child of a just-expanded node, once: set each child's
     value to its combined score and return the children's value records,
@@ -130,7 +111,7 @@ def evaluate_children(
     mode "none" the engine scores nothing and never calls this. A backend
     failure on one child flags that child and evaluation of the rest
     continues; any other exception propagates (the earliest child's, if
-    several raise). With a pool (an executor), the value calls run
+    several raise). With a pool (a ThreadPool), the value calls run
     concurrently on it to the same result; without one, all run inline.
     """
     if mode not in ("full", "sc_only"):
@@ -143,14 +124,15 @@ def evaluate_children(
             raise ValueError("full value mode needs a value bundle and backend")
         block = render_acting_steps(tree, parent_id)
         prompts = {}
-        queries = []
         for child in children:
             step = child.action, child.observation
             if step not in prompts:
                 text = block + "\n" + render_step(child.depth, *step)
                 prompts[step] = assemble_acting_prompt(bundle, text, child.depth)
-            queries.append((child.id, prompts[step]))
-        lm_results = _lm_scores(queries, backend, seed, pool)
+        texts = [prompts[child.action, child.observation] for child in children]
+        seeds = [stable_seed(seed, child.id) for child in children]
+        calls = lm_score, texts, [backend] * len(children), seeds
+        lm_results = list(map(*calls)) if pool is None else pool.map(*calls)
     else:
         lm_results = [0.0] * len(children)
     records = []

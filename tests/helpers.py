@@ -9,7 +9,6 @@ import json
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from agentsearch.actions import ActionSample
@@ -17,6 +16,7 @@ from agentsearch.backends import BackendError
 from agentsearch.envs.base import EnvObservation
 from agentsearch.prompts import render_step
 from agentsearch.tree import SearchTree, add_children, reconstruct_context
+from agentsearch.pool import ThreadPool
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "agentsearch" / "data"
 
@@ -94,10 +94,10 @@ class RoundTrips:
                 self._in_flight -= 1
 
 
-def value_pool(workers: int) -> ThreadPoolExecutor:
-    """An executor for BackendSet.value_pool, its threads named as the cli
+def value_pool(workers: int) -> ThreadPool:
+    """A pool for BackendSet.value_pool, its threads named as the cli
     names them."""
-    return ThreadPoolExecutor(workers, thread_name_prefix="value")
+    return ThreadPool(workers, "value")
 
 
 class SlowBackend:

@@ -1140,3 +1140,31 @@ def test_the_backends_fix_where_value_calls_run(tmp_path, monkeypatch, capsys, w
         assert main(batch_argv(tmp_path / kind, workers, backends)) == 0
         assert threads and not any(name.startswith("value") for name in threads)
     capsys.readouterr()
+
+
+def test_a_run_whose_value_backend_is_inline_starts_no_thread(tmp_path, monkeypatch, capsys):
+    """The README run's oracle value backend is inline, so its batch's pool
+    is never used; the value backend reads the thread count on every call."""
+    counts = []
+
+    class Counting:
+        inline = True
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def propose(self, prompt, n, seed):
+            counts.append(threading.active_count())
+            return self.inner.propose(prompt, n, seed)
+
+    parse = cli.parse_backend_spec
+    monkeypatch.setattr(
+        cli,
+        "parse_backend_spec",
+        lambda spec: Counting(parse(spec)) if spec.startswith("oracle-value") else parse(spec),
+    )
+    argv, printed = readme_run_example(tmp_path / "demo", monkeypatch)
+    before = threading.active_count()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
+    assert counts and set(counts) == {before}

@@ -130,6 +130,75 @@ def test_a_game24_and_a_solution_run_load_no_fractions_decimal_or_numbers():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+# -- thread pools ------------------------------------------------------------------
+
+# pool.ThreadPool runs a batch's calls on threads; concurrent.futures
+# would load logging with it, 0.7 MB of peak RSS that a run does not need.
+THREAD_POOL_IMPORTS = {"concurrent", "logging"}
+
+
+def test_no_module_imports_concurrent_futures_or_logging():
+    found = {
+        (path.relative_to(PACKAGE).as_posix(), name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in imported_modules(path.read_text()) & THREAD_POOL_IMPORTS
+    }
+    assert found == set()
+
+
+def test_the_module_scan_sees_concurrent_futures_and_logging():
+    source = "from concurrent.futures import wait\nimport logging.handlers as h\n"
+    assert imported_modules(source) & THREAD_POOL_IMPORTS == {"concurrent", "logging"}
+
+
+# A value backend that is not inline, so every value call goes to the pool.
+RUN_ON_THE_POOLS = """
+import sys, threading
+from agentsearch import cli
+puzzles = sys.argv[1] + "/game24/puzzles/"
+names = set()
+
+class Delegate:
+    def __init__(self, inner):
+        self.inner = inner
+    def propose(self, prompt, n, seed):
+        names.add(threading.current_thread().name.split("_")[0])
+        return self.inner.propose(prompt, n, seed)
+
+parse = cli.parse_backend_spec
+cli.parse_backend_spec = lambda spec: Delegate(parse(spec)) if spec.startswith("oracle-value") else parse(spec)
+assert cli.main(["run", puzzles + "24-1-1-3-13.json", puzzles + "24-1-1-4-9.json",
+                 "--backend", "oracle:p=0.3,seed=1", "--value-backend", "oracle-value:accuracy=0.85",
+                 "--workers", "2"]) == 0
+print(sorted(names))
+print(sorted({"concurrent.futures", "logging"} & set(sys.modules)))
+"""
+
+
+def test_a_run_on_both_pools_loads_no_concurrent_futures_or_logging():
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_ON_THE_POOLS, str(PACKAGE / "data")],
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["['value']", "[]"]
+
+
+def test_a_search_without_a_pool_loads_no_pool_code():
+    """Only a caller that opens a pool loads its module: in valuation.py it
+    raised the peak RSS of a process that never opens one."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, agentsearch.search; print('agentsearch.pool' in sys.modules)"],
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 # -- definitions only tests use ----------------------------------------------
 
 

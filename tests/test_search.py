@@ -815,7 +815,7 @@ def test_two_runs_share_a_carried_value_pool_that_stays_open(game24_templates):
             )
             assert backends.value.trips.threads
             assert all(name.startswith("value") for name in backends.value.trips.threads)
-        assert pool.submit(sum, [1, 2]).result() == 3  # still open
+        assert pool.map(sum, [[1, 2]]) == [3]  # still open
     assert threading.active_count() == before
 
 

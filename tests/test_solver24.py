@@ -83,6 +83,33 @@ def test_number_gives_the_pair_or_the_exception_type_of_fraction(value):
         assert number(value) == (f.numerator, f.denominator)
 
 
+@pytest.mark.parametrize(
+    "earlier, value",
+    [((), 1 + 0j), ((1.0,), 1 + 0j), ((True,), 1 + 0j), ((1,), 1 + 0j), (("1",), 1 + 0j),
+     ((1 + 0j,), 1.0), ((1 + 0j,), True), ((1 + 0j, 1.0), "1"), ((1.0, True), 1), ((), 1.0)],
+    ids=repr,
+)
+def test_number_answers_alike_whatever_was_asked_before(earlier, value):
+    solver24._parse.cache_clear()
+    for other in earlier:
+        try:
+            number(other)
+        except TypeError:
+            pass
+    try:
+        f = Fraction(value)
+    except TypeError:
+        with pytest.raises(TypeError):
+            number(value)
+    else:
+        assert number(value) == (f.numerator, f.denominator)
+
+
+def test_number_gives_one_pair_object_per_text():
+    assert number("3/4") is number("3/4")
+    assert number("-8/6") is number("-8/6") == (-4, 3)
+
+
 def test_format_number_prints_as_fraction_does():
     assert format_number((24, 1)) == "24"
     assert format_number((-8, 3)) == "-8/3"
