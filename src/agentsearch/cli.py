@@ -311,10 +311,9 @@ def cmd_run(args) -> int:
         return _run_one(*item, args, config, out_dir, session, value_pool)
 
     try:
-        with ThreadPool(args.workers, "task") as tasks:  # a lone worker runs inline
+        with value_pool, ThreadPool(args.workers, "task") as tasks:  # a lone worker runs inline
             rows = tasks.map(run, loaded) if args.workers > 1 else list(map(run, loaded))
     finally:
-        value_pool.close()
         if session is not None:
             session.close()
     rows.sort(key=lambda r: r["task_id"])

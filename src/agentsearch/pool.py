@@ -2,20 +2,18 @@
 
 import threading
 from collections import deque
+from contextlib import AbstractContextManager
 
 
-class ThreadPool:
-    """Up to size threads, named prefix_0, prefix_1, ..., each started only
-    when a call finds none idle. close() drops the calls not yet started,
-    lets the running ones end and joins the threads."""
+class ThreadPool(AbstractContextManager):
+    """Up to size threads, named prefix_0, prefix_1, ..., each started only when
+    a call finds none idle. Closing drops the calls not yet started, lets the
+    running ones end and joins the threads; a with block closes the pool."""
 
     def __init__(self, size: int, prefix: str):
         self.size, self.prefix, self._threads, self._queued = size, prefix, [], deque()
         self._idle, self._closed, lock = 0, False, threading.Lock()
         self._ready, self._ended = threading.Condition(lock), threading.Condition(lock)
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, *exc_info):
         self.close()
@@ -62,9 +60,8 @@ class ThreadPool:
                     return
                 fn, args, out, i = self._queued.popleft()
             try:
-                outcome = None, fn(*args)
+                out[i] = None, fn(*args)
             except BaseException as exc:
-                outcome = exc, None
-            with self._ready:
-                out[i] = outcome
+                out[i] = exc, None
+            with self._ended:
                 self._ended.notify_all()
