@@ -160,9 +160,7 @@ def build_config(args) -> SearchConfig:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     try:
-        config = SearchConfig(**values)
-        config.validate()
-        return config
+        return SearchConfig(**values)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad configuration: {exc}") from exc
 
@@ -364,6 +362,10 @@ def cmd_report(args) -> int:
         if not isinstance(file_rows, list):
             raise CliError(f"report {path} must hold an object with a 'rows' list")
         try:
+            for row in file_rows:
+                for key in ("success", "best_reward", "episodes", "policy_proposals"):
+                    if type(row[key]) not in ((bool,) if key == "success" else (int, float)):
+                        raise ValueError(f"{key} {row[key]!r} has the wrong type")
             RunReport(rows=file_rows).aggregate()
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"report {path} has a malformed row: {exc!r}") from exc
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth", dest="depth_limit", type=int, help="depth limit (default: per kind)"
     )
     run.add_argument("--w", type=float, help="UCT exploration weight")
-    run.add_argument("--lam", type=float, help="LM-vs-agreement mixing weight")
+    run.add_argument("--lam", type=float, help="LM-vs-agreement mixing weight (default: per kind)")
     run.add_argument("--value-mode", choices=VALUE_MODES)
     run.add_argument(
         "--reflection",

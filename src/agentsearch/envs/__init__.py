@@ -1,4 +1,4 @@
-"""Bundled environments, per-kind defaults, and task files."""
+"""Bundled environments, registered by their kind, and task files."""
 
 from __future__ import annotations
 
@@ -8,28 +8,23 @@ from pathlib import Path
 from ..trace import decode
 from .base import Environment, EnvObservation, EnvSnapshot, TaskError, TaskSpec
 from .docqa import DocQAEnv
-from .game24 import Game24Env, question_text
+from .game24 import Game24Env
 from .shop import ShopEnv
 from .solution import SolutionEnv
 
-REGISTRY = {
-    Game24Env.kind: Game24Env,
-    DocQAEnv.kind: DocQAEnv,
-    ShopEnv.kind: ShopEnv,
-    SolutionEnv.kind: SolutionEnv,
-}
+REGISTRY = {env.kind: env for env in (Game24Env, DocQAEnv, ShopEnv, SolutionEnv)}
 
-# Search depth, value-mixing weight, and simulation mode defaults per kind.
-DEFAULT_DEPTH = {"game24": 5, "docqa": 7, "shop": 15, "solution": 8}
-DEFAULT_LAMBDA = {"game24": 0.5, "docqa": 0.5, "shop": 0.8, "solution": 0.8}
-DEFAULT_SKIP_SIMULATION = {"game24": False, "docqa": False, "shop": False, "solution": True}
+
+def env_class(kind: str) -> type:
+    """The environment class of a kind; an unknown kind is a TaskError."""
+    try:
+        return REGISTRY[kind]
+    except KeyError:
+        raise TaskError(f"unknown environment kind {kind!r}") from None
 
 
 def make_env(kind: str) -> Environment:
-    try:
-        return REGISTRY[kind]()
-    except KeyError:
-        raise TaskError(f"unknown environment kind {kind!r}") from None
+    return env_class(kind)()
 
 
 @lru_cache(maxsize=8)
@@ -89,15 +84,7 @@ def load_task(path) -> TaskSpec:
 
 def task_input(task: TaskSpec) -> str:
     """The question/instruction text a task poses, used as the tree root input."""
-    if task.kind == "game24":
-        return question_text(task.payload.get("numbers", []))
-    key = {"docqa": "question", "shop": "instruction", "solution": "statement"}.get(task.kind)
-    if key is None:
-        raise TaskError(f"unknown environment kind {task.kind!r}")
-    text = task.payload.get(key)
-    if not isinstance(text, str) or not text:
-        raise TaskError(f"{task.kind} payload needs a {key!r} string")
-    return text
+    return env_class(task.kind).question(task.payload)
 
 
 __all__ = [
@@ -106,13 +93,11 @@ __all__ = [
     "EnvSnapshot",
     "TaskError",
     "TaskSpec",
+    "env_class",
     "load_task",
     "make_env",
     "task_input",
     "REGISTRY",
-    "DEFAULT_DEPTH",
-    "DEFAULT_LAMBDA",
-    "DEFAULT_SKIP_SIMULATION",
     "Game24Env",
     "DocQAEnv",
     "ShopEnv",

@@ -1,5 +1,10 @@
 """Environment contract shared by the bundled task simulators.
 
+Each Environment subclass is the one declaration of its kind: its `kind`,
+action `grammar`, search defaults (`depth_limit`, `lam`, `skip_simulation`)
+and `question(payload)`, the text its tasks pose; agentsearch.envs
+registers each class under its own `kind`.
+
 An environment is reset with a TaskSpec and stepped with parsed
 ActionSamples. Everything a step may change lives in one dataclass, the
 environment's `State`, whose fields and defaults are declared once; the
@@ -73,6 +78,18 @@ class Environment:
 
     kind: str = ""
     grammar: ActionGrammar = ActionGrammar()
+    depth_limit: int
+    lam: float
+    skip_simulation = False
+    question_key = ""  # the payload key of the text a task poses
+
+    @classmethod
+    def question(cls, payload: dict) -> str:
+        """The text a task of this kind poses; a TaskError when it is missing."""
+        text = payload.get(cls.question_key)
+        if not isinstance(text, str) or not text:
+            raise TaskError(f"{cls.kind} payload needs a {cls.question_key!r} string")
+        return text
 
     @dataclass(frozen=True)
     class State:

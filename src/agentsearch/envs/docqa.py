@@ -14,12 +14,6 @@ from typing import Optional
 from ..actions import ActionGrammar, ActionSample
 from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec
 
-GRAMMAR = ActionGrammar(
-    verbs=("search", "lookup", "finish"),
-    thought_verbs=("think",),
-    terminal_verbs=("finish",),
-)
-
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 _ARTICLES = {"a", "an", "the"}
 
@@ -49,7 +43,12 @@ def _jaccard(ta: frozenset, tb: frozenset) -> float:
 
 class DocQAEnv(Environment):
     kind = "docqa"
-    grammar = GRAMMAR
+    grammar = ActionGrammar(
+        verbs=("search", "lookup", "finish"), thought_verbs=("think",), terminal_verbs=("finish",)
+    )
+    depth_limit = 7
+    lam = 0.5
+    question_key = "question"
 
     @dataclass(frozen=True)
     class State:
@@ -60,11 +59,11 @@ class DocQAEnv(Environment):
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
         corpus = task.payload.get("corpus")
         answer = task.payload.get("answer")
-        question = task.payload.get("question")
         if not isinstance(corpus, dict) or not corpus:
             raise TaskError("docqa payload needs a non-empty 'corpus' mapping")
-        if not isinstance(answer, str) or not isinstance(question, str):
-            raise TaskError("docqa payload needs string 'question' and 'answer'")
+        question = self.question(task.payload)
+        if not isinstance(answer, str):
+            raise TaskError("docqa payload needs an 'answer' string")
         for title, sentences in corpus.items():
             if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
                 raise TaskError(f"corpus entry {title!r} must be a list of sentences")

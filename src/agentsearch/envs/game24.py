@@ -15,8 +15,6 @@ from .. import solver24
 from ..actions import ActionGrammar, ActionSample
 from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec
 
-GRAMMAR = ActionGrammar(verbs=("combine",), thought_verbs=("think",))
-
 _STEP_RE = re.compile(
     r"^\s*(-?\d+(?:/\d+)?)\s*([+\-*/×÷−])\s*(-?\d+(?:/\d+)?)\s*$"
 )
@@ -41,18 +39,20 @@ def format_numbers(nums) -> str:
     return " ".join(solver24.format_number(n) for n in nums)
 
 
-def question_text(numbers) -> str:
-    listed = " ".join(str(n) for n in numbers)
-    return (
-        f"Use the numbers {listed} with + - * / to make 24. "
-        "Each number must be used exactly once.\n"
-        f"Remaining numbers: {listed}"
-    )
-
-
 class Game24Env(Environment):
     kind = "game24"
-    grammar = GRAMMAR
+    grammar = ActionGrammar(verbs=("combine",), thought_verbs=("think",))
+    depth_limit = 5
+    lam = 0.5
+
+    @classmethod
+    def question(cls, payload: dict) -> str:
+        listed = " ".join(str(n) for n in payload.get("numbers", []))
+        return (
+            f"Use the numbers {listed} with + - * / to make 24. "
+            "Each number must be used exactly once.\n"
+            f"Remaining numbers: {listed}"
+        )
 
     @dataclass(frozen=True)
     class State:

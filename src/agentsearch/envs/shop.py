@@ -18,12 +18,6 @@ from typing import Optional
 from ..actions import ActionGrammar, ActionSample
 from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec
 
-GRAMMAR = ActionGrammar(
-    verbs=("search", "choose", "click"),
-    thought_verbs=("think",),
-    terminal_args=(("choose", "buy now"), ("click", "buy now")),
-)
-
 PAGE_SIZE = 3
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
@@ -49,7 +43,14 @@ def _mapping(value, what: str) -> dict:
 
 class ShopEnv(Environment):
     kind = "shop"
-    grammar = GRAMMAR
+    grammar = ActionGrammar(
+        verbs=("search", "choose", "click"),
+        thought_verbs=("think",),
+        terminal_args=(("choose", "buy now"), ("click", "buy now")),
+    )
+    depth_limit = 15
+    lam = 0.8
+    question_key = "instruction"
 
     @dataclass(frozen=True)
     class State:
@@ -85,10 +86,7 @@ class ShopEnv(Environment):
             self._catalog[pid] = entry
         self._title_terms = {pid: _terms(p["title"]) for pid, p in self._catalog.items()}
         self._rankings = {}  # query terms -> ranked ids; a task asks few distinct queries
-        instruction = task.payload.get("instruction")
-        if not isinstance(instruction, str) or not instruction:
-            raise TaskError("shop payload needs an 'instruction' string")
-        self._instruction = instruction
+        self._instruction = self.question(task.payload)
         self._required_attrs = _strings(task.payload.get("attributes", []), "task attributes")
         options = _mapping(task.payload.get("options", {}), "task options")
         if not all(isinstance(v, str) for v in options.values()):

@@ -17,11 +17,6 @@ from ..actions import ActionGrammar, ActionSample
 from ..solver24 import apply_op, number
 from .base import Environment, EnvObservation, TaskError, TaskSpec
 
-GRAMMAR = ActionGrammar(
-    verbs=("submit",),
-    thought_verbs=("think",),
-    terminal_verbs=("submit",),
-)
 # An integer in any decimal digits, an operator, x, or a character to refuse.
 _TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/()xX])|(\S))")
 
@@ -131,13 +126,15 @@ class SolutionEnv(Environment):
     anything: the env keeps the base's empty State."""
 
     kind = "solution"
-    grammar = GRAMMAR
+    grammar = ActionGrammar(verbs=("submit",), thought_verbs=("think",), terminal_verbs=("submit",))
+    depth_limit = 8
+    lam = 0.8
+    skip_simulation = True
+    question_key = "statement"
 
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
-        statement = task.payload.get("statement")
+        statement = self.question(task.payload)
         tests = task.payload.get("tests")
-        if not isinstance(statement, str) or not statement:
-            raise TaskError("solution payload needs a 'statement' string")
         if not isinstance(tests, list) or not tests:
             raise TaskError("solution payload needs a non-empty 'tests' list")
         parsed = []

@@ -78,7 +78,7 @@ class RunReport:
 
     def write_csv(self, path) -> None:
         text = io.StringIO(newline="")
-        writer = csv.DictWriter(text, fieldnames=COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(text, fieldnames=COLUMNS + ("error",), extrasaction="ignore")
         writer.writeheader()
         writer.writerows(self.rows)
         write_whole({path: text.getvalue()})

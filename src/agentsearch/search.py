@@ -43,15 +43,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .actions import ActionSample, parse_action
 from .backends import BackendError, PolicyBackend
-from .envs import (
-    DEFAULT_DEPTH,
-    DEFAULT_LAMBDA,
-    DEFAULT_SKIP_SIMULATION,
-    Environment,
-    TaskSpec,
-    make_env,
-    task_input,
-)
+from .envs import Environment, TaskSpec, env_class, make_env, task_input
 from .envs.base import INVALID_OBSERVATION
 from .prompts import assemble_prompt, render_acting_steps
 from .reflection import ReflectionStore, generate_reflection, inject
@@ -89,7 +81,8 @@ class SearchConfig:
     """Knobs for one search run.
 
     depth_limit, lam, and skip_simulation default to None, meaning "use the
-    environment kind's default"; resolved() fills them in and validates.
+    environment kind's default"; resolved() fills them in. A config is
+    checked when it is made: a bad value raises ValueError.
     """
 
     n: int = 5
@@ -107,20 +100,7 @@ class SearchConfig:
     inject_trajectories_into_agent_prompts: bool = False
     seed: int = 0
 
-    def resolved(self, kind: str) -> "SearchConfig":
-        if kind not in DEFAULT_DEPTH:
-            raise ValueError(f"unknown environment kind {kind!r}")
-        cfg = self
-        if cfg.depth_limit is None:
-            cfg = replace(cfg, depth_limit=DEFAULT_DEPTH[kind])
-        if cfg.lam is None:
-            cfg = replace(cfg, lam=DEFAULT_LAMBDA[kind])
-        if cfg.skip_simulation is None:
-            cfg = replace(cfg, skip_simulation=DEFAULT_SKIP_SIMULATION[kind])
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.value_mode not in VALUE_MODES:
@@ -141,6 +121,13 @@ class SearchConfig:
             raise ValueError("prune_threshold must be in [0, 1]")
         if self.reflection_limit < 0:
             raise ValueError("reflection_limit must be >= 0")
+
+    def resolved(self, kind: str) -> "SearchConfig":
+        """This config with each field left None set from the kind's class; an
+        unknown kind raises TaskError, a ValueError."""
+        env = env_class(kind)
+        fields = ("depth_limit", "lam", "skip_simulation")
+        return replace(self, **{f: getattr(env, f) for f in fields if getattr(self, f) is None})
 
 
 @dataclass

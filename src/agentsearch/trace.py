@@ -118,11 +118,11 @@ def replay_trace(events) -> dict:
 
     Expansion events create nodes, evaluation events seed values, and
     backprop events replay the running-mean update. A node is scored at
-    most once, and never after a backprop has reached it. The final per-node
-    value/visit statistics carried by the terminate event must agree with
-    the reconstruction: visits exactly, values within 1e-9. A malformed
-    event (not an object, a missing field, a field of the wrong type) is a
-    ReplayError too.
+    most once, and never after a backprop has reached it. The terminate
+    event's node_stats must list each created node once, with the value and
+    visits of the reconstruction: visits exactly, values within 1e-9. A
+    malformed event (not an object, a missing field, a field of the wrong
+    type) is a ReplayError too.
 
     Returns summary statistics of the verified trace.
     """
@@ -185,14 +185,14 @@ def _replay(events) -> dict:
     stats = terminate.get("node_stats")
     if stats is None:
         raise ReplayError("terminate event carries no node_stats")
-    if len(stats) != len(values):
-        raise ReplayError(
-            f"trace created {len(values)} nodes but terminate reports {len(stats)}"
-        )
+    reported = set()
     for entry in stats:
         nid = entry["id"]
         if nid not in values:
             raise ReplayError(f"terminate reports unknown node {nid}")
+        if nid in reported:
+            raise ReplayError(f"terminate reports node {nid} twice")
+        reported.add(nid)
         if entry["visits"] != visits[nid]:
             raise ReplayError(
                 f"node {nid}: visits {entry['visits']} != replayed {visits[nid]}"
@@ -201,6 +201,11 @@ def _replay(events) -> dict:
             raise ReplayError(
                 f"node {nid}: value {entry['value']} != replayed {values[nid]}"
             )
+    if len(reported) != len(values):
+        raise ReplayError(
+            f"trace created {len(values)} nodes but terminate reports {len(reported)}:"
+            f" node {min(values.keys() - reported)} is missing"
+        )
     return {
         "nodes": len(values),
         "backprops": sum(1 for e in events if e.get("type") == "backprop"),

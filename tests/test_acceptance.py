@@ -32,7 +32,7 @@ from agentsearch.backends import (
     ScriptRule,
     static_backend,
 )
-from agentsearch.envs import DEFAULT_LAMBDA, load_task, make_env
+from agentsearch.envs import REGISTRY, load_task, make_env
 from agentsearch.envs.base import EnvObservation, TaskSpec
 from agentsearch.search import BackendSet, SearchConfig, run_search
 from agentsearch.seeding import stable_seed
@@ -235,9 +235,10 @@ def test_criterion_03_combine_and_lambda_defaults():
         for lm, sc in pairs:
             if combine(lm, sc, lam) != lam * lm + (1.0 - lam) * sc:
                 failures.append(f"combine({lm},{sc},{lam}) inexact")
-    if DEFAULT_LAMBDA != {"game24": 0.5, "docqa": 0.5, "shop": 0.8, "solution": 0.8}:
-        failures.append(f"lambda defaults are {DEFAULT_LAMBDA}")
-    for kind, want in DEFAULT_LAMBDA.items():
+    lambdas = {kind: env.lam for kind, env in REGISTRY.items()}
+    if lambdas != {"game24": 0.5, "docqa": 0.5, "shop": 0.8, "solution": 0.8}:
+        failures.append(f"lambda defaults are {lambdas}")
+    for kind, want in lambdas.items():
         got = SearchConfig().resolved(kind).lam
         if got != want:
             failures.append(f"resolved lambda for {kind} is {got}, want {want}")

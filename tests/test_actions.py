@@ -11,9 +11,11 @@ from agentsearch.actions import (
     normalize_action_text,
     parse_action,
 )
-from agentsearch.envs.docqa import GRAMMAR as DOCQA_GRAMMAR
-from agentsearch.envs.game24 import GRAMMAR as GAME24_GRAMMAR
-from agentsearch.envs.shop import GRAMMAR as SHOP_GRAMMAR
+from agentsearch.envs import DocQAEnv, Game24Env, ShopEnv
+
+DOCQA_GRAMMAR = DocQAEnv.grammar
+GAME24_GRAMMAR = Game24Env.grammar
+SHOP_GRAMMAR = ShopEnv.grammar
 
 
 def test_search_action_parses():

@@ -1,5 +1,6 @@
 """CLI tests: spec parsing, config files, and end-to-end subcommands."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -363,6 +364,13 @@ def test_run_finishes_batch_past_a_malformed_task(tmp_path, capsys):
     agg = report["aggregate"]["game24/mcts"]
     assert agg["tasks"] == 3 and agg["successes"] == 2
     assert (out_dir / "report.csv").read_text().count("\n") == 4
+    with open(out_dir / "report.csv", newline="") as fh:
+        csv_rows = {row["task_id"]: row for row in csv.DictReader(fh)}
+    assert {key: row["error"] for key, row in csv_rows.items()} == {
+        "a": "",
+        "b": bad["error"],
+        "c": "",
+    }
     assert (out_dir / "c.trace.jsonl").exists() and not (out_dir / "b.trace.jsonl").exists()
 
 
@@ -810,6 +818,28 @@ def test_report_rejects_malformed_file(tmp_path, capsys, payload):
     path.write_text(json.dumps(payload))
     assert main(["report", str(path)]) == 2
     assert f"report {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("success", "false"),
+        ("success", 0),
+        ("best_reward", "0.5"),
+        ("episodes", True),
+        ("policy_proposals", None),
+    ],
+)
+def test_report_rejects_a_row_whose_field_has_the_wrong_type(tmp_path, capsys, field, value):
+    """A failed row whose success reads "false" was counted as solved."""
+    good = {"task_id": "x", "kind": "game24", "variant": "mcts", "success": False}
+    good.update(best_reward=0.0, episodes=2, policy_proposals=20)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rows": [good, dict(good, task_id="y", **{field: value})]}))
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"report {path} has a malformed row" in captured.err and field in captured.err
+    assert captured.out == ""
 
 
 def test_report_rejects_an_over_long_integer(tmp_path, capsys):

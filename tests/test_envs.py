@@ -16,7 +16,6 @@ from agentsearch.actions import parse_action
 from agentsearch.backends import static_backend
 from agentsearch.envs import docqa
 from agentsearch.envs import (
-    DEFAULT_LAMBDA,
     REGISTRY,
     DocQAEnv,
     Game24Env,
@@ -30,7 +29,7 @@ from agentsearch.envs import (
 )
 from agentsearch.envs.base import INVALID
 from agentsearch.envs.docqa import normalize_answer
-from agentsearch.envs.game24 import parse_step_argument, question_text
+from agentsearch.envs.game24 import parse_step_argument
 from agentsearch.envs.solution import ExprError, evaluate_expression
 from agentsearch.search import BackendSet, SearchConfig, run_search
 from agentsearch.templates import load_template_set
@@ -193,7 +192,7 @@ def test_parse_step_argument_accepts_unicode_operators():
 
 
 def test_question_text_shows_numbers_and_state_line():
-    text = question_text([1, 4, 6, 9])
+    text = Game24Env.question({"numbers": [1, 4, 6, 9]})
     assert "Use the numbers 1 4 6 9" in text
     assert text.endswith("Remaining numbers: 1 4 6 9")
 
@@ -953,7 +952,8 @@ def test_task_input_per_kind():
 
 
 def test_default_lambda_per_kind():
-    assert DEFAULT_LAMBDA == {"game24": 0.5, "docqa": 0.5, "shop": 0.8, "solution": 0.8}
+    lambdas = {kind: env.lam for kind, env in REGISTRY.items()}
+    assert lambdas == {"game24": 0.5, "docqa": 0.5, "shop": 0.8, "solution": 0.8}
 
 
 # ---------------------------------------------------------------------------

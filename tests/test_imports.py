@@ -1,6 +1,7 @@
 """Every import in the package is read by its module, or listed in __all__,
-every definition in the package is read by code that is not a test, and
-no search decision can read a clock.
+every definition in the package is read by code that is not a test, an
+environment kind's name is written only on its class, and no search
+decision can read a clock.
 
 The only import allowances are the imports that perfbench/spans.py patches
 by name though the module never calls them (ROADMAP item 1); each carries a
@@ -197,6 +198,60 @@ def test_a_search_without_a_pool_loads_no_pool_code():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+# -- environment kinds -----------------------------------------------------------
+
+
+def kind_strings(source: str, kinds) -> list:
+    """(line, text) of each string constant equal to one of kinds, except
+    docstrings and a class body's own `kind = "..."`."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                allowed.add(body[0].value)
+        if isinstance(node, ast.ClassDef):
+            allowed.update(
+                stmt.value
+                for stmt in body
+                if isinstance(stmt, ast.Assign)
+                and [getattr(t, "id", None) for t in stmt.targets] == ["kind"]
+            )
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in kinds and node not in allowed
+    )
+
+
+def test_a_kind_is_named_only_by_its_class():
+    from agentsearch.envs import REGISTRY
+
+    found = {
+        (path.relative_to(PACKAGE).as_posix(), line, text)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, text in kind_strings(path.read_text(), set(REGISTRY))
+    }
+    assert found == set()
+
+
+def test_the_kind_scan_sees_constants_outside_a_class_kind():
+    source = (
+        '"""shop"""\n'
+        "class ShopEnv:\n"
+        '    """shop"""\n'
+        '    kind = "shop"\n'
+        '    other = "shop"\n'
+        "def f(kind):\n"
+        '    """shop"""\n'
+        '    return kind == "shop" or {"shop": 1}\n'
+        'kind = "shop"\n'
+        'label = "shopping"\n'
+    )
+    assert kind_strings(source, {"shop"}) == [(5, "shop"), (8, "shop"), (8, "shop"), (9, "shop")]
 
 
 # -- definitions only tests use ----------------------------------------------

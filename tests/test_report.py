@@ -62,16 +62,18 @@ def test_json_round_trip(tmp_path):
 
 
 def test_csv_columns_and_rows(tmp_path):
-    report = RunReport(rows=sample_rows())
+    failed = dict(row("f", success=False, reward=0.0), error="game24 payload needs numbers")
+    report = RunReport(rows=sample_rows() + [failed])
     path = tmp_path / "report.csv"
     report.write_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 5
-    assert tuple(rows[0].keys()) == COLUMNS
+    assert len(rows) == 6
+    assert tuple(rows[0].keys()) == COLUMNS + ("error",)
     assert rows[0]["task_id"] == "a"
     assert rows[3]["variant"] == "best_of_k"
     assert rows[4]["kind"] == "shop"
+    assert [r["error"] for r in rows] == [""] * 5 + ["game24 payload needs numbers"]
 
 
 def test_empty_report_aggregates_to_nothing():

@@ -5,6 +5,7 @@ import threading
 import time
 import types
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -70,6 +71,8 @@ def test_config_resolution_fills_kind_defaults():
     assert (cfg.depth_limit, cfg.lam, cfg.skip_simulation) == (8, 0.8, True)
     cfg = SearchConfig().resolved("shop")
     assert (cfg.depth_limit, cfg.lam, cfg.skip_simulation) == (15, 0.8, False)
+    cfg = SearchConfig().resolved("docqa")
+    assert (cfg.depth_limit, cfg.lam, cfg.skip_simulation) == (7, 0.5, False)
     # explicit values win over kind defaults
     cfg = SearchConfig(depth_limit=3, lam=0.25, skip_simulation=True).resolved("game24")
     assert (cfg.depth_limit, cfg.lam, cfg.skip_simulation) == (3, 0.25, True)
@@ -85,21 +88,24 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         SearchConfig().resolved("chess")
     for bad in (
-        SearchConfig(variant="bfs"),
-        SearchConfig(value_mode="sometimes"),
-        SearchConfig(prompt_style="poetry"),
-        SearchConfig(n=0),
-        SearchConfig(k=0),
-        SearchConfig(depth_limit=0),
-        SearchConfig(w=-0.5),
-        SearchConfig(w=float("nan")),
-        SearchConfig(w=float("inf")),
-        SearchConfig(lam=1.5),
-        SearchConfig(prune_threshold=-0.1),
-        SearchConfig(reflection_limit=-1),
+        {"variant": "bfs"},
+        {"value_mode": "sometimes"},
+        {"prompt_style": "poetry"},
+        {"n": 0},
+        {"k": 0},
+        {"depth_limit": 0},
+        {"w": -0.5},
+        {"w": float("nan")},
+        {"w": float("inf")},
+        {"lam": 1.5},
+        {"prune_threshold": -0.1},
+        {"reflection_limit": -1},
     ):
         with pytest.raises(ValueError):
-            bad.resolved("game24")
+            SearchConfig(**bad)
+    # a config is checked whenever it is made, by replace too
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        replace(SearchConfig(), n=0)
 
 
 # ---------------------------------------------------------------------------

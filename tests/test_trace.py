@@ -133,7 +133,12 @@ def test_replay_rejects_a_node_scored_twice_or_after_a_backprop(where):
 def test_replay_rejects_node_stats_that_disagree_on_the_nodes():
     events = minimal_events()
     del events[-1]["node_stats"][2]
-    with pytest.raises(ReplayError, match="created 3 nodes but terminate reports 2"):
+    missing = "created 3 nodes but terminate reports 2: node 2 is missing"
+    with pytest.raises(ReplayError, match=missing):
+        replay_trace(events)
+    events = minimal_events()
+    events[-1]["node_stats"][2] = dict(events[-1]["node_stats"][1])
+    with pytest.raises(ReplayError, match="terminate reports node 1 twice"):
         replay_trace(events)
     events = minimal_events()
     events[-1]["node_stats"][2]["id"] = 7

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from agentsearch.actions import normalize_action_text, parse_action
 from agentsearch.backends import BackendError
 from agentsearch.envs.base import EnvObservation
-from agentsearch.envs.game24 import GRAMMAR
+from agentsearch.envs import Game24Env
 from agentsearch.prompts import PromptBundle
 from agentsearch.tree import SearchTree, add_children
 from agentsearch.valuation import (
@@ -22,6 +22,9 @@ from agentsearch.valuation import (
 )
 
 from helpers import SlowBackend, value_pool
+
+
+GRAMMAR = Game24Env.grammar
 
 
 def combo_actions(raws):
@@ -137,12 +140,12 @@ def test_combine_grid_matches_formula_exactly():
 
 
 def test_default_lambda_per_kind():
-    from agentsearch.envs import DEFAULT_LAMBDA
+    from agentsearch.envs import REGISTRY
 
-    assert DEFAULT_LAMBDA["game24"] == 0.5
-    assert DEFAULT_LAMBDA["docqa"] == 0.5
-    assert DEFAULT_LAMBDA["shop"] == 0.8
-    assert DEFAULT_LAMBDA["solution"] == 0.8
+    assert REGISTRY["game24"].lam == 0.5
+    assert REGISTRY["docqa"].lam == 0.5
+    assert REGISTRY["shop"].lam == 0.8
+    assert REGISTRY["solution"].lam == 0.8
 
 
 # -- evaluate_children -----------------------------------------------------------------
