@@ -25,6 +25,7 @@ still searches the other tasks and writes its report.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import tempfile
 import typing
@@ -202,11 +203,12 @@ def _backend_set(args, session=None, value_pool=None) -> BackendSet:
     return backends
 
 
-def _load_tasks(paths) -> list:
-    """(path, task or None, TaskError or None) per file, in path order. A
-    file whose task does not load, or whose task_id an earlier file already
-    took (its outputs would overwrite that file's), gets an error."""
+def _load_tasks(paths, template_dir) -> list:
+    """(path, task or None, its kind's templates or None, TaskError or None) per
+    file, in path order. A file whose task or templates do not load, or whose
+    task_id an earlier file took (its outputs would overwrite it), gets an error."""
     owners = {}
+    template_sets = {}
     loaded = []
     for index, path in enumerate(paths):
         task = None
@@ -215,20 +217,21 @@ def _load_tasks(paths) -> list:
             first, earlier = owners.setdefault(task.task_id, (index, path))
             if first != index:
                 raise TaskError(f"task_id {task.task_id!r} is already used by {earlier}")
-            loaded.append((path, task, None))
+            if task.kind not in template_sets:
+                template_sets[task.kind] = load_template_set(task.kind, template_dir)
+            loaded.append((path, task, template_sets[task.kind], None))
         except TaskError as exc:
-            loaded.append((path, task, exc))
+            loaded.append((path, task, None, exc))
     return loaded
 
 
-def _run_one(path, task, error, args, config, out_dir, session, value_pool) -> dict:
+def _run_one(path, task, templates, error, args, config, out_dir, session, value_pool) -> dict:
     """Search one loaded task and return its report row. A load error, or a
     task that turns out malformed, gives a failed "task_error" row instead.
     An output file that cannot be written adds an error to the row."""
     try:
         if error is not None:
             raise error
-        templates = load_template_set(task.kind, args.templates)
         writer = TraceWriter(log_prompts=args.log_prompts)
         store = ReflectionStore()
         backends = _backend_set(args, session, value_pool)
@@ -296,7 +299,7 @@ def cmd_run(args) -> int:
             tempfile.TemporaryFile(dir=out_dir).close()
         except OSError as exc:
             raise CliError(f"cannot write report: {exc}") from exc
-    loaded = _load_tasks(paths)
+    loaded = _load_tasks(paths, args.templates)
     # The batch shares one http session, so connections are reused, and one
     # value pool, whose threads only a value backend that is not inline starts.
     value_threads = config.n * args.workers
@@ -366,6 +369,8 @@ def cmd_report(args) -> int:
                 for key in ("success", "best_reward", "episodes", "policy_proposals"):
                     if type(row[key]) not in ((bool,) if key == "success" else (int, float)):
                         raise ValueError(f"{key} {row[key]!r} has the wrong type")
+                    if not math.isfinite(row[key]):
+                        raise ValueError(f"{key} {row[key]!r} is not finite")
             RunReport(rows=file_rows).aggregate()
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"report {path} has a malformed row: {exc!r}") from exc

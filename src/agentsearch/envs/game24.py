@@ -47,7 +47,10 @@ class Game24Env(Environment):
 
     @classmethod
     def question(cls, payload: dict) -> str:
-        listed = " ".join(str(n) for n in payload.get("numbers", []))
+        numbers = payload.get("numbers")
+        if not isinstance(numbers, list) or len(numbers) < 2:
+            raise TaskError("game24 payload needs a 'numbers' list of at least two values")
+        listed = " ".join(str(n) for n in numbers)
         return (
             f"Use the numbers {listed} with + - * / to make 24. "
             "Each number must be used exactly once.\n"
@@ -60,11 +63,9 @@ class Game24Env(Environment):
         nums: tuple = ()
 
     def _do_reset(self, task: TaskSpec) -> EnvObservation:
-        numbers = task.payload.get("numbers")
-        if not isinstance(numbers, list) or len(numbers) < 2:
-            raise TaskError("game24 payload needs a 'numbers' list of at least two values")
+        self.question(task.payload)  # checks the numbers
         try:
-            nums = tuple(solver24.number(n) for n in numbers)
+            nums = tuple(solver24.number(n) for n in task.payload["numbers"])
         except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise TaskError(f"bad number in game24 payload: {exc}") from exc
         self.state = self.State(nums)

@@ -9,7 +9,8 @@ monotonically increasing ``seq`` and a ``type`` drawn from:
 Runs on the same task with the same config and deterministic backends must
 produce byte-identical trace files, so events never carry timestamps and all
 serialization is key-sorted. Prompts are logged as sha256 digests unless the
-writer is told to keep full text.
+writer is told to keep full text. Events are encoded after the search, as doing
+it at `emit` slows it, by `jsonl` in little more memory than the text (see there).
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from typing import Iterable, Optional
 # tree dumps, reflection logs and snapshot tokens: one encoder, not one per record.
 encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# Lists longer than this are encoded this many items at a time (jsonl). At 4 the
+# first cpu-mix shop trace took 31 ms, not 19 (2-vCPU host): small lists split too.
+LONG_LIST = 64
+
 
 def decode(text: str):
     """json.loads, but input nested too deeply to parse is a ValueError."""
@@ -37,8 +42,27 @@ def decode(text: str):
 
 
 def jsonl(records: Iterable[dict]) -> str:
-    """One encoded record per line, each ending in a newline."""
-    return "".join(encode(r) + "\n" for r in records)
+    """One encoded record per line, each ending in a newline. The text grows in
+    place (CPython's `+=` on a sole reference), and a list longer than LONG_LIST
+    is encoded LONG_LIST items at a time: the C encoder keeps a string per token."""
+    text = ""
+    for record in records:
+        for v in record.values():
+            if type(v) is list and len(v) > LONG_LIST and all(isinstance(k, str) for k in record):
+                break
+        else:  # no long list, or a key that JSON, but not encode(k), turns into a string
+            text += encode(record) + "\n"
+            continue
+        for i, (key, items) in enumerate(sorted(record.items())):
+            text += ("," if i else "{") + encode(key) + ":"
+            if type(items) is not list or len(items) <= LONG_LIST:
+                text += encode(items)
+                continue
+            for j in range(0, len(items), LONG_LIST):
+                text += ("," if j else "[") + encode(items[j : j + LONG_LIST])[1:-1]
+            text += "]"
+        text += "}\n"
+    return text
 
 
 def prompt_digest(prompt: str) -> str:

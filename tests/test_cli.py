@@ -763,6 +763,8 @@ def test_run_gives_task_error_rows_for_missing_templates(tmp_path, capsys):
         ("a", "task_error"),
         ("b", "task_error"),
     ]
+    assert rows[0]["error"] == rows[1]["error"]
+    assert rows[0]["error"].startswith("game24 act template:")
 
 
 def test_replay_detects_corruption(tmp_path, capsys):
@@ -828,10 +830,14 @@ def test_report_rejects_malformed_file(tmp_path, capsys, payload):
         ("best_reward", "0.5"),
         ("episodes", True),
         ("policy_proposals", None),
+        ("best_reward", float("nan")),
+        ("best_reward", float("inf")),
+        ("best_reward", float("-inf")),
     ],
 )
 def test_report_rejects_a_row_whose_field_has_the_wrong_type(tmp_path, capsys, field, value):
-    """A failed row whose success reads "false" was counted as solved."""
+    """A failed row whose success reads "false" was counted as solved, and a
+    best_reward of NaN or Infinity printed a mean reward of nan or inf."""
     good = {"task_id": "x", "kind": "game24", "variant": "mcts", "success": False}
     good.update(best_reward=0.0, episodes=2, policy_proposals=20)
     path = tmp_path / "bad.json"
@@ -1010,6 +1016,28 @@ def batch_argv(out_dir, workers, backend_args=None):
         "run", *map(str, BATCH), *backend_args, "--n", str(BATCH_N), "--k", "3",
         "--workers", str(workers), "--out", str(out_dir),
     ]
+
+
+def test_run_loads_each_kinds_templates_once_and_shares_them(tmp_path, monkeypatch, capsys):
+    """Every task of a kind searches with the one TemplateSet the run loaded
+    for that kind, under --workers too."""
+    load, inner = cli.load_template_set, cli.run_search
+    loads, used = [], []
+
+    def counting_load(kind, directory=None):
+        loads.append(kind)
+        return load(kind, directory)
+
+    def run_search(task, backends, templates, *rest):
+        used.append(templates)
+        return inner(task, backends, templates, *rest)
+
+    monkeypatch.setattr(cli, "load_template_set", counting_load)
+    monkeypatch.setattr(cli, "run_search", run_search)
+    assert main(batch_argv(tmp_path / "out", 2)) == 0
+    capsys.readouterr()
+    assert loads == ["game24"]
+    assert len(used) == len(BATCH) and all(t is used[0] for t in used)
 
 
 class CrashingValue(SlowBackend):

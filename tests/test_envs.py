@@ -949,6 +949,9 @@ def test_task_input_per_kind():
     assert task_input(solution_task()).startswith("Write an expression")
     with pytest.raises(TaskError):
         task_input(TaskSpec(task_id="t", kind="chess", payload={}))
+    for payload in ({"numbers": 5}, {}, {"numbers": [24]}):
+        with pytest.raises(TaskError, match="'numbers' list of at least two values"):
+            task_input(TaskSpec(task_id="t", kind="game24", payload=payload))
 
 
 def test_default_lambda_per_kind():

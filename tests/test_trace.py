@@ -1,11 +1,18 @@
 """Trace writer and replay verification tests."""
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentsearch.trace import (
+    LONG_LIST,
     ReplayError,
     TraceWriter,
     decode,
+    encode,
+    jsonl,
     prompt_digest,
     read_trace,
     replay_trace,
@@ -52,6 +59,66 @@ def test_writer_assigns_sequential_seq_and_mirrors_stream():
     assert [e["seq"] for e in writer.events] == [0, 1]
     lines = writer.to_jsonl().strip().splitlines()
     assert lines[0] == '{"seq":0,"task_id":"t","type":"run_start"}'
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-7, float("nan"), float("-inf"), 2**53 + 1, -(2**64)]),
+    st.text(max_size=6),
+    st.sampled_from(["é", "日本", "\u2028", "😀", '"\\\n']),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        st.dictionaries(st.integers(), inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+# Lists on both sides of the bound above which jsonl encodes a list LONG_LIST
+# items at a time, up to three runs long; a long one repeats a few generated
+# items, as generating each would be slow.
+LISTS = st.one_of(
+    st.lists(VALUES, max_size=3),
+    st.builds(
+        lambda items, extra: (items * 3 * LONG_LIST)[: LONG_LIST + extra],
+        st.lists(VALUES, min_size=1, max_size=3),
+        st.integers(0, LONG_LIST + 2),
+    ),
+)
+FIELDS = st.one_of(VALUES, LISTS)
+RECORDS = st.one_of(
+    st.dictionaries(st.text(max_size=8), FIELDS, max_size=4),
+    st.dictionaries(st.one_of(st.integers(), st.floats(allow_nan=False)), FIELDS, max_size=3),
+    st.dictionaries(st.booleans(), FIELDS, max_size=2),
+    st.dictionaries(st.none(), FIELDS, max_size=1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RECORDS, max_size=3))
+def test_jsonl_is_the_join_of_the_encoded_records(records):
+    assert jsonl(records) == "".join(encode(r) + "\n" for r in records)
+
+
+def test_jsonl_encodes_a_long_list_in_little_more_memory_than_its_text():
+    """The C encoder holds a string per token until a record is done: encoded
+    whole, this record took about 11x its line."""
+    node_stats = [{"id": i, "value": i / 7, "visits": i % 13} for i in range(2000)]
+    record = {"seq": 9, "type": "terminate", "success": False, "node_stats": node_stats}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = jsonl([record])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert text == encode(record) + "\n"
+    assert peak < 4 * len(text)
 
 
 def test_prompt_field_digest_by_default():
