@@ -25,7 +25,6 @@ still searches the other tasks and writes its report.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import tempfile
 import typing
@@ -42,7 +41,7 @@ from .backends import (
 )
 from .envs import TaskError, load_task
 from .pool import ThreadPool
-from .report import COLUMNS, RunReport
+from .report import RunReport, result_row, task_error_row, task_line
 from .reflection import ReflectionStore
 from .search import (
     PROMPT_STYLES,
@@ -52,7 +51,7 @@ from .search import (
     run_search,
 )
 from .templates import load_template_set
-from .trace import TraceWriter, decode, read_trace, replay_trace, write_trace
+from .trace import TraceWriter, read_trace, replay_trace, write_trace
 from .tree import tree_to_jsonl
 from .valuation import VALUE_MODES
 
@@ -237,17 +236,8 @@ def _run_one(path, task, templates, error, args, config, out_dir, session, value
         backends = _backend_set(args, session, value_pool)
         result = run_search(task, backends, templates, config, writer, store)
     except TaskError as exc:
-        row = dict.fromkeys(COLUMNS, 0)
-        row.update(
-            task_id=task.task_id if task else Path(path).stem,
-            kind=task.kind if task else "unknown",
-            variant=config.variant,
-            success=False,
-            terminate_reason="task_error",
-            error=str(exc),
-        )
-        return row
-    row = result.summary()
+        return task_error_row(path, task, config.variant, exc)
+    row = result_row(result)
     if out_dir is None:
         return row
     # The task's files are one set; an empty store removes an earlier run's reflections.
@@ -322,17 +312,8 @@ def cmd_run(args) -> int:
     for row in rows:
         if "error" in row:
             print(f"error: {row['task_id']}: {row['error']}", file=sys.stderr)
-        status = "ok" if row["success"] else "fail"
-        print(
-            f"{row['task_id']}: {status} reward={row['best_reward']:g} "
-            f"episodes={row['episodes']} proposals={row['policy_proposals']} "
-            f"({row['terminate_reason']})"
-        )
-    for key, agg in report.aggregate().items():
-        print(
-            f"{key}: {agg['successes']}/{agg['tasks']} solved "
-            f"({agg['success_rate']:.1%}), mean reward {agg['mean_best_reward']:.3f}"
-        )
+        print(task_line(row))
+    print("\n".join(report.group_lines()))  # a run has a row, so a group
     if out_dir is not None:
         _write_report(report, *reports)
     return 2 if any("error" in row for row in rows) else 0
@@ -355,36 +336,12 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
-    for path in args.reports:
-        try:
-            payload = decode(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read report {path}: {exc}") from exc
-        file_rows = payload.get("rows", []) if isinstance(payload, dict) else None
-        if not isinstance(file_rows, list):
-            raise CliError(f"report {path} must hold an object with a 'rows' list")
-        try:
-            for row in file_rows:
-                for key in ("success", "best_reward", "episodes", "policy_proposals"):
-                    if type(row[key]) not in ((bool,) if key == "success" else (int, float)):
-                        raise ValueError(f"{key} {row[key]!r} has the wrong type")
-                    if not math.isfinite(row[key]):
-                        raise ValueError(f"{key} {row[key]!r} is not finite")
-            RunReport(rows=file_rows).aggregate()
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CliError(f"report {path} has a malformed row: {exc!r}") from exc
-        rows.extend(file_rows)
-    if not rows:
-        raise CliError("reports contain no rows")
-    merged = RunReport(rows=rows)
+    try:
+        merged = RunReport.read(args.reports)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     _write_report(merged, args.json, args.csv)
-    for key, agg in merged.aggregate().items():
-        print(
-            f"{key}: {agg['successes']}/{agg['tasks']} solved "
-            f"({agg['success_rate']:.1%}), mean reward {agg['mean_best_reward']:.3f}, "
-            f"mean episodes {agg['mean_episodes']:.1f}"
-        )
+    print("\n".join(merged.group_lines(episodes=True)))
     return 0
 
 

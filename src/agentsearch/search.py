@@ -166,24 +166,6 @@ class SearchResult:
     def proposals(self) -> int:
         return self.backend_calls["policy"]["proposals"]
 
-    def summary(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "kind": self.task_kind,
-            "variant": self.config.variant,
-            "success": self.success,
-            "best_reward": self.best_reward,
-            "episodes": self.episodes_used,
-            "expansions": self.nodes_expanded,
-            "nodes": len(self.tree.nodes),
-            "policy_calls": self.backend_calls["policy"]["calls"],
-            "policy_proposals": self.backend_calls["policy"]["proposals"],
-            "value_calls": self.backend_calls["value"]["calls"],
-            "reflection_calls": self.backend_calls["reflection"]["calls"],
-            "reflections": len(self.reflections),
-            "terminate_reason": self.terminate_reason,
-        }
-
 
 def _solved(node: Node) -> bool:
     """The success test: a terminal node with full reward."""

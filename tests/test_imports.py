@@ -1,7 +1,8 @@
 """Every import in the package is read by its module, or listed in __all__,
 every definition in the package is read by code that is not a test, an
-environment kind's name is written only on its class, and no search
-decision can read a clock.
+environment kind's name is written only on its class, a report row's own
+columns are named only in report.py, and no search decision can read a
+clock.
 
 The only import allowances are the imports that perfbench/spans.py patches
 by name though the module never calls them (ROADMAP item 1); each carries a
@@ -203,8 +204,8 @@ def test_a_search_without_a_pool_loads_no_pool_code():
 # -- environment kinds -----------------------------------------------------------
 
 
-def kind_strings(source: str, kinds) -> list:
-    """(line, text) of each string constant equal to one of kinds, except
+def named_strings(source: str, names) -> list:
+    """(line, text) of each string constant equal to one of names, except
     docstrings and a class body's own `kind = "..."`."""
     tree = ast.parse(source)
     allowed = set()
@@ -223,7 +224,7 @@ def kind_strings(source: str, kinds) -> list:
     return sorted(
         (node.lineno, node.value)
         for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and node.value in kinds and node not in allowed
+        if isinstance(node, ast.Constant) and node.value in names and node not in allowed
     )
 
 
@@ -233,7 +234,7 @@ def test_a_kind_is_named_only_by_its_class():
     found = {
         (path.relative_to(PACKAGE).as_posix(), line, text)
         for path in sorted(PACKAGE.rglob("*.py"))
-        for line, text in kind_strings(path.read_text(), set(REGISTRY))
+        for line, text in named_strings(path.read_text(), set(REGISTRY))
     }
     assert found == set()
 
@@ -251,7 +252,46 @@ def test_the_kind_scan_sees_constants_outside_a_class_kind():
         'kind = "shop"\n'
         'label = "shopping"\n'
     )
-    assert kind_strings(source, {"shop"}) == [(5, "shop"), (8, "shop"), (8, "shop"), (9, "shop")]
+    assert named_strings(source, {"shop"}) == [(5, "shop"), (8, "shop"), (8, "shop"), (9, "shop")]
+
+
+# -- report columns ----------------------------------------------------------
+
+# The columns that only a report row has; report.py builds, checks, reads
+# and prints rows, so no other module needs their names.
+REPORT_ONLY_COLUMNS = {
+    "policy_calls",
+    "policy_proposals",
+    "value_calls",
+    "reflection_calls",
+    "terminate_reason",
+    "task_error",
+}
+
+
+def test_a_report_column_is_named_only_by_report_py():
+    found = {
+        (path.relative_to(PACKAGE).as_posix(), line, text)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.relative_to(PACKAGE).as_posix() != "report.py"
+        for line, text in named_strings(path.read_text(), REPORT_ONLY_COLUMNS)
+    }
+    assert found == set()
+
+
+def test_the_column_scan_sees_keys_subscripts_and_values_but_no_docstrings():
+    source = (
+        '"""policy_calls and task_error"""\n'
+        'row = {"policy_calls": 1}\n'
+        "row.update(terminate_reason=\"task_error\")\n"
+        "print(f\"{row['value_calls']}\")\n"
+        "reflection_calls = row.terminate_reason\n"
+    )
+    assert named_strings(source, REPORT_ONLY_COLUMNS) == [
+        (2, "policy_calls"),
+        (3, "task_error"),
+        (4, "value_calls"),
+    ]
 
 
 # -- definitions only tests use ----------------------------------------------

@@ -20,6 +20,7 @@ from agentsearch import search
 from agentsearch.envs import TaskSpec, make_env
 from agentsearch.prompts import DEFAULT_REFLECTIONS_HEADER
 from agentsearch.reflection import ReflectionStore
+from agentsearch.report import COLUMNS, result_row
 from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _CountingBackend, run_search
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter
@@ -735,7 +736,7 @@ def test_identical_runs_produce_identical_traces():
     r1 = run_once(5, t1)
     r2 = run_once(5, t2)
     assert t1.to_jsonl() == t2.to_jsonl()
-    assert r1.summary() == r2.summary()
+    assert result_row(r1) == result_row(r2)
 
 
 def test_larger_budget_extends_the_same_run():
@@ -756,7 +757,8 @@ def test_summary_and_proposals_accessors(game24_templates):
         game24_templates,
         SearchConfig(n=2, k=2, seed=0),
     )
-    summary = result.summary()
+    summary = result_row(result)
+    assert tuple(summary) == COLUMNS
     assert summary["task_id"] == "g4-9-10-13"
     assert summary["kind"] == "game24"
     assert summary["variant"] == "mcts"
