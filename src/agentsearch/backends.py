@@ -62,6 +62,12 @@ class ScriptRule:
         return False
 
 
+def _known_keys(data: dict, keys, where: str) -> None:
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}; expected one of {', '.join(keys)}")
+
+
 class ScriptedBackend:
     """Deterministic canned backend for tests and plumbing checks.
 
@@ -85,16 +91,20 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
         """Read {"rules": [{"contains" or "pattern": ..., "responses": [...]}],
-        "default": TEXT}. A malformed file is a ValueError here, before any
-        prompt reaches it."""
+        "default": TEXT}. A malformed file, an unknown key among them
+        included, is a ValueError here, before any prompt reaches it."""
         data = decode(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict) or not isinstance(data.get("rules", []), list):
             raise ValueError(f"{path} must hold an object with a 'rules' list")
+        _known_keys(data, ("rules", "default"), str(path))
         rules = []
         for index, raw in enumerate(data.get("rules", [])):
             where = f"{path} rule {index}"
             if not isinstance(raw, dict):
                 raise ValueError(f"{where} is not an object")
+            _known_keys(raw, ("contains", "pattern", "responses"), where)
+            if "contains" not in raw and "pattern" not in raw:
+                raise ValueError(f"{where} needs 'contains' or 'pattern'")
             rule = ScriptRule(
                 contains=raw.get("contains"),
                 pattern=raw.get("pattern"),

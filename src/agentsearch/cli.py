@@ -60,7 +60,8 @@ class CliError(ValueError):
     """Bad command line or config input; maps to exit code 2."""
 
 
-def _parse_kv(text: str) -> dict:
+def _parse_kv(text: str, keys) -> dict:
+    """key=value pairs, each key one of keys."""
     out = {}
     for part in text.split(","):
         part = part.strip()
@@ -68,8 +69,10 @@ def _parse_kv(text: str) -> dict:
             continue
         if "=" not in part:
             raise CliError(f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (s.strip() for s in part.split("=", 1))
+        if key not in keys:
+            raise CliError(f"unknown key {key!r}; expected one of {', '.join(keys)}")
+        out[key] = value
     return out
 
 
@@ -80,12 +83,12 @@ def parse_backend_spec(spec: str):
     kind, rest = spec.split(":", 1)
     try:
         if kind == "oracle":
-            kv = _parse_kv(rest)
+            kv = _parse_kv(rest, ("p", "seed"))
             return Game24PolicyOracle(
                 p_correct=float(kv.get("p", 1.0)), seed=int(kv.get("seed", 0))
             )
         if kind == "oracle-value":
-            kv = _parse_kv(rest)
+            kv = _parse_kv(rest, ("accuracy", "seed"))
             return Game24ValueOracle(
                 accuracy=float(kv.get("accuracy", 1.0)), seed=int(kv.get("seed", 0))
             )
@@ -94,9 +97,8 @@ def parse_backend_spec(spec: str):
         if kind == "static":
             return static_backend(rest)
         if kind == "http":
-            parts = rest.split(",")
-            endpoint = parts[0]
-            kv = _parse_kv(",".join(parts[1:])) if len(parts) > 1 else {}
+            endpoint, _, options = rest.partition(",")
+            kv = _parse_kv(options, ("model", "temperature", "cache"))
             if "model" not in kv:
                 raise CliError("http backend spec needs model=NAME")
             return HttpChatBackend(
@@ -350,6 +352,7 @@ def cmd_oracle24(args) -> int:
         raise CliError("--max-solutions must be >= 0")
     try:
         nums = [solver24.number(tok) for tok in args.numbers]
+        solver24.check_printable(nums)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad number: {exc}") from exc
     solvable, solutions = solver24.solve(nums)

@@ -23,6 +23,7 @@ leans on that to revert to arbitrary tree nodes.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,12 @@ from ..actions import ActionGrammar, ActionSample
 from ..trace import encode
 
 INVALID = "Invalid action!"
+_PUNCTUATION = str.maketrans({c: " " for c in string.punctuation})
+
+
+def words(text: str) -> list:
+    """The text's words, casefolded, with each punctuation mark a space."""
+    return text.casefold().translate(_PUNCTUATION).split()
 
 
 @dataclass(frozen=True)

@@ -7,25 +7,22 @@ Finish[answer] ends the episode, scored by normalized exact match.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
-from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec
+from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec, words
 
-_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 _ARTICLES = {"a", "an", "the"}
 
 
 def normalize_answer(text: str) -> str:
     """Lowercase, drop punctuation and articles, collapse whitespace."""
-    words = text.casefold().translate(_PUNCT_TABLE).split()
-    return " ".join(w for w in words if w not in _ARTICLES)
+    return " ".join(w for w in words(text) if w not in _ARTICLES)
 
 
 def _normalize_title(text: str) -> str:
-    return " ".join(text.casefold().translate(_PUNCT_TABLE).split())
+    return " ".join(words(text))
 
 
 def trigrams(text: str) -> frozenset:

@@ -66,6 +66,7 @@ class Game24Env(Environment):
         self.question(task.payload)  # checks the numbers
         try:
             nums = tuple(solver24.number(n) for n in task.payload["numbers"])
+            solver24.check_printable(nums)  # a later step's observation prints its result
         except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise TaskError(f"bad number in game24 payload: {exc}") from exc
         self.state = self.State(nums)

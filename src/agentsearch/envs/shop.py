@@ -11,20 +11,13 @@ so 1.0 means the bought item satisfied the instruction completely.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..actions import ActionGrammar, ActionSample
-from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec
+from .base import INVALID_OBSERVATION, Environment, EnvObservation, TaskError, TaskSpec, words
 
 PAGE_SIZE = 3
-
-_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
-
-
-def _terms(text: str) -> set:
-    return set(text.casefold().translate(_PUNCT_TABLE).split())
 
 
 def _strings(values, what: str) -> list:
@@ -84,7 +77,7 @@ class ShopEnv(Environment):
             if pid in self._catalog:
                 raise TaskError(f"duplicate product id {pid!r}")
             self._catalog[pid] = entry
-        self._title_terms = {pid: _terms(p["title"]) for pid, p in self._catalog.items()}
+        self._title_terms = {pid: set(words(p["title"])) for pid, p in self._catalog.items()}
         self._rankings = {}  # query terms -> ranked ids; a task asks few distinct queries
         self._instruction = self.question(task.payload)
         self._required_attrs = _strings(task.payload.get("attributes", []), "task attributes")
@@ -131,7 +124,7 @@ class ShopEnv(Environment):
         if action.verb == "search":
             if state.page_kind != "search":
                 return INVALID_OBSERVATION
-            query = frozenset(_terms(argument))
+            query = frozenset(words(argument))
             if query not in self._rankings:
                 titles = self._title_terms
                 self._rankings[query] = tuple(

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
+from .envs.base import OK_OBSERVATION
 from .tree import SearchTree, reconstruct_context
 
 DEFAULT_REFLECTIONS_HEADER = (
@@ -73,7 +74,7 @@ def render_step(i: int, action, observation: Optional[str]) -> str:
     ..." when there is one (for a thought, one other than "OK.")."""
     if action.kind == "thought":
         text = f"Thought {i}: {action.raw}"
-        if observation is not None and observation != "OK.":
+        if observation is not None and observation != OK_OBSERVATION.text:
             text += f"\nObservation {i}: {observation}"
     else:
         text = f"Action {i}: {action.raw}"

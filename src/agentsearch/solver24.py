@@ -29,6 +29,7 @@ table of each state's successors either; that raised peak memory by 16 MB.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -48,9 +49,17 @@ _RATIONAL = re.compile(
 )
 
 
+def max_digits() -> int:
+    """The most decimal digits str() prints of an int, 0 for no limit; Pythons
+    without sys.get_int_max_str_digits() get CPython's default."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+
+
 def number(value) -> tuple:
     """The pair for a text such as "-8/3" or "1.5e-3", or for anything with an
-    as_integer_ratio(); raises the exception types Fraction(value) would."""
+    as_integer_ratio(); raises the exception types Fraction(value) would. A
+    text whose numerator or denominator needs more than max_digits() digits
+    is a ValueError, found before any power of ten that large is computed."""
     if isinstance(value, str):  # memoised, so the solver's keys share one pair per token
         return _parse(value)
     if hasattr(value, "as_integer_ratio"):  # in lowest terms, as Fraction takes it
@@ -64,16 +73,40 @@ def _parse(value: str) -> tuple:
     if m is None:
         raise ValueError(f"not a number: {value!r}")
     n, d = int(m["num"] or "0"), int(m["denom"] or "1")
+    places = 0
     if m["decimal"]:
         digits = m["decimal"].replace("_", "")
-        d = 10 ** len(digits)
+        places = len(digits)
+        d = 10**places
         n = n * d + int(digits)
     exp = int(m["exp"] or "0")
-    n, d = (n * 10**exp, d) if exp >= 0 else (n, d * 10**-exp)
     if not d:
         raise ZeroDivisionError(f"zero denominator in {value!r}")
+    if not n:
+        return (0, 1)
+    # With an exponent the value is n / 10**(places - exp): in lowest terms its
+    # numerator is at least 10**(exp - places), or its denominator more than
+    # 10**(places - exp) / |n|, and |n| has at most bit_length // 3 + 1 digits.
+    least = exp - places if exp >= places else places - exp - n.bit_length() // 3 - 1
+    limit = max_digits()
+    if limit and least >= limit:
+        raise ValueError(f"{value!r:.40} needs more than {limit} digits")
+    n, d = (n * 10**exp, d) if exp >= 0 else (n, d * 10**-exp)
     g = gcd(n, d)
-    return ((-n if m["sign"] == "-" else n) // g, d // g)
+    n, d = (-n if m["sign"] == "-" else n) // g, d // g
+    if limit and max(-n, n, d).bit_length() > 3 * limit and max(-n, n, d) >= 10**limit:
+        raise ValueError(f"{value!r:.40} needs more than {limit} digits")
+    return n, d
+
+
+def check_printable(nums: Sequence[tuple]) -> None:
+    """Raise ValueError unless every number a run of steps can reach from
+    nums prints within max_digits(). A step's |numerator| + denominator is at
+    most the product of its operands', so a digit count of all numerators and
+    denominators together within the limit bounds every reachable number."""
+    limit = max_digits()
+    if limit and sum(len(str(abs(n))) + len(str(d)) for n, d in nums) > limit:
+        raise ValueError(f"the numbers have more than {limit} digits in all")
 
 
 def format_number(x: tuple) -> str:

@@ -113,6 +113,25 @@ def test_from_file_rejects_malformed_rules(tmp_path, spec):
         ScriptedBackend.from_file(path)
 
 
+@pytest.mark.parametrize(
+    "spec, problem",
+    [
+        ({"rules": [{"contain": "Question", "responses": ["x"]}]}, "rule 0: unknown key 'contain'"),
+        ({"rules": [{"responses": ["x"]}]}, "rule 0 needs 'contains' or 'pattern'"),
+        ({"rules": [{"contains": "q", "response": ["x"]}]}, "rule 0: unknown key 'response'"),
+        ({"rule": [], "default": "d"}, "unknown key 'rule'"),
+        ({"rules": [], "defualt": "d"}, "unknown key 'defualt'"),
+    ],
+)
+def test_from_file_refuses_a_rule_that_could_never_match_and_unknown_keys(tmp_path, spec, problem):
+    """A misspelt matcher key used to load a rule that never matched, so every
+    prompt got the default answer."""
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=problem):
+        ScriptedBackend.from_file(path)
+
+
 def test_static_backend_answers_everything():
     backend = static_backend("the correctness score is 7")
     assert backend.propose("any prompt", 3, 5) == ["the correctness score is 7"] * 3

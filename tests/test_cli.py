@@ -79,6 +79,34 @@ def test_bad_specs_raise_cli_error():
             parse_backend_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("oracle-value:acuracy=0.5", "acuracy"),
+        ("oracle:p=0.3,sed=1", "sed"),
+        ("oracle:accuracy=0.9", "accuracy"),
+        ("oracle-value:p=0.9", "p"),
+        ("http:http://h,model=m,temprature=0.2", "temprature"),
+    ],
+)
+def test_a_spec_key_its_type_does_not_take_is_an_error(spec, key):
+    """A typo in a key used to leave its default in place without a word."""
+    with pytest.raises(CliError, match=f"unknown key '{key}'"):
+        parse_backend_spec(spec)
+
+
+def test_run_with_an_unknown_spec_key_exits_2_before_any_search(tmp_path, capsys):
+    task = tmp_path / "t.json"
+    write_game24_task(task, [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    code = main(["run", str(task), "--backend", "oracle:p=1.0,seed=1",
+                 "--value-backend", "oracle-value:acuracy=0.5", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown key 'acuracy'" in captured.err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # config files and flags
 
@@ -686,6 +714,50 @@ def test_run_gives_task_error_rows_for_a_malformed_payload_and_file_reference(tm
     assert rows["b"]["success"] is True
 
 
+def test_run_gives_task_error_rows_for_game24_numbers_too_long_to_print(tmp_path, capsys):
+    """1e5000 failed to print at reset, and 1e3000 * 1e3000 failed to print
+    mid-search; either ended the batch with a traceback."""
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    write_game24_task(task_dir / "a.json", ["1e5000", 1, 2, 3])
+    write_game24_task(task_dir / "b.json", ["1e3000", "1e3000", 1, 1])
+    write_game24_task(task_dir / "c.json", [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    code = main(["run", str(task_dir), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "c: ok" in captured.out and "error: a:" in captured.err and "error: b:" in captured.err
+    assert "digits" in captured.err and "Traceback" not in captured.err
+    rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
+    assert [rows[t]["terminate_reason"] for t in "ab"] == ["task_error", "task_error"]
+    assert rows["c"]["success"] is True
+
+
+def run_cli(*argv, timeout=20):
+    """The cli in a child process, which a regression that hangs cannot stall."""
+    env = dict(os.environ, PYTHONPATH=str(DATA_DIR.parents[1]))  # the package's src directory
+    command = [sys.executable, "-m", "agentsearch.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_a_huge_exponent_is_refused_before_it_is_computed(tmp_path):
+    """1e99999999 made the parser compute 10**99999999, which ran for minutes."""
+    task_dir = tmp_path / "tasks"
+    task_dir.mkdir()
+    solution = {"statement": "f(x) = x", "tests": [{"input": "1e99999999", "expected": 1}]}
+    (task_dir / "a.json").write_text(json.dumps({"kind": "solution", "payload": solution}))
+    write_game24_task(task_dir / "b.json", [4, 9, 10, 13])
+    out_dir = tmp_path / "out"
+    done = run_cli("run", str(task_dir), "--backend", "oracle:p=1.0,seed=1", "--out", str(out_dir))
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "error: a: malformed test row" in done.stderr and "b: ok" in done.stdout
+    rows = {row["task_id"]: row for row in json.loads((out_dir / "report.json").read_text())["rows"]}
+    assert rows["a"]["terminate_reason"] == "task_error" and rows["b"]["success"] is True
+    done = run_cli("oracle24", "1e99999999", "2", "3", "4", timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: bad number: ") and "digits" in done.stderr
+
+
 def test_run_gives_task_error_rows_for_over_long_integers(tmp_path, capsys):
     # json.loads refuses an integer of over 4,300 digits with a plain ValueError.
     huge = "9" * 5000
@@ -932,6 +1004,8 @@ def test_oracle24_subcommand(capsys):
     assert main(["oracle24", "1", "1", "1", "1"]) == 0
     assert "solvable: no" in capsys.readouterr().out
     assert main(["oracle24", "not-a-number"]) == 2
+    assert main(["oracle24", "1e3000", "1e3000", "1", "1"]) == 2  # 1e6000 would not print
+    assert "bad number" in capsys.readouterr().err
 
 
 def test_oracle24_rejects_a_negative_max_solutions(capsys):

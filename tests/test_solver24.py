@@ -2,10 +2,13 @@
 
 import itertools
 import operator
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +106,73 @@ def test_number_answers_alike_whatever_was_asked_before(earlier, value):
             number(value)
     else:
         assert number(value) == (f.numerator, f.denominator)
+
+
+@pytest.mark.parametrize(
+    "text, pair",
+    [
+        ("1e4299", (10**4299, 1)),
+        ("-1e-4299", (-1, 10**4299)),
+        ("5e-4300", (1, 2 * 10**4299)),  # 4,300 digits once in lowest terms
+        ("1" + "0" * 4000 + "e-8000", (1, 10**4000)),
+        ("0e99999999", (0, 1)),
+        ("0.000e-99999999", (0, 1)),
+    ],
+)
+def test_number_takes_a_text_whose_pair_prints(text, pair):
+    assert number(text) == pair
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4300", "-1e-4300", "2e-4301", "9" * 4300 + "0", "1e99999999", "1e-99999999", "1.5e99999999",
+     "1/" + "1" * 4301],
+)
+def test_number_refuses_a_text_whose_pair_would_not_print(text):
+    with pytest.raises(ValueError):
+        number(text)
+
+
+def test_a_huge_exponent_is_refused_before_it_is_computed():
+    """10**99999999 took minutes, and Fraction("1e99999999") still does."""
+    code = "from agentsearch import solver24\nfor t in ('1e99999999', '-7.5e-99999999'):\n"
+    code += "    try:\n        solver24.number(t)\n    except ValueError:\n        print('refused')\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(Path(solver24.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.stdout.split() == ["refused", "refused"], done.stderr
+
+
+def reachable_numbers(nums: tuple) -> set:
+    found, frontier = set(nums), {canon(nums)}
+    while frontier:
+        state = frontier.pop()
+        for step in legal_steps(state):
+            successor = canon(step_result(state, step))
+            found.update(successor)
+            if len(successor) > 1:
+                frontier.add(successor)
+    return found
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [["99", "99", "99", "99"], ["1/99", "1/98", "97", "-1/96"], ["999/998", "997/996", "-995/994"]],
+)
+def test_numbers_within_the_digit_bound_reach_only_numbers_within_it(monkeypatch, texts):
+    nums = tuple(number(t) for t in texts)
+    total = sum(len(str(abs(n))) + len(str(d)) for n, d in nums)
+    monkeypatch.setattr(solver24, "max_digits", lambda: total)
+    solver24.check_printable(nums)
+    widest = max(max(len(str(abs(n))), len(str(d))) for n, d in reachable_numbers(nums))
+    assert widest <= total
+    monkeypatch.setattr(solver24, "max_digits", lambda: total - 1)
+    with pytest.raises(ValueError):
+        solver24.check_printable(nums)
 
 
 def test_number_gives_one_pair_object_per_text():
