@@ -94,7 +94,8 @@ def _parse(value: str) -> tuple:
     n, d = (n * 10**exp, d) if exp >= 0 else (n, d * 10**-exp)
     g = gcd(n, d)
     n, d = (-n if m["sign"] == "-" else n) // g, d // g
-    if limit and max(-n, n, d).bit_length() > 3 * limit and max(-n, n, d) >= 10**limit:
+    widest = max(abs(n), d)  # below 2**(3 * limit), so below 10**limit, for most texts
+    if limit and widest.bit_length() > 3 * limit and widest >= 10**limit:
         raise ValueError(f"{value!r:.40} needs more than {limit} digits")
     return n, d
 
