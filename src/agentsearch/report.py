@@ -91,7 +91,7 @@ class RunReport:
                 payload = decode(Path(path).read_text(encoding="utf-8"))
             except (OSError, ValueError) as exc:
                 raise ValueError(f"cannot read report {path}: {exc}") from exc
-            file_rows = payload.get("rows", []) if isinstance(payload, dict) else None
+            file_rows = payload.get("rows") if isinstance(payload, dict) else None
             if not isinstance(file_rows, list):
                 raise ValueError(f"report {path} must hold an object with a 'rows' list")
             problem = next(filter(None, map(_problem, file_rows)), None)

@@ -19,14 +19,13 @@ text repeats an earlier sibling's shares that sibling's action, observation
 and snapshot instead of being played again. Duplicate siblings still become
 nodes of their own, as sibling agreement is part of the value.
 
-mcts, best_of_k and greedy_retry share one episode loop: each of up to k
-episodes refreshes the reflection-injected prompts, plays the variant's body
-to an end node and reward, then stops the run on success or reflects on a
-failed terminal. A BackendError ends only its episode; when all k episodes
-errored the run ends with backend_error. dfs_prune keeps its own stack loop
-and emits no episode events; each expansion attempt counts as an episode
-against k, an errored attempt is retried on the same node, and when all k
-attempts errored it too ends with backend_error.
+All four variants run through one episode loop: each of up to k episodes
+refreshes the reflection-injected prompts, plays the variant's body to an end
+node and reward, then stops the run on success or reflects on a failed
+terminal. mcts's body selects, steps, simulates and backpropagates; the
+rollouts' body descends one proposal per step; dfs_prune's body steps the node
+on top of its stack. A BackendError ends only its episode; when all k
+episodes errored the run ends with backend_error.
 
 A run terminates as soon as any trajectory reaches reward 1.0 (that reward is
 still backpropagated first, where the variant backpropagates at all), when the
@@ -266,6 +265,7 @@ class _Engine:
         self.reflective = cfg.reflection_enabled and cfg.variant in _REFLECTIVE_VARIANTS
         self.expansions = 0
         self.episodes = 0
+        self.stack = [0]  # the dfs_prune frontier
 
     # -- shared machinery -------------------------------------------------
 
@@ -373,11 +373,11 @@ class _Engine:
         self.new_reflections.append(record)
         self.trace.emit("reflect", episode=episode, node=node.id, reward=reward, reflection=text)
 
-    # -- the episode loop (mcts, best_of_k, greedy_retry) -----------------
+    # -- the episode loop ---------------------------------------------------
 
     def _run_episodes(self, body) -> str:
         """Run up to k episodes. body(episode) plays one episode and returns
-        (end node, reward), or None when no leaf is left to select. A
+        (end node, reward), or None when nothing is left to expand. A
         BackendError ends just that episode; a failed terminal is reflected
         on before the next one starts."""
         errors = 0
@@ -453,37 +453,30 @@ class _Engine:
 
     # -- dfs with pruning --------------------------------------------------
 
-    def _run_dfs(self) -> str:
-        """Depth-first over scored children. Each expansion attempt is an
-        episode and k caps them; an errored attempt puts its node back on
-        the stack to be tried again."""
-        stack = [0]
-        while stack and self.episodes < self.cfg.k:
-            node_id = stack.pop()
-            tag = self.episodes
-            self.episodes += 1
-            try:
-                children, winner = self._step(node_id, tag)
-            except BackendError:
-                stack.append(node_id)
-                continue
-            if winner is not None:
-                return "success"
-            # With no value function there is nothing to prune on.
-            floor = self.cfg.prune_threshold if self.cfg.value_mode != "none" else -math.inf
-            survivors = [c for c in children if not c.exhausted and c.value >= floor]
-            survivors.sort(key=lambda c: (c.value, -c.id))  # best popped first
-            stack.extend(c.id for c in survivors)
-            kept = {c.id for c in survivors}
-            self.trace.emit(
-                "prune",
-                parent=node_id,
-                kept=sorted(kept),
-                dropped=[c.id for c in children if c.id not in kept],
-            )
-        if not stack:
-            return "tree_exhausted"
-        return "budget_exhausted" if self.expansions else "backend_error"
+    def _dfs_episode(self, episode: int):
+        """Step the node on top of the stack and push its surviving children,
+        best on top. The node is popped only once its step returns, so an
+        errored expansion is tried again in the next episode."""
+        if not self.stack:
+            return None
+        node_id = self.stack[-1]
+        children, winner = self._step(node_id, episode)
+        self.stack.pop()
+        if winner is not None:
+            return _outcome(winner)
+        # With no value function there is nothing to prune on.
+        floor = self.cfg.prune_threshold if self.cfg.value_mode != "none" else -math.inf
+        survivors = [c for c in children if not c.exhausted and c.value >= floor]
+        survivors.sort(key=lambda c: (c.value, -c.id))  # best popped first
+        self.stack.extend(c.id for c in survivors)
+        kept = {c.id for c in survivors}
+        self.trace.emit(
+            "prune",
+            parent=node_id,
+            kept=sorted(kept),
+            dropped=[c.id for c in children if c.id not in kept],
+        )
+        return _best(children)
 
     # -- orchestration ------------------------------------------------------
 
@@ -498,7 +491,7 @@ class _Engine:
         if self.cfg.variant == "mcts":
             reason = self._run_episodes(self._mcts_episode)
         elif self.cfg.variant == "dfs_prune":
-            reason = self._run_dfs()
+            reason = self._run_episodes(self._dfs_episode)
         else:
             reason = self._run_episodes(self._rollout_episode)
         return self._finalize(reason)

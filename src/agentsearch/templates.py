@@ -24,7 +24,6 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 from .envs.base import TaskError
 from .prompts import DEFAULT_REFLECTIONS_HEADER, PromptBundle
@@ -35,43 +34,34 @@ ROLES = ("act", "value", "reflect")
 
 
 def parse_template(text: str) -> PromptBundle:
-    sections = []
-    current_name = None
-    current_lines = []
+    """A template's bundle. Text before the first section, a missing
+    [instruction] and a repeat of any section but [example] are ValueErrors."""
+    sections = {}  # section name -> its lines
+    examples = []
+    lines = None  # the lines of the section being read
     for line in text.splitlines():
         m = _SECTION_RE.match(line)
-        if m:
-            if current_name is not None:
-                sections.append((current_name, "\n".join(current_lines).strip()))
-            current_name = m.group(1)
-            current_lines = []
-        elif current_name is not None:
-            current_lines.append(line)
-        elif line.strip():
-            raise ValueError(f"template text before the first section: {line!r}")
-    if current_name is not None:
-        sections.append((current_name, "\n".join(current_lines).strip()))
-
-    instruction = None
-    examples = []
-    header = DEFAULT_REFLECTIONS_HEADER
-    cue: Optional[str] = None
-    for name, body in sections:
-        if name == "instruction":
-            instruction = body
+        name = m.group(1) if m else None
+        if name is None:
+            if lines is not None:
+                lines.append(line)
+            elif line.strip():
+                raise ValueError(f"template text before the first section: {line!r}")
         elif name == "example":
-            examples.append(body)
-        elif name == "reflections_header":
-            header = body
-        elif name == "cue":
-            cue = body  # may be "", which suppresses the default cue
-    if instruction is None:
+            lines = []
+            examples.append(lines)
+        elif name in sections:
+            raise ValueError(f"template repeats the [{name}] section")
+        else:
+            lines = sections[name] = []
+    body = {key: "\n".join(part).strip() for key, part in sections.items()}
+    if "instruction" not in body:
         raise ValueError("template is missing an [instruction] section")
     return PromptBundle(
-        instruction=instruction,
-        few_shot=examples,
-        reflections_header=header,
-        cue=cue,
+        instruction=body["instruction"],
+        few_shot=["\n".join(part).strip() for part in examples],
+        reflections_header=body.get("reflections_header", DEFAULT_REFLECTIONS_HEADER),
+        cue=body.get("cue"),  # "" suppresses the default cue
     )
 
 

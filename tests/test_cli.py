@@ -491,6 +491,17 @@ def readme_run_example(out_dir, monkeypatch):
     return argv, printed
 
 
+def test_readme_python_api_example_runs():
+    root = DATA_DIR.parents[2]
+    (code,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.DOTALL)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("True")
+
+
 def test_readme_run_example_prints_its_lines_and_stores_reflections(tmp_path, capsys, monkeypatch):
     argv, printed = readme_run_example(tmp_path / "demo", monkeypatch)
     assert main(argv) == 0
@@ -885,7 +896,7 @@ def test_replay_reports_malformed_files_and_checks_the_rest(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "payload",
-    [[], {"rows": 5}, {"rows": [3]}, {"rows": [{"kind": "game24", "success": True}]}],
+    [[], {}, {"rows": 5}, {"rows": [3]}, {"rows": [{"kind": "game24", "success": True}]}],
 )
 def test_report_rejects_malformed_file(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"

@@ -17,15 +17,15 @@ from agentsearch.backends import (
     static_backend,
 )
 from agentsearch import search
-from agentsearch.envs import TaskSpec, make_env
+from agentsearch.envs import TaskSpec, load_task, make_env
 from agentsearch.prompts import DEFAULT_REFLECTIONS_HEADER
 from agentsearch.reflection import ReflectionStore
 from agentsearch.report import COLUMNS, result_row
 from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _CountingBackend, run_search
 from agentsearch.templates import load_template_set
-from agentsearch.trace import TraceWriter
+from agentsearch.trace import TraceWriter, replay_trace
 
-from helpers import FailingBackend, SlowBackend, value_pool
+from helpers import DATA_DIR, FailingBackend, SlowBackend, value_pool
 
 
 class RecordingBackend:
@@ -272,6 +272,20 @@ def test_all_episodes_erroring_reports_backend_error(game24_templates, variant):
     assert result.backend_calls["policy"]["calls"] == 3
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_episodes_agree_in_the_trace_the_result_and_replay(game24_templates, variant):
+    trace = TraceWriter()
+    result = run_search(
+        load_task(DATA_DIR / "game24" / "puzzles" / "24-1-1-3-13.json"),
+        oracle_backends(p=0.5, accuracy=0.8),
+        game24_templates,
+        SearchConfig(n=3, k=8, variant=variant, seed=0),
+        trace=trace,
+    )
+    (terminate,) = [e for e in trace.events if e["type"] == "terminate"]
+    assert replay_trace(trace.events)["episodes"] == terminate["episodes"] == result.episodes_used
+
+
 class NoProposals:
     """A policy backend that answers every call with an empty list."""
 
@@ -314,7 +328,9 @@ def test_dfs_retries_a_node_given_no_proposals_until_k_is_spent(game24_templates
     assert len(backends.policy.calls) == 4
     assert len({call["prompt"] for call in backends.policy.calls}) == 1  # the root each time
     assert len(result.tree.nodes) == 1 and result.nodes_expanded == 0
-    assert [e["type"] for e in trace.events] == ["run_start", "terminate"]
+    ends = [e for e in trace.events if e["type"] == "episode_end"]
+    assert [e["episode"] for e in ends] == [1, 2, 3, 4]
+    assert {e["error"] for e in ends} == {"policy backend returned no proposals"}
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +435,7 @@ def test_dfs_retries_a_node_whose_expansion_errored(game24_templates):
     # the errored root attempt counts against k, then the root is expanded
     assert result.episodes_used == result.nodes_expanded + 1
     assert result.backend_calls["policy"]["calls"] == result.episodes_used
-    assert [e["episode"] for e in trace.events if e["type"] == "expand"][0] == 1
+    assert [e["episode"] for e in trace.events if e["type"] == "expand"][0] == 2
 
 
 # ---------------------------------------------------------------------------

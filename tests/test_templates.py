@@ -52,6 +52,13 @@ def test_parse_template_requires_instruction():
         parse_template("[example]\nno instruction here\n")
 
 
+@pytest.mark.parametrize("section", ["instruction", "reflections_header", "cue"])
+def test_a_repeated_single_section_is_rejected(section):
+    text = f"[instruction]\ni\n[{section}]\nfirst\n[{section}]\nsecond\n"
+    with pytest.raises(ValueError, match=rf"repeats the \[{section}\] section"):
+        parse_template(text)
+
+
 def test_text_before_first_section_rejected():
     with pytest.raises(ValueError, match="before the first section"):
         parse_template("stray preamble\n[instruction]\ni\n")
