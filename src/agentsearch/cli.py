@@ -359,7 +359,8 @@ def cmd_oracle24(args) -> int:
     print(f"numbers: {' '.join(solver24.format_number(n) for n in nums)}")
     print(f"solvable: {'yes' if solvable else 'no'}")
     for lines in solutions[: args.max_solutions]:
-        print("  " + " ; ".join(lines))
+        # A lone target's one solution has no steps.
+        print("  " + (" ; ".join(lines) or "(no steps)"))
     if len(solutions) > args.max_solutions:
         print(f"  ... and {len(solutions) - args.max_solutions} more")
     return 0

@@ -95,22 +95,22 @@ def render_acting_steps(tree: SearchTree, node_id: int) -> str:
     if node.block is None:
         node.block = f"Question: {tree.input}"
     for child in reversed(pending):
-        child.block = node.block + "\n" + render_step(child.depth, child.action, child.observation)
+        child.block = f"{node.block}\n{render_step(child.depth, child.action, child.observation)}"
         node = child
     return node.block
 
 
 def join_head(head: str, block: str) -> str:
-    return head + "\n\n" + block if head else block
+    return f"{head}\n\n{block}" if head else block
 
 
 def _with_cue(bundle: PromptBundle, depth: int, block: str, default_cue: str) -> str:
     """block followed by the bundle's cue ("{i}" numbers the next step), or
     by default_cue once any step exists when the bundle sets none."""
     if bundle.cue is None:
-        return block + "\n" + default_cue if depth else block
+        return f"{block}\n{default_cue}" if depth else block
     if bundle.cue:
-        return block + "\n" + bundle.cue.replace("{i}", str(depth + 1))
+        return f"{block}\n{bundle.cue.replace('{i}', str(depth + 1))}"
     return block
 
 

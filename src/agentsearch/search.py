@@ -196,15 +196,14 @@ class _CountingBackend:
 
     def __init__(self, inner: PolicyBackend, counters: dict, role: str):
         self.inner = inner
-        self.counters = counters
-        self.role = role
+        self.counts = counters[role]
         self._lock = threading.Lock()
 
     def propose(self, prompt: str, n: int, seed: int) -> list:
+        counts = self.counts
         with self._lock:
-            entry = self.counters[self.role]
-            entry["calls"] += 1
-            entry["proposals"] += n
+            counts["calls"] += 1
+            counts["proposals"] += n
         return self.inner.propose(prompt, n, seed)
 
 
@@ -293,39 +292,43 @@ class _Engine:
             self.parsed[text] = outcome
         return outcome
 
-    def _play(self, parent_id: int, texts: list) -> list:
-        """(action, observation, snapshot) per proposal text, each played in
-        the environment from the parent's saved state. A text that repeats
-        an earlier sibling's shares its result; one that does not parse
-        shares the parent's snapshot."""
+    def _play(self, parent_id: int, texts: list) -> tuple:
+        """The (action, observation) steps and the snapshots of the proposal
+        texts, in order, each played in the environment from the parent's
+        saved state. A text that repeats an earlier sibling's shares its
+        result; one that does not parse shares the parent's snapshot."""
         parent = self.snapshots[parent_id]
+        env = self.env
         played = {}
         for text in texts:
             if text in played:
                 continue
             action, obs = self._parse(text)
             if obs is None:
-                self.env.restore(parent)
-                obs = self.env.step(action)
-                played[text] = action, obs, self.env.snapshot()
+                env.restore(parent)
+                obs = env.step(action)
+                played[text] = (action, obs), env.snapshot()
             else:
-                played[text] = action, obs, parent
-        return [played[text] for text in texts]
+                played[text] = (action, obs), parent
+        results = [played[text] for text in texts]
+        return [step for step, _ in results], [snap for _, snap in results]
 
     def _expand(self, parent_id: int, episode: int, width: Optional[int] = None) -> list:
-        width = width if width is not None else self.cfg.n
-        prompt = assemble_prompt(self.act_bundle, self.tree, parent_id, self.cfg.prompt_style)
-        seed = stable_seed(self.cfg.seed, self.task.task_id, "policy", episode, parent_id)
-        texts = self.policy.propose(prompt, width, seed)
+        cfg, tree = self.cfg, self.tree
+        prompt = assemble_prompt(self.act_bundle, tree, parent_id, cfg.prompt_style)
+        seed = stable_seed(cfg.seed, self.task.task_id, "policy", episode, parent_id)
+        texts = self.policy.propose(prompt, cfg.n if width is None else width, seed)
         if not texts:
             raise BackendError("policy backend returned no proposals")
-        played = self._play(parent_id, texts)
-        ids = add_children(self.tree, parent_id, [(action, obs) for action, obs, _ in played])
-        children = [self.tree.node(node_id) for node_id in ids]
-        for node, (_, _, snap) in zip(children, played):
-            self.snapshots[node.id] = snap
-            if not node.is_terminal and node.depth >= self.cfg.depth_limit:
-                mark_unexpandable(self.tree, node.id)
+        steps, snaps = self._play(parent_id, texts)
+        ids = add_children(tree, parent_id, steps)
+        self.snapshots.update(zip(ids, snaps))
+        nodes = tree.nodes
+        children = [nodes[node_id] for node_id in ids]
+        if children[0].depth >= cfg.depth_limit:  # siblings share one depth
+            for node in children:
+                if not node.is_terminal:
+                    mark_unexpandable(tree, node.id)
         self.expansions += 1
         self.trace.emit(
             "expand",

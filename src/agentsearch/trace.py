@@ -77,8 +77,7 @@ class TraceWriter:
         self.log_prompts = log_prompts
 
     def emit(self, type_: str, **payload) -> dict:
-        event = {"seq": len(self.events), "type": type_}
-        event.update(payload)
+        event = {"seq": len(self.events), "type": type_, **payload}
         self.events.append(event)
         return event
 

@@ -143,20 +143,15 @@ def add_children(
     parent = tree.node(parent_id)
     if parent.is_terminal:
         raise ValueError(f"cannot expand terminal node {parent_id}")
-    created = []
+    nodes = tree.nodes
+    first, depth = len(nodes), parent.depth + 1
     for action, obs in steps:
-        node = Node(
-            id=len(tree.nodes),
-            parent=parent_id,
-            action=action,
-            observation=obs.text,
-            depth=parent.depth + 1,
-            is_terminal=obs.terminal,
-            reward=obs.reward,
-            exhausted=obs.terminal,
+        terminal = obs.terminal
+        nodes.append(
+            Node(len(nodes), parent_id, action, obs.text, depth, 0.0, 0, terminal, obs.reward,
+                 (), terminal)
         )
-        tree.nodes.append(node)
-        created.append(node.id)
+    created = list(range(first, len(nodes)))
     parent.children += tuple(created)
     _propagate_exhaustion(tree, parent_id)
     return created

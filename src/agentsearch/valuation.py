@@ -15,8 +15,10 @@ backpropagation replaces it.
 
 Each child's value prompt (acting style, under the engine's value bundle)
 is its parent's cached block plus its own step, built in the calling
-thread once per distinct (action, observation) among the siblings; each
-child still makes its own value call, with its own seed. A caller that
+thread once per distinct step among the siblings, keyed on the strings
+render_step reads (action raw text and kind, observation); each child still
+makes its own value call, with its own seed stable_seed(seed, child id),
+the children's seeds derived in one stable_seeds batch. A caller that
 wants the calls overlapped carries a pool.ThreadPool in BackendSet.value_pool,
 and every value call of a backend that does not declare `inline` goes to
 it; all other value calls run inline, in child order. The scores are
@@ -27,13 +29,12 @@ call returns first or where it ran.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .actions import ActionSample, normalize_action_text
 from .backends import BackendError, PolicyBackend
 from .prompts import PromptBundle, assemble_acting_prompt, render_acting_steps, render_step
-from .seeding import stable_seed
+from .seeding import stable_seed, stable_seeds
 # reconstruct_context: unused, but perfbench/spans.py wraps it (ROADMAP item 1).
 from .tree import SearchTree, reconstruct_context
 
@@ -80,11 +81,20 @@ def lm_score(prompt: str, backend: PolicyBackend, seed: int = 0) -> Optional[flo
 
 def sc_scores(siblings: Sequence[ActionSample]) -> list:
     """Each sibling's frequency of its normalized action text in the sibling
-    set (the node itself included, so a singleton scores 1.0), in order."""
-    distinct = {s: normalize_action_text(s) for s in set(siblings)}
-    normalized = [distinct[s] for s in siblings]
-    counts = Counter(normalized)
-    shares = {count: count / len(normalized) for count in set(counts.values())}
+    set (the node itself included, so a singleton scores 1.0), in order.
+    Siblings that repeat a proposal share one ActionSample, normalized once;
+    siblings with equal counts share one float."""
+    text_of = {}
+    normalized = []
+    for sibling in siblings:
+        text = text_of.get(id(sibling))
+        if text is None:
+            text = text_of[id(sibling)] = normalize_action_text(sibling)
+        normalized.append(text)
+    counts = dict.fromkeys(normalized, 0)
+    for text in normalized:
+        counts[text] += 1
+    shares = {count: count / len(normalized) for count in counts.values()}
     return [shares[counts[text]] for text in normalized]
 
 
@@ -118,21 +128,27 @@ def evaluate_children(
         raise ValueError(f"no child scoring in value mode {mode!r}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda {lam} outside [0, 1]")
-    children = [tree.node(c) for c in tree.node(parent_id).children]
+    nodes = tree.nodes
+    children = [nodes[c] for c in nodes[parent_id].children]
     if mode == "full":
         if bundle is None or backend is None:
             raise ValueError("full value mode needs a value bundle and backend")
         block = render_acting_steps(tree, parent_id)
         prompts = {}
+        texts = []
         for child in children:
-            step = child.action, child.observation
-            if step not in prompts:
-                text = block + "\n" + render_step(child.depth, *step)
-                prompts[step] = assemble_acting_prompt(bundle, text, child.depth)
-        texts = [prompts[child.action, child.observation] for child in children]
-        seeds = [stable_seed(seed, child.id) for child in children]
-        calls = lm_score, texts, [backend] * len(children), seeds
-        lm_results = list(map(*calls)) if pool is None else pool.map(*calls)
+            action, observation = child.action, child.observation
+            step = action.raw, action.kind, observation
+            text = prompts.get(step)
+            if text is None:
+                query = f"{block}\n{render_step(child.depth, action, observation)}"
+                text = prompts[step] = assemble_acting_prompt(bundle, query, child.depth)
+            texts.append(text)
+        seeds = stable_seeds(seed, [child.id for child in children])
+        if pool is None:
+            lm_results = [lm_score(text, backend, s) for text, s in zip(texts, seeds)]
+        else:
+            lm_results = pool.map(lm_score, texts, [backend] * len(children), seeds)
     else:
         lm_results = [0.0] * len(children)
     records = []
@@ -141,8 +157,6 @@ def evaluate_children(
         flagged = lm is None
         lm = 0.0 if flagged else lm
         # sc_only keeps sc itself: 0*lam + (1-lam)*sc is another float.
-        child.value = sc if mode == "sc_only" else combine(lm, sc, lam)
-        records.append(
-            {"id": child.id, "lm": lm, "sc": sc, "combined": child.value, "flagged": flagged}
-        )
+        child.value = value = sc if mode == "sc_only" else combine(lm, sc, lam)
+        records.append({"id": child.id, "lm": lm, "sc": sc, "combined": value, "flagged": flagged})
     return records

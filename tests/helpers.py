@@ -55,6 +55,40 @@ class StubBackend:
         return out
 
 
+class CountingEnv:
+    """An environment, passed as env=, that records what the engine asks of
+    it, and keeps every snapshot it hands out so that they can be told apart."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.kind = inner.kind
+        self.grammar = inner.grammar
+        self.stepped = []
+        self.restores = 0
+        self.snapshots = 0
+        self.handed_out = []
+
+    @property
+    def distinct_snapshots(self) -> int:
+        return len({id(snap) for snap in self.handed_out})
+
+    def reset(self, task):
+        return self.inner.reset(task)
+
+    def step(self, action):
+        self.stepped.append(action.raw)
+        return self.inner.step(action)
+
+    def restore(self, snap):
+        self.restores += 1
+        self.inner.restore(snap)
+
+    def snapshot(self):
+        self.snapshots += 1
+        self.handed_out.append(self.inner.snapshot())
+        return self.handed_out[-1]
+
+
 class FailingBackend:
     """Raises BackendError for the first `failures` calls, then delegates."""
 

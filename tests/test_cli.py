@@ -1019,6 +1019,11 @@ def test_oracle24_subcommand(capsys):
     assert "bad number" in capsys.readouterr().err
 
 
+def test_oracle24_prints_a_visible_line_for_a_solution_with_no_steps(capsys):
+    assert main(["oracle24", "24"]) == 0
+    assert capsys.readouterr().out == "numbers: 24\nsolvable: yes\n  (no steps)\n"
+
+
 def test_oracle24_rejects_a_negative_max_solutions(capsys):
     assert main(["oracle24", "4", "7", "8", "8", "--max-solutions", "-1"]) == 2
     captured = capsys.readouterr()

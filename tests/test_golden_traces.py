@@ -33,6 +33,7 @@ from agentsearch.valuation import VALUE_MODES
 
 from helpers import (
     DATA_DIR,
+    CountingEnv,
     FailingBackend,
     RoundTrips,
     SlowBackend,
@@ -182,6 +183,49 @@ def trace_digest(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trace_matches_golden_digest(name):
     assert trace_digest(name) == GOLDEN[name]
+
+
+# The environment work of each golden run, as ceilings: restore, step and
+# snapshot calls, and distinct snapshot objects. Work may fall, and the
+# ceiling with it; a change that plays more lets a digest-equal trace hide a
+# slower search, so it fails here.
+WORK = {
+    "docqa-mcts": (35, 35, 36, 25),
+    "docqa-mcts-reasoning": (35, 35, 36, 25),
+    "game24-best_of_k-24-3-4-5-9": (24, 24, 25, 25),
+    "game24-best_of_k-24-4-5-6-7": (12, 12, 13, 13),
+    "game24-dfs_prune-24-3-4-5-9": (8, 8, 9, 9),
+    "game24-dfs_prune-24-4-5-6-7": (8, 8, 9, 9),
+    "game24-greedy_retry-24-3-4-5-9": (24, 24, 25, 25),
+    "game24-greedy_retry-24-4-5-6-7": (12, 12, 13, 13),
+    "game24-mcts-24-3-4-5-9": (30, 30, 31, 31),
+    "game24-mcts-24-4-5-6-7": (28, 28, 29, 29),
+    "greedy_retry-fails-mid-rollout": (4, 4, 5, 5),
+    "mcts-fails-in-simulation": (22, 22, 23, 23),
+    "mcts-fails-once": (7, 7, 8, 8),
+    "mcts-skip-simulation": (17, 17, 18, 18),
+    "mcts-tree-exhausted": (3, 3, 4, 1),
+    "shop-mcts": (57, 57, 58, 19),
+    "solution-mcts": (9, 9, 10, 8),
+}
+
+
+def test_work_covers_every_golden_case():
+    assert sorted(WORK) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_run_env_work_stays_within_its_ceiling(name):
+    task, backends, config = _case(name)
+    env = CountingEnv(make_env(task.kind))
+    trace = TraceWriter()
+    run_search(task, backends, load_template_set(task.kind), config, trace=trace, env=env)
+    assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == GOLDEN[name]
+    restores, steps, snapshots, distinct = WORK[name]
+    assert env.restores <= restores
+    assert len(env.stepped) <= steps
+    assert env.snapshots <= snapshots
+    assert env.distinct_snapshots <= distinct
 
 
 # The traces carry only the policy prompts. These digests pin the rest of

@@ -25,7 +25,7 @@ from agentsearch.search import VARIANTS, BackendSet, SearchConfig, _CountingBack
 from agentsearch.templates import load_template_set
 from agentsearch.trace import TraceWriter, replay_trace
 
-from helpers import DATA_DIR, FailingBackend, SlowBackend, value_pool
+from helpers import DATA_DIR, CountingEnv, FailingBackend, SlowBackend, value_pool
 
 
 class RecordingBackend:
@@ -638,33 +638,6 @@ def test_skip_simulation_backprops_best_partial_reward(solution_templates):
 
 # ---------------------------------------------------------------------------
 # one unit of work per distinct proposal
-
-
-class CountingEnv:
-    """An environment, passed as env=, that records what the engine asks of it."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.kind = inner.kind
-        self.grammar = inner.grammar
-        self.stepped = []
-        self.restores = 0
-        self.snapshots = 0
-
-    def reset(self, task):
-        return self.inner.reset(task)
-
-    def step(self, action):
-        self.stepped.append(action.raw)
-        return self.inner.step(action)
-
-    def restore(self, snap):
-        self.restores += 1
-        self.inner.restore(snap)
-
-    def snapshot(self):
-        self.snapshots += 1
-        return self.inner.snapshot()
 
 
 def scripted_policy(texts):

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentsearch.actions import normalize_action_text, parse_action
+from agentsearch.actions import ActionSample, normalize_action_text, parse_action
 from agentsearch.backends import BackendError
-from agentsearch.envs.base import EnvObservation
+from agentsearch.envs.base import INVALID_OBSERVATION, OK_OBSERVATION, EnvObservation
 from agentsearch.envs import Game24Env
-from agentsearch.prompts import PromptBundle
+from agentsearch.prompts import (
+    PromptBundle,
+    assemble_acting_prompt,
+    render_acting_steps,
+    render_step,
+)
+from agentsearch.seeding import stable_seed
 from agentsearch.tree import SearchTree, add_children
 from agentsearch.valuation import (
     combine,
@@ -338,3 +344,137 @@ def test_evaluate_children_raises_the_earliest_childs_error_with_fan_out():
             fanned_tree(), 0, "full", 0.5, PromptBundle(instruction="rate"),
             CrashingBackend(), seed=3, pool=pool,
         )
+
+
+# -- evaluate_children against a from-scratch reference ----------------------------
+
+
+def sc_scores_from_scratch(siblings):
+    distinct = {s: normalize_action_text(s) for s in set(siblings)}
+    normalized = [distinct[s] for s in siblings]
+    counts = Counter(normalized)
+    shares = {count: count / len(normalized) for count in set(counts.values())}
+    return [shares[counts[text]] for text in normalized]
+
+
+def evaluate_children_from_scratch(
+    tree, parent_id, mode, lam, bundle=None, backend=None, seed=0, pool=None
+):
+    """evaluate_children written plainly: one seed and one value prompt per
+    child, deduplicated on the (action, observation) pair."""
+    if mode not in ("full", "sc_only"):
+        raise ValueError(f"no child scoring in value mode {mode!r}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda {lam} outside [0, 1]")
+    children = [tree.node(c) for c in tree.node(parent_id).children]
+    if mode == "full":
+        block = render_acting_steps(tree, parent_id)
+        prompts = {}
+        for child in children:
+            step = child.action, child.observation
+            if step not in prompts:
+                text = block + "\n" + render_step(child.depth, *step)
+                prompts[step] = assemble_acting_prompt(bundle, text, child.depth)
+        texts = [prompts[child.action, child.observation] for child in children]
+        seeds = [stable_seed(seed, child.id) for child in children]
+        calls = lm_score, texts, [backend] * len(children), seeds
+        lm_results = list(map(*calls)) if pool is None else pool.map(*calls)
+    else:
+        lm_results = [0.0] * len(children)
+    records = []
+    agreement = sc_scores_from_scratch([child.action for child in children])
+    for child, lm, sc in zip(children, lm_results, agreement):
+        flagged = lm is None
+        lm = 0.0 if flagged else lm
+        child.value = sc if mode == "sc_only" else combine(lm, sc, lam)
+        records.append(
+            {"id": child.id, "lm": lm, "sc": sc, "combined": child.value, "flagged": flagged}
+        )
+    return records
+
+
+# Proposal texts and what playing them observes. Some normalize alike; the
+# last two do not parse, so they are thoughts that observe an invalid action.
+PROPOSALS = [
+    ("combine[4 + 6]", "Remaining numbers: 1 10"),
+    ("COMBINE[4 + 6]", "Remaining numbers: 1 10"),
+    ("combine[4  +  6]", "Remaining numbers: 1 10"),
+    ("combine[4 * 6]", "Remaining numbers: 1 24"),
+    ("think[halve it]", OK_OBSERVATION.text),
+    ("Thought: try 6 - 4", OK_OBSERVATION.text),
+    ("combine[4 +", INVALID_OBSERVATION.text),
+    ("(empty proposal)", INVALID_OBSERVATION.text),
+]
+
+
+def sibling_tree(siblings):
+    """A parent at depth 1 with one child per (proposal index, shared) pair.
+    A shared repeat takes the earlier sibling's action and observation
+    objects, as the engine gives them; any other child gets equal copies."""
+    tree = SearchTree.create("Use 1 4 6 to make 24.")
+    add_children(tree, 0, [(parse_action("combine[1 + 4]", GRAMMAR), EnvObservation("5 6"))])
+    made = {}
+    steps = []
+    for index, shared in siblings:
+        if not (shared and index in made):
+            raw, text = PROPOSALS[index]
+            try:
+                action = parse_action(raw, GRAMMAR)
+            except ValueError:
+                action = ActionSample(kind="thought", raw=raw)
+            made[index] = action, EnvObservation("".join(list(text)))
+        steps.append(made[index])
+    add_children(tree, 1, steps)
+    return tree
+
+
+class RecordingBackend:
+    """Answers from (prompt, seed) alone: a score, unparseable text or an
+    outage. Records every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def propose(self, prompt, n, seed):
+        self.calls.append((prompt, n, seed))
+        pick = stable_seed(prompt, seed) % 14
+        if pick == 0:
+            raise BackendError("down")
+        if pick == 1:
+            return ["no verdict"]
+        return [f"Thus the correctness score is {pick - 2}"]
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+@pytest.mark.parametrize("mode", ["full", "sc_only"])
+@settings(max_examples=40, deadline=None)
+@given(
+    siblings=st.lists(
+        st.tuples(st.integers(0, len(PROPOSALS) - 1), st.booleans()), min_size=1, max_size=8
+    ),
+    lam=st.floats(0.0, 1.0),
+    seed=st.integers(-(2**70), 2**70),
+    cue=st.sampled_from([None, "", "Step {i}:"]),
+)
+def test_evaluate_children_equals_the_from_scratch_reference(
+    mode, pooled, siblings, lam, seed, cue
+):
+    outcomes = []
+    for evaluate in (evaluate_children, evaluate_children_from_scratch):
+        tree = sibling_tree(siblings)
+        backend = RecordingBackend()
+        args = tree, 1, mode, lam, PromptBundle("rate", cue=cue), backend, seed
+        if pooled:
+            with value_pool(3) as pool:
+                records = evaluate(*args, pool=pool)
+        else:
+            records = evaluate(*args)
+        outcomes.append((records, [node.value for node in tree.nodes], backend.calls))
+    (records, values, calls), (expected, expected_values, expected_calls) = outcomes
+    assert records == expected
+    assert values == expected_values
+    if pooled:
+        assert sorted(calls) == sorted(expected_calls)
+    else:
+        assert calls == expected_calls
+    assert (mode == "sc_only") == (calls == [])
