@@ -65,8 +65,11 @@ class CountingEnv:
         self.grammar = inner.grammar
         self.stepped = []
         self.restores = 0
-        self.snapshots = 0
         self.handed_out = []
+
+    @property
+    def snapshots(self) -> int:
+        return len(self.handed_out)
 
     @property
     def distinct_snapshots(self) -> int:
@@ -84,7 +87,6 @@ class CountingEnv:
         self.inner.restore(snap)
 
     def snapshot(self):
-        self.snapshots += 1
         self.handed_out.append(self.inner.snapshot())
         return self.handed_out[-1]
 

@@ -170,9 +170,9 @@ GOLDEN = {
 }
 
 
-def _digest(task, backends, config):
+def _digest(task, backends, config, env=None):
     trace = TraceWriter()
-    run_search(task, backends, load_template_set(task.kind), config, trace=trace)
+    run_search(task, backends, load_template_set(task.kind), config, trace=trace, env=env)
     return hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
 
 
@@ -218,9 +218,7 @@ def test_work_covers_every_golden_case():
 def test_golden_run_env_work_stays_within_its_ceiling(name):
     task, backends, config = _case(name)
     env = CountingEnv(make_env(task.kind))
-    trace = TraceWriter()
-    run_search(task, backends, load_template_set(task.kind), config, trace=trace, env=env)
-    assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == GOLDEN[name]
+    assert _digest(task, backends, config, env) == GOLDEN[name]
     restores, steps, snapshots, distinct = WORK[name]
     assert env.restores <= restores
     assert len(env.stepped) <= steps
